@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import Grid
 
@@ -65,6 +64,8 @@ def window_sizes(params: DtmFilterParams, cellsize: float) -> list[int]:
 
 
 def _erode(data: np.ndarray, window: int) -> np.ndarray:
+    from scipy import ndimage  # here, so that commands without a PMF skip its import
+
     # Nodata (NaN) is absent from the kernel: +inf never wins a minimum, and a
     # window of nothing but +inf marks an all-nodata neighborhood.
     filled = np.where(np.isnan(data), np.inf, data)
@@ -74,6 +75,8 @@ def _erode(data: np.ndarray, window: int) -> np.ndarray:
 
 
 def _dilate(data: np.ndarray, window: int) -> np.ndarray:
+    from scipy import ndimage
+
     filled = np.where(np.isnan(data), -np.inf, data)
     out = ndimage.maximum_filter(filled, size=window, mode="nearest")
     out[np.isinf(out)] = np.nan

@@ -9,10 +9,17 @@ is the northernmost row.
 Internally nodata cells are held as NaN; the sentinel only appears in files.
 Values are printed with shortest round-trip precision so that
 ``read_ascii_grid(write_ascii_grid(g))`` reproduces ``g`` exactly.
+
+Both directions stream the body one row at a time: the reader converts each
+line's tokens in one pass and the writer formats each row from numpy masks of
+its NaN and integral cells, so per-cell Python objects live for one row only.
+The values read and the text written are exactly those of ``float`` and
+``format_value`` applied cell by cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +34,9 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 # Origin/cellsize agreement required for grid algebra, in meters.
 GEOREF_TOLERANCE_M = 1e-6
 
+# format_value prints integral values below this magnitude as integers.
+_INT_LIMIT = 1e15
+
 
 def format_value(v: float) -> str:
     """Shortest decimal text that parses back to exactly ``v``.
@@ -34,7 +44,7 @@ def format_value(v: float) -> str:
     Integral values are printed without a decimal point ("5", not "5.0").
     """
     f = float(v)
-    if f == int(f) and abs(f) < 1e15:
+    if f == int(f) and abs(f) < _INT_LIMIT:
         return str(int(f))
     return repr(f)
 
@@ -140,18 +150,44 @@ def _parse_header_line(line: str, line_no: int, expected_key: str) -> float:
             f"expected header key {expected_key!r}, got {key!r}", line_no
         )
     try:
-        return float(value)
+        v = float(value)
     except ValueError:
         raise AsciiGridError(
             f"non-numeric value {value!r} for header key {expected_key!r}", line_no
         ) from None
+    if not math.isfinite(v):
+        raise AsciiGridError(
+            f"non-finite value {value!r} for header key {expected_key!r}", line_no
+        )
+    return v
+
+
+def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -> None:
+    """Walk the body token by token and raise for the first bad token.
+
+    A token is bad when it is one value too many, is not a number, or is
+    infinite. The caller has already found that the body holds one.
+    """
+    count = 0
+    for line_no, line in enumerate(body, first_line_no):
+        for token in line.split():
+            if count >= expected:
+                raise AsciiGridError(f"too many values: expected {expected}", line_no)
+            try:
+                v = float(token)
+            except ValueError:
+                raise AsciiGridError(f"non-numeric value token {token!r}", line_no) from None
+            if math.isinf(v):
+                raise AsciiGridError(f"non-finite value token {token!r}", line_no)
+            count += 1
 
 
 def read_ascii_grid(text: str) -> Grid:
     """Parse an ESRI ASCII grid from a string.
 
-    Raises AsciiGridError (with the offending line number) on malformed
-    headers, non-numeric tokens, or a wrong body value count.
+    Raises AsciiGridError (with the offending line number) on malformed or
+    non-finite headers, non-numeric or infinite tokens, or a wrong body value
+    count.
     """
     lines = text.splitlines()
     if len(lines) < len(_HEADER_KEYS):
@@ -180,19 +216,20 @@ def read_ascii_grid(text: str) -> Grid:
     expected = ncols * nrows
     values = np.empty(expected, dtype=np.float64)
     count = 0
-    for line_no0 in range(body_start, len(lines)):
-        for token in lines[line_no0].split():
-            if count >= expected:
-                raise AsciiGridError(
-                    f"too many values: expected {expected}", line_no0 + 1
-                )
-            try:
-                values[count] = float(token)
-            except ValueError:
-                raise AsciiGridError(
-                    f"non-numeric value token {token!r}", line_no0 + 1
-                ) from None
-            count += 1
+    body = lines[body_start:]
+    for line in body:
+        tokens = line.split()
+        end = count + len(tokens)
+        try:
+            parsed = list(map(float, tokens))
+        except ValueError:
+            parsed = None
+        if parsed is None or end > expected:
+            _raise_first_bad_token(body, body_start + 1, expected)
+        values[count:end] = parsed
+        count = end
+    if np.isinf(values[:count]).any():
+        _raise_first_bad_token(body, body_start + 1, expected)
     if count < expected:
         raise AsciiGridError(
             f"too few values: expected {expected}, got {count}", len(lines)
@@ -202,20 +239,33 @@ def read_ascii_grid(text: str) -> Grid:
     return Grid(georef, values.reshape(nrows, ncols), nodata)
 
 
+def _format_row(row: np.ndarray, sentinel: str) -> str:
+    """One body line: ``format_value`` of each cell, ``sentinel`` for NaN."""
+    integral = (np.trunc(row) == row) & (np.abs(row) < _INT_LIMIT)
+    if integral.all():
+        return " ".join(map(str, row.astype(np.int64).tolist()))
+    tokens = list(map(repr, row.tolist()))
+    for c in np.flatnonzero(np.isnan(row)).tolist():
+        tokens[c] = sentinel
+    cols = np.flatnonzero(integral)
+    for c, v in zip(cols.tolist(), row[cols].astype(np.int64).tolist()):
+        tokens[c] = str(v)
+    return " ".join(tokens)
+
+
 def write_ascii_grid(g: Grid) -> str:
     """Serialize a Grid to ESRI ASCII text (always includes NODATA_value)."""
     ref = g.georef
+    sentinel = format_value(g.nodata)
     out = [
         f"ncols {ref.ncols}",
         f"nrows {ref.nrows}",
         f"xllcorner {format_value(ref.xll)}",
         f"yllcorner {format_value(ref.yll)}",
         f"cellsize {format_value(ref.cellsize)}",
-        f"NODATA_value {format_value(g.nodata)}",
+        f"NODATA_value {sentinel}",
     ]
-    sentinel = format_value(g.nodata)
-    for row in g.data:
-        out.append(" ".join(sentinel if np.isnan(v) else format_value(v) for v in row))
+    out.extend(_format_row(row, sentinel) for row in g.data)
     return "\n".join(out) + "\n"
 
 

@@ -3,7 +3,10 @@
 A scene is flat or planar-ramp terrain plus rectangular-footprint prisms of
 known height, with optional uniform noise. The noise generator is a fixed
 64-bit linear congruential generator (Knuth MMIX constants) so identical
-seeds produce bit-identical grids on every platform.
+seeds produce bit-identical grids on every platform. It is evaluated in
+blocks with a jump-ahead on uint64 (Brown 1994, "Random number generation
+with arbitrary strides"), which gives the same bits as stepping the
+recurrence one state at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .grid import Grid, GridGeoref
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
 LCG_MOD = 1 << 64
+# States per lcg_noise jump-ahead step.
+_LCG_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -55,13 +60,40 @@ class SynthResult:
     true_heights: dict[str, float]
 
 
-def lcg_noise(seed: int, count: int, amplitude: float) -> np.ndarray:
-    """Deterministic uniform noise in [-amplitude, +amplitude]."""
-    out = np.empty(count, dtype=np.float64)
+def _lcg_states(seed: int, count: int) -> list[int]:
+    """The first ``count`` states after ``seed``, by the exact recurrence."""
+    states = []
     state = seed % LCG_MOD
-    for i in range(count):
+    for _ in range(count):
         state = (state * LCG_MULT + LCG_INC) % LCG_MOD
-        out[i] = (2.0 * (state / LCG_MOD) - 1.0) * amplitude
+        states.append(state)
+    return states
+
+
+def lcg_noise(seed: int, count: int, amplitude: float) -> np.ndarray:
+    """Deterministic uniform noise in [-amplitude, +amplitude].
+
+    Draw i is ``(2 * (s_i / 2**64) - 1) * amplitude`` for the i-th state
+    ``s_i`` of the LCG after ``seed``. The first block of states comes from
+    the recurrence itself; each later block jumps ``_LCG_BLOCK`` steps ahead
+    of the one before with a single wrapping uint64 multiply-add
+    (``s_{i+k} = a^k s_i + c_k mod 2**64``). Converting a state to float64
+    and dividing by a power of two rounds exactly as ``s_i / 2**64`` on
+    Python ints, so the draws are bit-identical to the plain recurrence.
+    """
+    out = np.empty(count, dtype=np.float64)
+    block = np.array(_lcg_states(seed, min(count, _LCG_BLOCK)), dtype=np.uint64)
+    jump_mult = np.uint64(pow(LCG_MULT, _LCG_BLOCK, LCG_MOD))
+    # c_k is the k-th state after seed 0.
+    jump_inc = np.uint64(_lcg_states(0, _LCG_BLOCK)[-1])
+    for start in range(0, count, _LCG_BLOCK):
+        if start:
+            block = block * jump_mult + jump_inc
+        seg = out[start:start + _LCG_BLOCK]
+        np.divide(block[:len(seg)], float(LCG_MOD), out=seg)
+    out *= 2.0
+    out -= 1.0
+    out *= amplitude
     return out
 
 

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import popvol
 from popvol import read_ascii_grid, write_ascii_grid
 from popvol.cli import footprints_to_geojson, main, read_estimates_csv
 from popvol.footprints import Footprint
@@ -354,3 +360,31 @@ def test_run_rerun_byte_identical(tmp_path):
         p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())
     }
     assert first == second
+
+
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+
+
+def test_demo_reproduces_committed_outputs(tmp_path):
+    for name in ("scene.json", "config.json", "ground_truth.csv", "site.osm", "rules.json"):
+        shutil.copy(DEMO / name, tmp_path / name)
+    out = tmp_path / "out"
+    assert main([
+        "synth", "--scene", str(tmp_path / "scene.json"),
+        "--out-dsm", str(out / "dsm.asc"), "--out-footprints", str(out / "footprints.geojson"),
+    ]) == 0
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+    golden = sorted(p.name for p in (DEMO / "out").iterdir())
+    assert sorted(p.name for p in out.iterdir()) == golden
+    for name in golden:
+        assert (out / name).read_bytes() == (DEMO / "out" / name).read_bytes(), name
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(popvol.__file__).resolve().parents[1]
+    code = "import sys, popvol.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

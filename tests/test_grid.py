@@ -14,6 +14,8 @@ from popvol import (
     read_ascii_grid,
     write_ascii_grid,
 )
+from popvol.cli import main
+from popvol.grid import format_value
 
 from conftest import make_grid
 
@@ -78,6 +80,69 @@ def test_roundtrip_random_grids():
         assert read_ascii_grid(write_ascii_grid(g)) == g
 
 
+def _write_reference(g: Grid) -> str:
+    """The writer's text, cell by cell through format_value."""
+    ref = g.georef
+    sentinel = format_value(g.nodata)
+    out = [
+        f"ncols {ref.ncols}",
+        f"nrows {ref.nrows}",
+        f"xllcorner {format_value(ref.xll)}",
+        f"yllcorner {format_value(ref.yll)}",
+        f"cellsize {format_value(ref.cellsize)}",
+        f"NODATA_value {sentinel}",
+    ]
+    for row in g.data:
+        out.append(" ".join(sentinel if np.isnan(v) else format_value(v) for v in row))
+    return "\n".join(out) + "\n"
+
+
+_NAN = float("nan")
+ADVERSARIAL = [
+    # all-NaN rows, then a mixed row
+    [[_NAN, _NAN, _NAN], [_NAN, _NAN, _NAN], [1.0, _NAN, 2.5]],
+    # signed zero, the integer-format limit and its neighbours, exponents
+    [[-0.0, 0.0, 1e15, -1e15], [1e16, 1e-5, -1e-5, 999999999999999.0]],
+    [[0.1, 2.0, _NAN, -7.0], [1e300, 5e-324, 123456789.0, -3.25]],
+    # all integral rows, as in a ground mask
+    [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+    [[42.0]],
+    [[_NAN]],
+]
+
+
+@pytest.mark.parametrize("values", ADVERSARIAL)
+@pytest.mark.parametrize("nodata", [-9999.0, -3.5, 1e20])
+def test_write_matches_format_value_reference(values, nodata):
+    arr = np.array(values, dtype=np.float64)
+    g = Grid(GridGeoref(arr.shape[1], arr.shape[0], -0.0, 1e-5, 0.5), arr, nodata)
+    text = write_ascii_grid(g)
+    assert text == _write_reference(g)
+    assert read_ascii_grid(text) == g
+
+
+@pytest.mark.parametrize("values", ADVERSARIAL)
+@pytest.mark.parametrize("layout", ["one_line", "uneven", "one_per_line"])
+def test_read_values_spread_across_lines(values, layout):
+    arr = np.array(values, dtype=np.float64)
+    g = Grid(GridGeoref(arr.shape[1], arr.shape[0], 0.0, 0.0, 1.0), arr, -3.5)
+    lines = write_ascii_grid(g).splitlines()
+    header, tokens = lines[:6], " ".join(lines[6:]).split()
+    if layout == "one_line":
+        body = [" ".join(tokens)]
+    elif layout == "one_per_line":
+        body = tokens
+    else:
+        rng = random.Random(len(tokens))
+        body, i = [], 0
+        while i < len(tokens):
+            n = rng.randint(0, 3)
+            body.append("  ".join(tokens[i:i + n]))
+            i += n
+    text = "\n".join(header + body) + "\n"
+    assert read_ascii_grid(text) == g
+
+
 def test_write_1x1_single_row():
     g = make_grid([[5.0]])
     text = write_ascii_grid(g)
@@ -123,6 +188,36 @@ def test_non_numeric_value_token_reports_line():
     with pytest.raises(AsciiGridError) as err:
         read_ascii_grid(text)
     assert err.value.line_no == 7
+
+
+HEADER_2X1 = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,bad_line,message",
+    [
+        (HEADER_2X1.replace("ncols 2", "ncols inf") + "1 2\n", 1, "non-finite"),
+        (HEADER_2X1.replace("nrows 1", "nrows -inf") + "1 2\n", 2, "non-finite"),
+        (HEADER_2X1.replace("xllcorner 0", "xllcorner nan") + "1 2\n", 3, "non-finite"),
+        (HEADER_2X1.replace("cellsize 1", "cellsize nan") + "1 2\n", 5, "non-finite"),
+        (HEADER_2X1 + "NODATA_value nan\n1 2\n", 6, "non-finite"),
+        (HEADER_2X1 + "1 inf\n", 6, "non-finite"),
+        (HEADER_2X1 + "NODATA_value -9999\n-inf\n2\n", 7, "non-finite"),
+        # the first bad token in reading order decides
+        (HEADER_2X1 + "inf\noops\n", 6, "non-finite"),
+        (HEADER_2X1 + "1\noops 2 3\n", 7, "non-numeric"),
+        (HEADER_2X1 + "1\n2 oops\n", 7, "too many"),
+        (HEADER_2X1 + "1\n2 inf\n", 7, "too many"),
+    ],
+)
+def test_non_finite_and_bad_tokens_are_typed_errors(tmp_path, capsys, text, bad_line, message):
+    with pytest.raises(AsciiGridError, match=message) as err:
+        read_ascii_grid(text)
+    assert err.value.line_no == bad_line
+    (tmp_path / "dsm.asc").write_text(text)
+    rc = main(["dtm", "--dsm", str(tmp_path / "dsm.asc"), "--out-dtm", str(tmp_path / "dtm.asc")])
+    assert rc == 2
+    assert f"line {bad_line}: {message}" in capsys.readouterr().err
 
 
 def test_rejects_bad_dimensions_and_cellsize():

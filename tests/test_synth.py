@@ -12,7 +12,15 @@ from popvol import (
     rasterize_polygon,
     synthesize_dsm,
 )
-from popvol.synth import LCG_INC, LCG_MOD, LCG_MULT, lcg_noise, load_scene, rectangle_ring
+from popvol.synth import (
+    _LCG_BLOCK,
+    LCG_INC,
+    LCG_MOD,
+    LCG_MULT,
+    lcg_noise,
+    load_scene,
+    rectangle_ring,
+)
 
 
 def _scene(prisms=(), noise=0.0, seed=0, terrain=TerrainModel(50.0), size=(60, 50)):
@@ -98,6 +106,21 @@ def test_lcg_reference_sequence():
     noise = lcg_noise(42, 4, 1.0)
     assert noise.tolist() == expected
     assert lcg_noise(42, 4, 0.25).tolist() == [0.25 * v for v in expected]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 12345])
+@pytest.mark.parametrize(
+    "count", [0, 1, _LCG_BLOCK - 1, _LCG_BLOCK, _LCG_BLOCK + 1, 10_007]
+)
+def test_lcg_noise_matches_recurrence(seed, count):
+    state = seed % LCG_MOD
+    expected = []
+    for _ in range(count):
+        state = (state * LCG_MULT + LCG_INC) % LCG_MOD
+        expected.append((2.0 * (state / LCG_MOD) - 1.0) * 0.37)
+    noise = lcg_noise(seed, count, 0.37)
+    assert noise.dtype == np.float64
+    assert noise.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 def test_noise_within_amplitude():
