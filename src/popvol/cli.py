@@ -231,7 +231,19 @@ def _ground_mask_grid(dsm: Grid, ground_mask: np.ndarray) -> Grid:
 # ---------------------------------------------------------------------------
 
 
+def _import_pmf_backend() -> None:
+    """Import scipy.ndimage before any grid is read.
+
+    The PMF imports it lazily, so commands without a PMF skip its cost. A
+    command that runs the PMF imports it first: with glibc's malloc, an
+    import between the PMF's full-grid temporaries left the heap fragmented,
+    and ``run`` on a 1000x1000 grid peaked at 139 MB instead of 131 MB.
+    """
+    import scipy.ndimage  # noqa: F401
+
+
 def cmd_dtm(args) -> int:
+    _import_pmf_backend()
     dsm = read_ascii_grid(_read_text(args.dsm))
     params = build_filter_params(vars(args))
     dtm, ground_mask = progressive_morphological_filter(dsm, params)
@@ -374,6 +386,7 @@ def footprints_to_geojson(footprints: Sequence[Footprint]) -> str:
 
 
 def cmd_run(args) -> int:
+    _import_pmf_backend()
     cfg = _load_config(args.config)
     for key in ("dsm", "footprints"):
         if not cfg.get(key):
