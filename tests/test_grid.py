@@ -97,6 +97,14 @@ def _write_reference(g: Grid) -> str:
     return "\n".join(out) + "\n"
 
 
+def _mixed_rows() -> list[list[float]]:
+    """Rows mixing nodata, integral and fractional cells at random."""
+    rng = np.random.default_rng(5)
+    frac = rng.normal(0.0, 1e3, (20, 30))
+    kind = rng.integers(0, 3, frac.shape)
+    return np.select([kind == 0, kind == 1], [np.nan, np.round(frac)], frac).tolist()
+
+
 _NAN = float("nan")
 ADVERSARIAL = [
     # all-NaN rows, then a mixed row
@@ -108,6 +116,7 @@ ADVERSARIAL = [
     [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
     [[42.0]],
     [[_NAN]],
+    _mixed_rows(),
 ]
 
 
