@@ -62,6 +62,7 @@ FILTER_KEYS = (
     "initial_threshold_m",
     "max_threshold_m",
 )
+BAND_KEYS = ("min_area_m2", "max_area_m2", "persons")
 
 
 def _read_text(path) -> str:
@@ -87,19 +88,39 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _finite_numbers(obj: dict, keys: Sequence[str], where: str) -> dict:
+    """The values of ``keys`` set in ``obj``, each a finite JSON number."""
+    found = {}
+    for k in keys:
+        v = obj.get(k)
+        if v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(f"{where} {k!r} must be a finite number, got {v!r}")
+        found[k] = v
+    return found
+
+
 def build_estimation_config(cfg: dict) -> EstimationConfig:
-    kwargs = {k: cfg[k] for k in ESTIMATION_KEYS if cfg.get(k) is not None}
-    if cfg.get("bands") is not None:
-        kwargs["bands"] = tuple(
-            PersonsBand(float(b["min_area_m2"]), float(b["max_area_m2"]), float(b["persons"]))
-            for b in cfg["bands"]
-        )
+    kwargs = _finite_numbers(cfg, ESTIMATION_KEYS, "config key")
+    bands = cfg.get("bands")
+    if bands is not None:
+        if not isinstance(bands, list) or not all(isinstance(b, dict) for b in bands):
+            raise ConfigError("config key 'bands' must be a list of objects")
+        kwargs["bands"] = tuple(_persons_band(b, i) for i, b in enumerate(bands))
     return EstimationConfig(**kwargs)
 
 
+def _persons_band(band: dict, i: int) -> PersonsBand:
+    values = _finite_numbers(band, BAND_KEYS, f"bands[{i}]")
+    missing = [k for k in BAND_KEYS if k not in values]
+    if missing:
+        raise ConfigError(f"bands[{i}]: missing {', '.join(map(repr, missing))}")
+    return PersonsBand(*(float(values[k]) for k in BAND_KEYS))
+
+
 def build_filter_params(cfg: dict) -> DtmFilterParams:
-    kwargs = {k: cfg[k] for k in FILTER_KEYS if cfg.get(k) is not None}
-    return DtmFilterParams(**kwargs)
+    return DtmFilterParams(**_finite_numbers(cfg, FILTER_KEYS, "config key"))
 
 
 def _fmt_real(v: Optional[float], decimals: int = 3) -> str:
@@ -183,41 +204,31 @@ def estimate_buildings(
             rec = zonal_height(ndsm, fp, cfg.height_percentile, cfg.min_cells)
         except FootprintError as e:
             warnings.append(str(e))
-            estimates.append(
-                BuildingEstimate(
-                    id=fp.id,
-                    type_label=fp.type_label,
-                    height_m=float("nan"),
-                    floors=0,
-                    units_per_floor=0,
-                    units=0,
-                    unit_area_m2=fp.unit_area_m2,
-                    persons=0.0,
-                    excluded=True,
-                    excluded_reason=f"error: {e}",
-                )
-            )
+            estimates.append(_excluded_estimate(fp, float("nan"), e))
             continue
         height_rows.append((fp, rec))
         try:
             estimates.append(estimate_building(rec, fp, cfg))
         except ConfigError as e:
             warnings.append(str(e))
-            estimates.append(
-                BuildingEstimate(
-                    id=fp.id,
-                    type_label=fp.type_label,
-                    height_m=rec.height_m,
-                    floors=0,
-                    units_per_floor=0,
-                    units=0,
-                    unit_area_m2=fp.unit_area_m2,
-                    persons=0.0,
-                    excluded=True,
-                    excluded_reason=f"error: {e}",
-                )
-            )
+            estimates.append(_excluded_estimate(fp, rec.height_m, e))
     return height_rows, estimates, warnings
+
+
+def _excluded_estimate(fp: Footprint, height_m: float, error: Exception) -> BuildingEstimate:
+    """The row of a building left out of the totals because of ``error``."""
+    return BuildingEstimate(
+        id=fp.id,
+        type_label=fp.type_label,
+        height_m=height_m,
+        floors=0,
+        units_per_floor=0,
+        units=0,
+        unit_area_m2=fp.unit_area_m2,
+        persons=0.0,
+        excluded=True,
+        excluded_reason=f"error: {error}",
+    )
 
 
 def _ground_mask_grid(dsm: Grid, ground_mask: np.ndarray) -> Grid:
@@ -403,13 +414,15 @@ def cmd_run(args) -> int:
         if cfg.get(key) and not resolve(cfg[key]).is_file():
             raise ConfigError(f"config key {key!r}: file not found: {resolve(cfg[key])}")
 
+    params = build_filter_params(cfg)
+    est_cfg = build_estimation_config(cfg)
+
     out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     summary: dict = {"stages": {}, "warnings": [], "footnotes": []}
 
     # stage: dtm
     dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
-    params = build_filter_params(cfg)
     dtm, ground_mask = progressive_morphological_filter(dsm, params)
     _write_text(out / "dtm.asc", write_ascii_grid(dtm))
     _write_text(out / "ground_mask.asc", write_ascii_grid(_ground_mask_grid(dsm, ground_mask)))
@@ -420,7 +433,6 @@ def cmd_run(args) -> int:
     }
 
     # stage: estimate (heights + unit/person conversion)
-    est_cfg = build_estimation_config(cfg)
     footprints = parse_footprints(_read_text(resolve(cfg["footprints"])))
     height_rows, estimates, warnings = estimate_buildings(dsm, dtm, footprints, est_cfg)
     heights_csv = render_heights_csv(height_rows)

@@ -46,10 +46,14 @@ def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
 def normalize_ring(ring, label="ring") -> list[tuple[float, float]]:
     """Validate a vertex sequence and return it open and counter-clockwise.
 
-    Drops a repeated closing vertex, requires at least 3 distinct vertices,
-    positive area, and no self-intersection (checked pairwise).
+    Drops a repeated closing vertex, requires finite coordinates, at least 3
+    distinct vertices, positive area, and no self-intersection (checked
+    pairwise).
     """
     pts = [(float(x), float(y)) for x, y in ring]
+    for k, (x, y) in enumerate(pts):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FootprintError(f"{label}: vertex #{k} is not finite")
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
     if len(pts) < 3:
@@ -114,21 +118,33 @@ def parse_footprints(text: str) -> list[Footprint]:
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise FootprintError("expected a GeoJSON FeatureCollection")
 
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise FootprintError("'features' must be a list")
+
     footprints: list[Footprint] = []
     seen: set[str] = set()
-    for i, feature in enumerate(doc.get("features", [])):
+    for i, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise FootprintError(f"feature #{i}: not a JSON object")
         props = feature.get("properties") or {}
+        if not isinstance(props, dict):
+            raise FootprintError(f"feature #{i}: 'properties' is not a JSON object")
         fid = props.get("id")
         if fid is None:
             raise FootprintError(f"feature #{i}: missing 'id' property")
         fid = str(fid)
         geom = feature.get("geometry") or {}
+        if not isinstance(geom, dict):
+            raise FootprintError(f"feature {fid!r}: 'geometry' is not a JSON object")
         gtype = geom.get("type")
         if gtype != "Polygon":
             raise FootprintError(
                 f"feature {fid!r}: unsupported geometry type {gtype!r} (Polygon only)"
             )
         rings = geom.get("coordinates") or []
+        if not isinstance(rings, list) or not all(isinstance(r, list) for r in rings):
+            raise FootprintError(f"feature {fid!r}: 'coordinates' must be a list of rings")
         if len(rings) == 0:
             raise FootprintError(f"feature {fid!r}: empty polygon")
         if len(rings) > 1:
@@ -139,16 +155,34 @@ def parse_footprints(text: str) -> list[Footprint]:
 
         unit_area = props.get("unit_area_m2")
         override = props.get("units_per_floor")
+        try:
+            unit_area = float(unit_area) if unit_area is not None else None
+            override = int(override) if override is not None else None
+        except (TypeError, ValueError):
+            raise FootprintError(
+                f"feature {fid!r}: unit_area_m2 and units_per_floor must be numbers"
+            ) from None
         footprints.append(
             Footprint(
                 id=fid,
                 type_label=str(props.get("type_label", "")),
-                ring=[(p[0], p[1]) for p in rings[0]],
-                unit_area_m2=float(unit_area) if unit_area is not None else None,
-                units_per_floor_override=int(override) if override is not None else None,
+                ring=[_position(p, fid, k) for k, p in enumerate(rings[0])],
+                unit_area_m2=unit_area,
+                units_per_floor_override=override,
             )
         )
     return footprints
+
+
+def _position(p, fid: str, k: int) -> tuple[float, float]:
+    """The x, y of a GeoJSON position: two or more JSON numbers."""
+    if not (
+        isinstance(p, list)
+        and len(p) >= 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p[:2])
+    ):
+        raise FootprintError(f"feature {fid!r}: vertex #{k} is not an [x, y] pair of numbers")
+    return p[0], p[1]
 
 
 def footprint_area(f: Footprint) -> float:

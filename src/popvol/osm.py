@@ -142,6 +142,11 @@ def load_rules(text: str) -> list[TagRule]:
         raise PipelineError(f"invalid rules JSON: {e}") from None
     if not isinstance(doc, list):
         raise PipelineError("rules JSON must be an array")
+    for i, r in enumerate(doc):
+        if not isinstance(r, dict) or not all(
+            isinstance(r.get(f), str) for f in ("category", "key", "value")
+        ):
+            raise PipelineError(f"rules entry #{i}: needs string 'category', 'key' and 'value'")
     return [TagRule(r["category"], r["key"], r["value"]) for r in doc]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -135,7 +136,7 @@ def load_scene(text: str) -> SyntheticScene:
             noise_amplitude_m=float(doc.get("noise_amplitude_m", 0.0)),
             seed=int(doc.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (LookupError, TypeError, ValueError) as e:
         raise SceneError(f"invalid scene definition: {e}") from None
 
 
@@ -145,6 +146,14 @@ def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
     Prisms sit on the terrain (cell value = terrain + prism height + noise).
     Nested prisms are allowed, innermost winning; partially overlapping
     prisms are rejected.
+
+    Prisms are painted largest cell count first (stable in input order) onto
+    a label raster that holds, per cell, the index of the last prism painted
+    there. Every prism painted before the current one has at least as many
+    cells, so while the painted prisms are pairwise nested or disjoint each
+    label is the innermost prism over its cell. The current prism is then
+    nested in or disjoint from all of them exactly when its cells carry one
+    label, which makes the check O(cells) instead of O(prisms^2).
     """
     ref = scene.georef
     xs = ref.col_centers()
@@ -155,22 +164,7 @@ def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
         + scene.terrain.grad_x * (gx - ref.xll)
         + scene.terrain.grad_y * (gy - ref.yll)
     )
-
-    cell_sets = [(fp, h, rasterize_polygon(fp, ref)) for fp, h in scene.prisms]
-    for i in range(len(cell_sets)):
-        for j in range(i + 1, len(cell_sets)):
-            a, b = cell_sets[i][2], cell_sets[j][2]
-            common = a & b
-            if common and not (a <= b or b <= a):
-                raise SceneError(
-                    f"prisms {cell_sets[i][0].id!r} and {cell_sets[j][0].id!r} overlap"
-                )
-
-    dsm_data = terrain.copy()
-    # larger prisms first so nested (smaller) prisms overwrite them
-    for fp, h, cells in sorted(cell_sets, key=lambda t: -len(t[2])):
-        for r, c in cells:
-            dsm_data[r, c] = terrain[r, c] + h
+    dsm_data = _paint_prisms(scene, terrain)
 
     if scene.noise_amplitude_m > 0:
         noise = lcg_noise(scene.seed, ref.nrows * ref.ncols, scene.noise_amplitude_m)
@@ -181,6 +175,44 @@ def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
         truth_dtm=Grid(ref, terrain),
         true_heights={fp.id: h for fp, h in scene.prisms},
     )
+
+
+def _paint_prisms(scene: SyntheticScene, terrain: np.ndarray) -> np.ndarray:
+    """``terrain`` with every prism's cells raised by its height.
+
+    Raises SceneError naming, in input order, a pair of prisms whose cell
+    sets partially overlap. The label raster lives only inside this call.
+    """
+    cells = []
+    for fp, _ in scene.prisms:
+        pairs = rasterize_polygon(fp, scene.georef)
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
+        cells.append((flat[0::2], flat[1::2]))
+
+    labels = np.full(terrain.shape, -1, dtype=np.int32)
+    dsm_data = terrain.copy()
+    for i in sorted(range(len(cells)), key=lambda k: -len(cells[k][0])):
+        idx = cells[i]
+        under = labels[idx]
+        if (under != under[0]).any():
+            # some label under prism i lies in a prism that does not contain it
+            j = next(
+                j for j in np.unique(under).tolist()
+                if j >= 0 and not _contains(cells[j], idx, terrain.shape)
+            )
+            a, b = sorted((i, j))
+            raise SceneError(
+                f"prisms {scene.prisms[a][0].id!r} and {scene.prisms[b][0].id!r} overlap"
+            )
+        labels[idx] = i
+        dsm_data[idx] = terrain[idx] + scene.prisms[i][1]
+    return dsm_data
+
+
+def _contains(outer, inner, shape) -> bool:
+    """Whether the ``(rows, cols)`` cells ``inner`` all lie in ``outer``."""
+    return bool(np.isin(np.ravel_multi_index(inner, shape),
+                        np.ravel_multi_index(outer, shape)).all())
 
 
 def rectangle_ring(x0: float, y0: float, width: float, depth: float) -> list[tuple[float, float]]:

@@ -324,6 +324,62 @@ def test_run_missing_dsm_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({"floor_height_m": "3"}, "config key 'floor_height_m' must be a finite number, got '3'"),
+        ({"occupancy_rate": True}, "config key 'occupancy_rate' must be a finite number, got True"),
+        ({"min_cells": [4]}, "config key 'min_cells' must be a finite number, got [4]"),
+        ({"efficiency": float("nan")}, "config key 'efficiency' must be a finite number, got nan"),
+        ({"bands": {"persons": 2}}, "config key 'bands' must be a list of objects"),
+        ({"bands": [3]}, "config key 'bands' must be a list of objects"),
+        ({"bands": [{"min_area_m2": 40, "max_area_m2": 60}]}, "bands[0]: missing 'persons'"),
+        ({"bands": [{"min_area_m2": 40, "max_area_m2": "60", "persons": 3}]},
+         "bands[0] 'max_area_m2' must be a finite number, got '60'"),
+        ({"slope": "0.3"}, "config key 'slope' must be a finite number, got '0.3'"),
+        ({"initial_window": False}, "config key 'initial_window' must be a finite number, got False"),
+        ({"max_window_m": float("inf")}, "config key 'max_window_m' must be a finite number, got inf"),
+    ],
+)
+def test_non_numeric_config_values_are_typed_errors(tmp_path, capsys, extra, message):
+    for name in ("dsm.asc", "fp.geojson"):
+        (tmp_path / name).write_text("never read\n")
+    config = {"dsm": "dsm.asc", "footprints": "fp.geojson", "out_dir": "out", **extra}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    commands = [["run", "--config", str(tmp_path / "config.json")]]
+    if not set(extra) & {"slope", "initial_window", "max_window_m"}:
+        commands.append([
+            "estimate", "--config", str(tmp_path / "config.json"),
+            "--dsm", str(tmp_path / "dsm.asc"), "--dtm", str(tmp_path / "dsm.asc"),
+            "--footprints", str(tmp_path / "fp.geojson"),
+            "--out-heights", str(tmp_path / "h.csv"), "--out-estimates", str(tmp_path / "e.csv"),
+        ])
+    for argv in commands:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_excluded_rows_keep_height_when_only_the_estimate_fails(tmp_path):
+    _prepare_rasters(tmp_path)
+    # B1 has a height but no unit metadata; OFF selects no cells at all
+    fps = [Footprint("B1", "TypeA", rectangle_ring(15, 15, 30, 30)),
+           Footprint("OFF", "TypeA", rectangle_ring(500, 500, 10, 10))]
+    (tmp_path / "fp.geojson").write_text(footprints_to_geojson(fps))
+    assert main([
+        "estimate", "--dsm", str(tmp_path / "dsm.asc"), "--dtm", str(tmp_path / "dtm.asc"),
+        "--footprints", str(tmp_path / "fp.geojson"),
+        "--out-heights", str(tmp_path / "h.csv"), "--out-estimates", str(tmp_path / "e.csv"),
+    ]) == 0
+    (b1_height,) = [row.split(",")[2] for row in (tmp_path / "h.csv").read_text().splitlines()[1:]]
+    lines = (tmp_path / "e.csv").read_text().splitlines()
+    assert lines[1:] == [
+        f"B1,TypeA,{b1_height},0,0,0,,0.000,error: building 'B1': needs either "
+        "units_per_floor or unit_area_m2",
+        "OFF,TypeA,,0,0,0,,0.000,error: footprint 'OFF' selects no raster cells",
+    ]
+
+
 def test_run_matches_standalone_stages(tmp_path):
     # `run` must produce the same bytes as driving each stage by hand,
     # because the CSVs are the inter-stage contract

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from popvol import (
     synthesize_dsm,
     zonal_height,
 )
+from popvol.cli import main
 from popvol.synth import rectangle_ring
 
 from conftest import make_grid
@@ -106,6 +108,68 @@ def test_zero_area_ring_rejected():
 def test_invalid_json_rejected():
     with pytest.raises(FootprintError, match="invalid JSON"):
         parse_footprints("{nope")
+
+
+def _with(f, **changes):
+    """``f`` with top-level, properties or geometry entries replaced."""
+    f = json.loads(json.dumps(f))
+    for key, value in changes.items():
+        part = f if key in f else f["properties"] if key in f["properties"] else f["geometry"]
+        part[key] = value
+    return f
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (json.dumps({"type": "FeatureCollection", "features": {"a": 1}}),
+         "'features' must be a list"),
+        (collection(feature("B1", SQUARE), 7), "feature #1: not a JSON object"),
+        (collection(["B1"]), "feature #0: not a JSON object"),
+        (collection(_with(feature("B1", SQUARE), properties=[1])), "feature #0: 'properties'"),
+        (collection(_with(feature("B2", SQUARE), geometry="x")), "feature 'B2': 'geometry'"),
+        (collection(_with(feature("B3", SQUARE), coordinates={"a": 1})),
+         "feature 'B3': 'coordinates' must be a list"),
+        (collection(_with(feature("B4", SQUARE), coordinates=[5])),
+         "feature 'B4': 'coordinates' must be a list"),
+        (collection(feature("B5", [[0, 0], [10], [10, 10], [0, 10]])),
+         "feature 'B5': vertex #1 is not an [x, y] pair"),
+        (collection(feature("B6", [[0, 0], [10, "a"], [10, 10], [0, 10]])),
+         "feature 'B6': vertex #1 is not an [x, y] pair"),
+        (collection(feature("B7", [[0, 0], [10, 0], 3, [0, 10]])),
+         "feature 'B7': vertex #2 is not an [x, y] pair"),
+        (collection(feature("B8", [[0, 0], [10, 0], [10, True], [0, 10]])),
+         "feature 'B8': vertex #2 is not an [x, y] pair"),
+        (collection(feature("B9", [[0, 0], [float("nan"), 0], [10, 10], [0, 10]])),
+         "footprint 'B9': vertex #1 is not finite"),
+        (collection(feature("B10", [[0, 0], [10, 0], [10, float("inf")], [0, 10]])),
+         "footprint 'B10': vertex #2 is not finite"),
+        (collection(feature("B11", SQUARE, unit_area_m2=[43.1])),
+         "feature 'B11': unit_area_m2 and units_per_floor must be numbers"),
+        (collection(feature("B12", SQUARE, units_per_floor="four")),
+         "feature 'B12': unit_area_m2 and units_per_floor must be numbers"),
+    ],
+)
+def test_malformed_features_are_typed_errors(tmp_path, capsys, text, message):
+    with pytest.raises(FootprintError, match=re.escape(message)):
+        parse_footprints(text)
+    (tmp_path / "fp.geojson").write_text(text)
+    (tmp_path / "h.csv").write_text("id,height_m\n")
+    rc = main([
+        "model3d", "--footprints", str(tmp_path / "fp.geojson"),
+        "--heights", str(tmp_path / "h.csv"), "--out", str(tmp_path / "model.obj"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_three_dimensional_positions_keep_x_and_y():
+    ring = [[0, 0, 5.5], [10, 0, 5.5], [10, 10, 5.5], [0, 10, 5.5]]
+    assert parse_footprints(collection(feature("B1", ring)))[0].ring == [
+        (0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from popvol import (
     OsmParseError,
+    PipelineError,
     TagRule,
     count_within_radius,
     filter_amenities,
@@ -12,6 +14,7 @@ from popvol import (
     load_rules,
     parse_osm,
 )
+from popvol.cli import main
 
 RULES = [
     TagRule("hospital", "amenity", "hospital"),
@@ -117,6 +120,34 @@ def test_filter_first_rule_wins():
 def test_load_rules():
     rules = load_rules('[{"category": "hospital", "key": "amenity", "value": "hospital"}]')
     assert rules == [TagRule("hospital", "amenity", "hospital")]
+
+
+@pytest.mark.parametrize(
+    "rules,index",
+    [
+        (["hospital"], 0),
+        ([{"category": "a", "key": "amenity", "value": "a"}, None], 1),
+        ([{"category": "hospital", "key": "amenity"}], 0),
+        ([{"key": "amenity", "value": "school"}], 0),
+        ([{"category": "a", "key": ["amenity"], "value": "a"}], 0),
+        ([{"category": 1, "key": "amenity", "value": "a"}], 0),
+    ],
+)
+def test_malformed_rules_are_typed_errors(tmp_path, capsys, rules, index):
+    text = json.dumps(rules)
+    with pytest.raises(PipelineError, match=f"rules entry #{index}:"):
+        load_rules(text)
+    (tmp_path / "site.osm").write_text('<osm version="0.6"></osm>')
+    (tmp_path / "rules.json").write_text(text)
+    rc = main([
+        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
+        "--center-lat", "23.0", "--center-lon", "72.5", "--radius-m", "2000",
+        "--out-records", str(tmp_path / "records.csv"),
+        "--out-summary", str(tmp_path / "summary.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: rules entry #{index}: needs string 'category', 'key' and 'value'\n"
 
 
 def test_haversine_identical_points():

@@ -1,9 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popvol import (
+    EmptySelectionError,
     Footprint,
     GridGeoref,
     SceneError,
@@ -12,6 +16,7 @@ from popvol import (
     rasterize_polygon,
     synthesize_dsm,
 )
+from popvol.cli import main
 from popvol.synth import (
     _LCG_BLOCK,
     LCG_INC,
@@ -71,6 +76,119 @@ def test_overlapping_prisms_rejected():
     b = Footprint("B", "T", rectangle_ring(20, 20, 20, 20))
     with pytest.raises(SceneError, match="overlap"):
         synthesize_dsm(_scene([(a, 5.0), (b, 7.0)]))
+
+
+def test_overlap_error_names_the_partially_overlapping_pair():
+    # inner nests in outer; c sits in outer too but straddles inner's corner
+    outer = Footprint("outer", "T", rectangle_ring(10, 10, 30, 30))
+    c = Footprint("C", "T", rectangle_ring(20, 20, 10, 10))
+    inner = Footprint("inner", "T", rectangle_ring(15, 15, 10, 10))
+    with pytest.raises(SceneError, match=r"^prisms 'C' and 'inner' overlap$"):
+        synthesize_dsm(_scene([(outer, 5.0), (c, 7.0), (inner, 9.0)]))
+    with pytest.raises(SceneError, match=r"^prisms 'inner' and 'C' overlap$"):
+        synthesize_dsm(_scene([(inner, 9.0), (outer, 5.0), (c, 7.0)]))
+
+
+def _pairwise_reference(scene):
+    """The DSM without noise by the pairwise subset check and a per-cell
+    paint; raises SceneError naming the first overlapping (i, j)."""
+    ref = scene.georef
+    gx, gy = np.meshgrid(ref.col_centers(), ref.row_centers())
+    terrain = (
+        scene.terrain.origin_elev
+        + scene.terrain.grad_x * (gx - ref.xll)
+        + scene.terrain.grad_y * (gy - ref.yll)
+    )
+    cell_sets = [(fp, h, rasterize_polygon(fp, ref)) for fp, h in scene.prisms]
+    for i in range(len(cell_sets)):
+        for j in range(i + 1, len(cell_sets)):
+            a, b = cell_sets[i][2], cell_sets[j][2]
+            if a & b and not (a <= b or b <= a):
+                raise SceneError(f"prisms {cell_sets[i][0].id!r} and {cell_sets[j][0].id!r} overlap")
+    dsm = terrain.copy()
+    for _, h, cells in sorted(cell_sets, key=lambda t: -len(t[2])):
+        for r, c in cells:
+            dsm[r, c] = terrain[r, c] + h
+    return dsm
+
+
+def _halves(lo, hi):
+    """Multiples of 0.5 in [lo, hi]: edges through cell centres included."""
+    return st.integers(2 * lo, 2 * hi).map(lambda k: k / 2)
+
+
+@st.composite
+def _rectangle_scenes(draw):
+    """Up to 7 rectangles on a 12x10 grid, some copied from, cut from inside
+    or shifted off an earlier one; shifts can push a prism partly or wholly
+    off the grid."""
+    rects = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["free", "equal", "inside", "shifted"])) if rects else "free"
+        if kind == "free":
+            # at least one cell centre of the grid lies inside
+            x0, y0 = draw(_halves(-3, 11)), draw(_halves(-3, 9))
+            rect = (x0, y0, draw(_halves(max(1, 1 - x0), 8)), draw(_halves(max(1, 1 - y0), 8)))
+        else:
+            x0, y0, w, d = draw(st.sampled_from(rects))
+            if kind == "inside":
+                dx, dy = draw(_halves(0, w - 1)), draw(_halves(0, d - 1))
+                rect = (x0 + dx, y0 + dy, draw(_halves(1, w - dx)), draw(_halves(1, d - dy)))
+            elif kind == "shifted":
+                rect = (x0 + draw(_halves(-3, 3)), y0 + draw(_halves(-3, 3)), w, d)
+            else:
+                rect = (x0, y0, w, d)
+        rects.append(rect)
+    prisms = [
+        (Footprint(f"P{k}", "T", rectangle_ring(*rect)),
+         draw(st.floats(0.0, 60.0, allow_nan=False)))
+        for k, rect in enumerate(rects)
+    ]
+    return _scene(prisms, terrain=TerrainModel(50.0, 0.013, -0.029), size=(12, 10))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_rectangle_scenes())
+def test_label_raster_matches_pairwise_reference(scene):
+    try:
+        expected = _pairwise_reference(scene)
+    except (SceneError, EmptySelectionError) as e:
+        with pytest.raises(type(e)) as err:
+            synthesize_dsm(scene)
+        if isinstance(e, SceneError):
+            # the named pair partially overlaps and is in input order
+            ids = [fp.id for fp, _ in scene.prisms]
+            a, b = re.fullmatch(r"prisms '(\w+)' and '(\w+)' overlap", str(err.value)).groups()
+            assert ids.index(a) < ids.index(b)
+            ca, cb = (rasterize_polygon(scene.prisms[ids.index(k)][0], scene.georef) for k in (a, b))
+            assert ca & cb and not (ca <= cb or cb <= ca)
+        return
+    assert synthesize_dsm(scene).dsm.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "ring,message",
+    [
+        ([[5, 5], [15, float("nan")], [15, 15], [5, 15]], "footprint 'P1': vertex #1 is not finite"),
+        ([[5, 5], [15, 5], [float("-inf"), 15], [5, 15]], "footprint 'P1': vertex #2 is not finite"),
+        ([[5, 5], [15], [15, 15], [5, 15]], "invalid scene definition: list index out of range"),
+        ([[5, 5], [15, 5], [30, 15], [5, 15]], "prisms 'P0' and 'P1' overlap"),
+    ],
+)
+def test_bad_scene_prisms_are_typed_errors(tmp_path, capsys, ring, message):
+    doc = {
+        "georef": {"ncols": 40, "nrows": 30, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
+        "prisms": [
+            {"id": "P0", "ring": [[20, 5], [30, 5], [30, 15], [20, 15]], "height_m": 4.0},
+            {"id": "P1", "ring": ring, "height_m": 6.0},
+        ],
+    }
+    (tmp_path / "scene.json").write_text(json.dumps(doc))
+    rc = main(["synth", "--scene", str(tmp_path / "scene.json"),
+               "--out-dsm", str(tmp_path / "dsm.asc")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "dsm.asc").exists()
 
 
 def test_nested_prisms_innermost_wins():
