@@ -45,8 +45,6 @@ from .footprints import (
 from .grid import (
     Grid,
     GridGeoref,
-    GridStats,
-    grid_stats,
     grid_subtract,
     read_ascii_grid,
     write_ascii_grid,

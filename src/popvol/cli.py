@@ -1,15 +1,22 @@
 """Command-line pipeline: dtm, estimate, validate, amenities, model3d, synth, run.
 
 Stages exchange data through CSV and ASCII-grid files so each is independently
-runnable. A JSON config supplies shared parameters; command-line flags override
-config values. Per-building failures never abort a batch: they are recorded as
-warnings and flagged rows, and the command still exits 0.
+runnable; one function per stage serves both its subcommand and ``run``.
+
+``run`` takes every parameter from a JSON config, and its ``--out-dir`` flag
+is the only flag that overrides a config value (``out_dir``). ``estimate``
+reads the estimation keys of the same config through ``--config`` and has no
+parameter flags; ``dtm`` takes the filter parameters as flags and reads no
+config. Unknown config keys are rejected. Per-building failures never abort a
+batch: they are recorded as warnings and flagged rows, and the command still
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import io
 import json
 import math
@@ -26,12 +33,13 @@ from .estimate import (
     BuildingEstimate,
     EstimationConfig,
     PersonsBand,
+    SocietyEstimate,
     aggregate,
     estimate_building,
 )
 from .footprints import Footprint, parse_footprints, zonal_height
 from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
-from .mesh import extrude, write_obj
+from .mesh import Mesh, extrude, write_obj
 from .osm import count_within_radius, filter_amenities, load_rules, parse_osm
 from .synth import load_scene, synthesize_dsm
 from .validate import (
@@ -63,6 +71,13 @@ FILTER_KEYS = (
     "max_threshold_m",
 )
 BAND_KEYS = ("min_area_m2", "max_area_m2", "persons")
+# input files of `run`, resolved relative to the config file
+INPUT_KEYS = ("dsm", "footprints", "ground_truth", "osm", "rules", "published_reference")
+PATH_KEYS = INPUT_KEYS + ("out_dir",)
+AMENITY_KEYS = ("center_lat", "center_lon", "radius_m")
+CONFIG_KEYS = frozenset(
+    PATH_KEYS + AMENITY_KEYS + ("base_elevation_m", "bands") + ESTIMATION_KEYS + FILTER_KEYS
+)
 
 
 def _read_text(path) -> str:
@@ -78,13 +93,37 @@ def _write_text(path, text: str) -> None:
     p.write_text(text)
 
 
-def _load_config(path) -> dict:
+def _load_json_object(path, what: str) -> dict:
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid config JSON in {path}: {e}") from None
+        raise ConfigError(f"invalid {what} JSON in {path}: {e}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    return doc
+
+
+def _load_config(path) -> dict:
+    """The config object; a key outside CONFIG_KEYS is a ConfigError that
+    names the closest known key."""
+    doc = _load_json_object(path, "config")
+    for key in doc:
+        if key not in CONFIG_KEYS:
+            close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"unknown config key {key!r}{hint}")
+    return doc
+
+
+def _load_published_reference(path) -> dict:
+    """Published figures to footnote: ``unit_diff_pct`` and ``persons``, each
+    an object mapping labels to finite numbers."""
+    doc = _load_json_object(path, "published_reference")
+    for key in ("unit_diff_pct", "persons"):
+        table = doc.get(key, {})
+        if not isinstance(table, dict):
+            raise ConfigError(f"published_reference {key!r} must be an object of label: number")
+        _finite_numbers(table, list(table), f"published_reference {key}")
     return doc
 
 
@@ -95,7 +134,11 @@ def _finite_numbers(obj: dict, keys: Sequence[str], where: str) -> dict:
         v = obj.get(k)
         if v is None:
             continue
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        try:
+            finite = not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ConfigError(f"{where} {k!r} must be a finite number, got {v!r}")
         found[k] = v
     return found
@@ -162,9 +205,9 @@ def render_estimates_csv(estimates: Sequence[BuildingEstimate]) -> str:
 
 
 def read_estimates_csv(text: str) -> list[BuildingEstimate]:
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text), restval="")
     required = set(ESTIMATES_HEADER.split(","))
-    if reader.fieldnames is None or set(reader.fieldnames) < required:
+    if reader.fieldnames is None or not required <= set(reader.fieldnames):
         raise PipelineError(f"estimates CSV needs columns: {ESTIMATES_HEADER}")
     rows = []
     for rec in reader:
@@ -238,6 +281,95 @@ def _ground_mask_grid(dsm: Grid, ground_mask: np.ndarray) -> Grid:
 
 
 # ---------------------------------------------------------------------------
+# stages: each writes its files and returns its summary.json record; a
+# subcommand and `run` share one body per stage
+# ---------------------------------------------------------------------------
+
+
+def _record(*outputs, **counts) -> dict:
+    """A stage's summary.json record: its counts and the names of the files it wrote."""
+    return {"status": "ok", **counts, "outputs": [Path(p).name for p in outputs if p]}
+
+
+def dtm_stage(dsm: Grid, params: DtmFilterParams, out_dtm, out_mask=None) -> tuple[Grid, dict]:
+    """Filter ``dsm`` to a DTM and write it, and the ground mask if ``out_mask``
+    is set. Returns the DTM and the stage record."""
+    dtm, ground_mask = progressive_morphological_filter(dsm, params)
+    _write_text(out_dtm, write_ascii_grid(dtm))
+    if out_mask:
+        _write_text(out_mask, write_ascii_grid(_ground_mask_grid(dsm, ground_mask)))
+    non_ground = int((~ground_mask & dsm.valid_mask).sum())
+    return dtm, _record(out_dtm, out_mask, non_ground_cells=non_ground)
+
+
+def estimate_stage(
+    dsm: Grid, dtm: Grid, footprints: Sequence[Footprint], cfg: EstimationConfig,
+    out_heights, out_estimates,
+) -> tuple[SocietyEstimate, dict[str, float], list[str], dict]:
+    """Write the heights and estimates CSVs. Returns the society totals, the
+    heights by id as the CSV holds them (what a standalone ``model3d`` reads),
+    the per-building warnings and the stage record."""
+    height_rows, estimates, warnings = estimate_buildings(dsm, dtm, footprints, cfg)
+    heights_csv = render_heights_csv(height_rows)
+    _write_text(out_heights, heights_csv)
+    _write_text(out_estimates, render_estimates_csv(estimates))
+    record = _record(
+        out_heights, out_estimates, buildings=len(estimates), failed_buildings=len(warnings)
+    )
+    return aggregate(estimates), _read_heights_by_id(heights_csv), warnings, record
+
+
+def validate_stage(society: SocietyEstimate, gt, out) -> tuple[list, dict]:
+    """Write the validation report. Returns its rows and the stage record."""
+    rows = validate_report(society, gt)
+    _write_text(out, render_report_csv(rows))
+    return rows, _record(out, total_diff_pct=round(rows[-1].diff_pct, 2))
+
+
+def model3d_stage(
+    footprints: Sequence[Footprint], heights: dict[str, float], base_elevation_m: float, out
+) -> tuple[Mesh, list[str], dict]:
+    """Extrude every footprint that has a height and write the OBJ. Returns
+    the mesh, the ids of the footprints without a height and the stage record."""
+    skipped = [fp.id for fp in footprints if fp.id not in heights]
+    mesh = extrude(
+        [(fp, heights[fp.id]) for fp in footprints if fp.id in heights], base_elevation_m
+    )
+    _write_text(out, write_obj(mesh))
+    return mesh, skipped, _record(out, buildings=len(mesh.groups))
+
+
+def amenities_stage(
+    elements, rules, center_lat: float, center_lon: float, radius_m: float,
+    out_records, out_summary,
+) -> dict:
+    """Count the amenities within ``radius_m`` of the center and write the
+    records and summary CSVs. Returns the stage record."""
+    counts, matched = count_within_radius(
+        filter_amenities(elements, rules), center_lat, center_lon, radius_m
+    )
+    records = _csv_text(
+        "category,element_id,name,lat,lon,distance_m",
+        (
+            (rec.category, rec.element_id, rec.name or "",
+             f"{rec.lat:.7f}", f"{rec.lon:.7f}", f"{dist:.2f}")
+            for rec, dist in sorted(matched, key=lambda t: (t[0].category, t[0].element_id))
+        ),
+    )
+    _write_text(out_records, records)
+    counts = {c: counts[c] for c in sorted(counts)}
+    _write_text(out_summary, _csv_text("category,count", counts.items()))
+    return _record(out_records, out_summary, counts=counts)
+
+
+def _read_heights_by_id(text: str) -> dict[str, float]:
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None or not {"id", "height_m"} <= set(reader.fieldnames):
+        raise PipelineError("heights CSV needs columns: id,height_m")
+    return {rec["id"]: float(rec["height_m"]) for rec in reader if rec["height_m"]}
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -256,30 +388,24 @@ def _import_pmf_backend() -> None:
 def cmd_dtm(args) -> int:
     _import_pmf_backend()
     dsm = read_ascii_grid(_read_text(args.dsm))
-    params = build_filter_params(vars(args))
-    dtm, ground_mask = progressive_morphological_filter(dsm, params)
-    _write_text(args.out_dtm, write_ascii_grid(dtm))
-    if args.out_mask:
-        _write_text(args.out_mask, write_ascii_grid(_ground_mask_grid(dsm, ground_mask)))
-    non_ground = int((~ground_mask & dsm.valid_mask).sum())
-    print(f"dtm: {dsm.georef.nrows}x{dsm.georef.ncols} cells, {non_ground} non-ground")
+    _, record = dtm_stage(dsm, build_filter_params(vars(args)), args.out_dtm, args.out_mask)
+    print(
+        f"dtm: {dsm.georef.nrows}x{dsm.georef.ncols} cells, "
+        f"{record['non_ground_cells']} non-ground"
+    )
     return 0
 
 
 def cmd_estimate(args) -> int:
-    cfg_dict = _load_config(args.config) if args.config else {}
-    cfg = build_estimation_config(cfg_dict)
-    dsm = read_ascii_grid(_read_text(args.dsm))
-    dtm = read_ascii_grid(_read_text(args.dtm))
-    footprints = parse_footprints(_read_text(args.footprints))
-    height_rows, estimates, warnings = estimate_buildings(dsm, dtm, footprints, cfg)
-    _write_text(args.out_heights, render_heights_csv(height_rows))
-    _write_text(args.out_estimates, render_estimates_csv(estimates))
-    society = aggregate(estimates)
+    cfg = build_estimation_config(_load_config(args.config) if args.config else {})
+    society, _, warnings, record = estimate_stage(
+        read_ascii_grid(_read_text(args.dsm)), read_ascii_grid(_read_text(args.dtm)),
+        parse_footprints(_read_text(args.footprints)), cfg, args.out_heights, args.out_estimates,
+    )
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(
-        f"estimate: {len(estimates)} buildings, {society.total_units} units, "
+        f"estimate: {record['buildings']} buildings, {society.total_units} units, "
         f"{society.total_persons_rounded} persons, {len(warnings)} warnings"
     )
     return 0
@@ -288,8 +414,7 @@ def cmd_estimate(args) -> int:
 def cmd_validate(args) -> int:
     estimates = read_estimates_csv(_read_text(args.estimates))
     gt = read_ground_truth(_read_text(args.ground_truth))
-    rows = validate_report(aggregate(estimates), gt)
-    _write_text(args.out, render_report_csv(rows))
+    rows, _ = validate_stage(aggregate(estimates), gt, args.out)
     total = rows[-1]
     print(
         f"validate: estimated {total.estimated_units} vs ground "
@@ -299,60 +424,25 @@ def cmd_validate(args) -> int:
 
 
 def cmd_amenities(args) -> int:
-    elements = parse_osm(_read_text(args.osm))
-    rules = load_rules(_read_text(args.rules))
-    amenities = filter_amenities(elements, rules)
-    counts, matched = count_within_radius(
-        amenities, args.center_lat, args.center_lon, args.radius_m
+    record = amenities_stage(
+        parse_osm(_read_text(args.osm)), load_rules(_read_text(args.rules)),
+        args.center_lat, args.center_lon, args.radius_m, args.out_records, args.out_summary,
     )
-    _write_text(args.out_records, _amenity_records_csv(matched))
-    _write_text(args.out_summary, _amenity_summary_csv(counts))
-    print(
-        "amenities: "
-        + ", ".join(f"{c}={counts[c]}" for c in sorted(counts))
-        + f" within {args.radius_m} m"
-    )
+    counts = ", ".join(f"{c}={n}" for c, n in record["counts"].items())
+    print(f"amenities: {counts} within {args.radius_m} m")
     return 0
 
 
-def _amenity_records_csv(matched) -> str:
-    return _csv_text(
-        "category,element_id,name,lat,lon,distance_m",
-        (
-            (rec.category, rec.element_id, rec.name or "",
-             f"{rec.lat:.7f}", f"{rec.lon:.7f}", f"{dist:.2f}")
-            for rec, dist in sorted(matched, key=lambda t: (t[0].category, t[0].element_id))
-        ),
-    )
-
-
-def _amenity_summary_csv(counts) -> str:
-    return _csv_text("category,count", ((c, counts[c]) for c in sorted(counts)))
-
-
-def _read_heights_by_id(text: str) -> dict[str, float]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or not {"id", "height_m"} <= set(reader.fieldnames):
-        raise PipelineError("heights CSV needs columns: id,height_m")
-    return {rec["id"]: float(rec["height_m"]) for rec in reader if rec["height_m"]}
-
-
 def cmd_model3d(args) -> int:
-    footprints = parse_footprints(_read_text(args.footprints))
-    heights = _read_heights_by_id(_read_text(args.heights))
-    buildings = []
-    skipped = 0
-    for fp in footprints:
-        if fp.id not in heights:
-            print(f"warning: no height for footprint {fp.id!r}, skipped", file=sys.stderr)
-            skipped += 1
-            continue
-        buildings.append((fp, heights[fp.id]))
-    mesh = extrude(buildings, args.base_elevation)
-    _write_text(args.out, write_obj(mesh))
+    mesh, skipped, _ = model3d_stage(
+        parse_footprints(_read_text(args.footprints)),
+        _read_heights_by_id(_read_text(args.heights)), args.base_elevation, args.out,
+    )
+    for fid in skipped:
+        print(f"warning: no height for footprint {fid!r}, skipped", file=sys.stderr)
     print(
         f"model3d: {len(mesh.groups)} buildings, {len(mesh.vertices)} vertices, "
-        f"{len(mesh.faces)} faces ({skipped} skipped)"
+        f"{len(mesh.faces)} faces ({len(skipped)} skipped)"
     )
     return 0
 
@@ -399,6 +489,9 @@ def footprints_to_geojson(footprints: Sequence[Footprint]) -> str:
 def cmd_run(args) -> int:
     _import_pmf_backend()
     cfg = _load_config(args.config)
+    for key in PATH_KEYS:
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"config key {key!r} must be a path string, got {cfg[key]!r}")
     for key in ("dsm", "footprints"):
         if not cfg.get(key):
             raise ConfigError(f"config is missing required key {key!r}")
@@ -410,42 +503,29 @@ def cmd_run(args) -> int:
     def resolve(p):
         q = Path(p)
         return q if q.is_absolute() else base_dir / q
-    for key in ("dsm", "footprints", "ground_truth", "osm", "rules", "published_reference"):
+    for key in INPUT_KEYS:
         if cfg.get(key) and not resolve(cfg[key]).is_file():
             raise ConfigError(f"config key {key!r}: file not found: {resolve(cfg[key])}")
 
     params = build_filter_params(cfg)
     est_cfg = build_estimation_config(cfg)
+    numbers = _finite_numbers(cfg, AMENITY_KEYS + ("base_elevation_m",), "config key")
+    published = {}
+    if cfg.get("published_reference"):
+        published = _load_published_reference(resolve(cfg["published_reference"]))
 
     out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    summary: dict = {"stages": {}, "warnings": [], "footnotes": []}
+    stages: dict = {}
+    summary: dict = {"stages": stages, "footnotes": []}
 
-    # stage: dtm
     dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
-    dtm, ground_mask = progressive_morphological_filter(dsm, params)
-    _write_text(out / "dtm.asc", write_ascii_grid(dtm))
-    _write_text(out / "ground_mask.asc", write_ascii_grid(_ground_mask_grid(dsm, ground_mask)))
-    summary["stages"]["dtm"] = {
-        "status": "ok",
-        "non_ground_cells": int((~ground_mask & dsm.valid_mask).sum()),
-        "outputs": ["dtm.asc", "ground_mask.asc"],
-    }
+    dtm, stages["dtm"] = dtm_stage(dsm, params, out / "dtm.asc", out / "ground_mask.asc")
 
-    # stage: estimate (heights + unit/person conversion)
     footprints = parse_footprints(_read_text(resolve(cfg["footprints"])))
-    height_rows, estimates, warnings = estimate_buildings(dsm, dtm, footprints, est_cfg)
-    heights_csv = render_heights_csv(height_rows)
-    _write_text(out / "heights.csv", heights_csv)
-    _write_text(out / "estimates.csv", render_estimates_csv(estimates))
-    summary["warnings"].extend(warnings)
-    society = aggregate(estimates)
-    summary["stages"]["estimate"] = {
-        "status": "ok",
-        "buildings": len(estimates),
-        "failed_buildings": len(warnings),
-        "outputs": ["heights.csv", "estimates.csv"],
-    }
+    society, heights, summary["warnings"], stages["estimate"] = estimate_stage(
+        dsm, dtm, footprints, est_cfg, out / "heights.csv", out / "estimates.csv"
+    )
     summary["totals"] = {
         "units": society.total_units,
         "persons": society.total_persons,
@@ -456,57 +536,29 @@ def cmd_run(args) -> int:
         },
     }
 
-    published = {}
-    if cfg.get("published_reference"):
-        published = json.loads(_read_text(resolve(cfg["published_reference"])))
-
-    # stage: validate (optional)
     if cfg.get("ground_truth"):
         gt = read_ground_truth(_read_text(resolve(cfg["ground_truth"])))
-        rows = validate_report(society, gt)
-        _write_text(out / "validation.csv", render_report_csv(rows))
-        summary["stages"]["validate"] = {
-            "status": "ok",
-            "total_diff_pct": round(rows[-1].diff_pct, 2),
-            "outputs": ["validation.csv"],
-        }
+        rows, stages["validate"] = validate_stage(society, gt, out / "validation.csv")
         if published.get("unit_diff_pct"):
             summary["footnotes"].extend(diff_footnotes(rows, published["unit_diff_pct"]))
     else:
-        summary["stages"]["validate"] = {"status": "skipped"}
+        stages["validate"] = {"status": "skipped"}
     if published.get("persons"):
         summary["footnotes"].extend(person_total_footnotes(society, published["persons"]))
 
-    # stage: model3d, fed from the heights CSV so it matches a standalone
-    # `popvol model3d` run on the same files
-    heights_by_id = _read_heights_by_id(heights_csv)
-    buildings = [(fp, heights_by_id[fp.id]) for fp in footprints if fp.id in heights_by_id]
-    mesh = extrude(buildings, float(cfg.get("base_elevation_m", 0.0)))
-    _write_text(out / "model.obj", write_obj(mesh))
-    summary["stages"]["model3d"] = {
-        "status": "ok",
-        "buildings": len(mesh.groups),
-        "outputs": ["model.obj"],
-    }
+    _, _, stages["model3d"] = model3d_stage(
+        footprints, heights, numbers.get("base_elevation_m", 0.0), out / "model.obj"
+    )
 
-    # stage: amenities (optional)
-    amenity_keys = ("osm", "rules", "center_lat", "center_lon", "radius_m")
-    if all(cfg.get(k) is not None for k in amenity_keys):
-        elements = parse_osm(_read_text(resolve(cfg["osm"])))
-        rules = load_rules(_read_text(resolve(cfg["rules"])))
-        amenities = filter_amenities(elements, rules)
-        counts, matched = count_within_radius(
-            amenities, float(cfg["center_lat"]), float(cfg["center_lon"]), float(cfg["radius_m"])
+    if all(cfg.get(k) is not None for k in ("osm", "rules") + AMENITY_KEYS):
+        stages["amenities"] = amenities_stage(
+            parse_osm(_read_text(resolve(cfg["osm"]))),
+            load_rules(_read_text(resolve(cfg["rules"]))),
+            numbers["center_lat"], numbers["center_lon"], numbers["radius_m"],
+            out / "amenities.csv", out / "amenities_summary.csv",
         )
-        _write_text(out / "amenities.csv", _amenity_records_csv(matched))
-        _write_text(out / "amenities_summary.csv", _amenity_summary_csv(counts))
-        summary["stages"]["amenities"] = {
-            "status": "ok",
-            "counts": {c: counts[c] for c in sorted(counts)},
-            "outputs": ["amenities.csv", "amenities_summary.csv"],
-        }
     else:
-        summary["stages"]["amenities"] = {"status": "skipped"}
+        stages["amenities"] = {"status": "skipped"}
 
     _write_text(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(

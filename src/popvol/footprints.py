@@ -205,8 +205,9 @@ def _points_in_ring(xs: np.ndarray, ys: np.ndarray, ring) -> np.ndarray:
     return inside
 
 
-def rasterize_polygon(f: Footprint, georef: GridGeoref) -> set[tuple[int, int]]:
-    """Cells of ``georef`` whose nudged center lies inside the footprint."""
+def rasterize_polygon(f: Footprint, georef: GridGeoref) -> np.ndarray:
+    """Cells of ``georef`` whose nudged center lies inside the footprint, as
+    an ``(n, 2)`` integer array of (row, col), rows counted from the north."""
     xs = np.array([p[0] for p in f.ring])
     ys = np.array([p[1] for p in f.ring])
     cs = georef.cellsize
@@ -228,13 +229,9 @@ def rasterize_polygon(f: Footprint, georef: GridGeoref) -> set[tuple[int, int]]:
     inside = _points_in_ring(gx.ravel(), gy.ravel(), f.ring).reshape(gx.shape)
 
     sel_rows_s, sel_cols = np.nonzero(inside)
-    cells = {
-        (georef.nrows - 1 - int(rows_s[r]), int(cols[c]))
-        for r, c in zip(sel_rows_s, sel_cols)
-    }
-    if not cells:
+    if sel_rows_s.size == 0:
         raise EmptySelectionError(f.id)
-    return cells
+    return np.column_stack((georef.nrows - 1 - rows_s[sel_rows_s], cols[sel_cols]))
 
 
 def nearest_rank_percentile(values: Sequence[float], percentile: float) -> float:
@@ -266,8 +263,8 @@ def zonal_height(
     if min_cells < 1:
         raise ValueError(f"min_cells must be >= 1, got {min_cells}")
     cells = rasterize_polygon(f, ndsm.georef)
-    values = [ndsm.data[r, c] for r, c in cells]
-    values = [v for v in values if not math.isnan(v)]
+    values = ndsm.data[cells[:, 0], cells[:, 1]]
+    values = values[~np.isnan(values)].tolist()
     if len(values) < min_cells:
         raise InsufficientCoverageError(f.id, len(values), min_cells)
     height = max(0.0, nearest_rank_percentile(values, percentile))

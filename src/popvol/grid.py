@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -126,16 +125,6 @@ class Grid:
             and self.nodata == other.nodata
             and np.array_equal(self.data, other.data, equal_nan=True)
         )
-
-
-@dataclass
-class GridStats:
-    """Summary over valid cells. Extrema are None when no cell is valid."""
-
-    min: Optional[float]
-    max: Optional[float]
-    mean: Optional[float]
-    count: int
 
 
 def _parse_header_line(line: str, line_no: int, expected_key: str) -> float:
@@ -277,12 +266,3 @@ def grid_subtract(a: Grid, b: Grid) -> Grid:
         )
     return Grid(a.georef, a.data - b.data, a.nodata)
 
-
-def grid_stats(g: Grid) -> GridStats:
-    """Min/max/mean/count over valid cells; count 0 leaves extrema absent."""
-    valid = g.data[g.valid_mask]
-    if valid.size == 0:
-        return GridStats(None, None, None, 0)
-    return GridStats(
-        float(valid.min()), float(valid.max()), float(valid.mean()), int(valid.size)
-    )

@@ -8,6 +8,7 @@ consistent (bottom clockwise seen from above, top counter-clockwise).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -34,11 +35,13 @@ def extrude(
 ) -> Mesh:
     """Extrude footprints to their heights above a constant or per-building base.
 
-    Zero-height buildings are skipped with a warning; negative heights are
-    rejected.
+    Zero-height buildings are skipped with a warning; negative or non-finite
+    heights and non-finite bases are rejected.
     """
     mesh = Mesh()
     for fp, height in buildings:
+        if not math.isfinite(height):
+            raise PipelineError(f"building {fp.id!r}: extrusion height {height} is not finite")
         if height < 0:
             raise PipelineError(f"building {fp.id!r}: negative extrusion height {height}")
         if height == 0:
@@ -48,6 +51,8 @@ def extrude(
             base = float(base_elevation_m.get(fp.id, 0.0))
         else:
             base = float(base_elevation_m)
+        if not math.isfinite(base):
+            raise PipelineError(f"building {fp.id!r}: base elevation {base} is not finite")
 
         ring = fp.ring  # counter-clockwise after normalization
         n = len(ring)

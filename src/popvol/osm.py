@@ -104,7 +104,7 @@ def parse_osm(text: str) -> list[OsmElement]:
         if el.tag == "node":
             elem_id = int(_require_attr(el, "id", "?"))
             lat, lon = nodes[elem_id]
-            _check_coords(lat, lon, elem_id)
+            _check_coords(lat, lon, f"element {elem_id}")
             elements.append(OsmElement(elem_id, "node", lat, lon, tags))
         elif el.tag == "way":
             raw_id = _require_attr(el, "id", "?")
@@ -121,7 +121,7 @@ def parse_osm(text: str) -> list[OsmElement]:
                 continue
             lat = sum(c[0] for c in coords) / len(coords)
             lon = sum(c[1] for c in coords) / len(coords)
-            _check_coords(lat, lon, elem_id)
+            _check_coords(lat, lon, f"element {elem_id}")
             elements.append(OsmElement(elem_id, "way", lat, lon, tags))
         # relations and anything else: ignored
     if dropped_ways:
@@ -129,9 +129,9 @@ def parse_osm(text: str) -> list[OsmElement]:
     return elements
 
 
-def _check_coords(lat: float, lon: float, elem_id) -> None:
+def _check_coords(lat: float, lon: float, where: str) -> None:
     if not (-90 <= lat <= 90 and -180 <= lon <= 180):
-        raise OsmParseError(f"element {elem_id}: coordinates ({lat}, {lon}) out of range")
+        raise OsmParseError(f"{where}: coordinates ({lat}, {lon}) out of range")
 
 
 def load_rules(text: str) -> list[TagRule]:
@@ -185,8 +185,9 @@ def count_within_radius(
 ) -> tuple[dict[str, int], list[tuple[AmenityRecord, float]]]:
     """Per-category counts of amenities within radius_m of the center, plus
     the matched records with their distances."""
-    if radius_m < 0:
-        raise ValueError(f"radius_m must be >= 0, got {radius_m}")
+    _check_coords(center_lat, center_lon, "center")
+    if not (math.isfinite(radius_m) and radius_m >= 0):
+        raise ValueError(f"radius_m must be a finite number >= 0, got {radius_m}")
     counts = {rec.category: 0 for rec in amenities}
     matched = []
     for rec in amenities:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -183,11 +182,7 @@ def _paint_prisms(scene: SyntheticScene, terrain: np.ndarray) -> np.ndarray:
     Raises SceneError naming, in input order, a pair of prisms whose cell
     sets partially overlap. The label raster lives only inside this call.
     """
-    cells = []
-    for fp, _ in scene.prisms:
-        pairs = rasterize_polygon(fp, scene.georef)
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
-        cells.append((flat[0::2], flat[1::2]))
+    cells = [tuple(rasterize_polygon(fp, scene.georef).T) for fp, _ in scene.prisms]
 
     labels = np.full(terrain.shape, -1, dtype=np.int32)
     dsm_data = terrain.copy()

@@ -38,8 +38,8 @@ class ValidationRow:
 
 def read_ground_truth(text: str) -> list[GroundTruthRow]:
     """Parse a `type_label,units` CSV; type labels must be unique."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or set(reader.fieldnames) < {"type_label", "units"}:
+    reader = csv.DictReader(io.StringIO(text), restval="")
+    if reader.fieldnames is None or not {"type_label", "units"} <= set(reader.fieldnames):
         raise PipelineError("ground-truth CSV needs columns: type_label,units")
     rows = []
     seen = set()

@@ -26,6 +26,11 @@ def make_grid(values, cellsize=1.0, xll=0.0, yll=0.0, nodata=-9999.0) -> Grid:
     return Grid(georef, arr, nodata)
 
 
+def cell_set(cells) -> set[tuple[int, int]]:
+    """The ``(n, 2)`` (row, col) array of ``rasterize_polygon`` as a set of pairs."""
+    return set(map(tuple, cells.tolist()))
+
+
 @pytest.fixture
 def site_rows():
     return site_data.BUILDINGS

@@ -37,6 +37,7 @@ from popvol.osm import TagRule, count_within_radius
 from popvol.synth import rectangle_ring
 
 import site_data
+from conftest import cell_set
 
 
 def criterion(n, label):
@@ -238,7 +239,7 @@ def test_criterion_6_dtm_properties():
 
         for fp, height in scene.prisms:
             assert height > 3.0
-            cells = rasterize_polygon(fp, scene.georef)
+            cells = cell_set(rasterize_polygon(fp, scene.georef))
             interior = {
                 (r, c)
                 for r, c in cells

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import popvol
+import popvol.cli
 from popvol import read_ascii_grid, write_ascii_grid
 from popvol.cli import footprints_to_geojson, main, read_estimates_csv
 from popvol.footprints import Footprint
@@ -339,6 +344,22 @@ def test_run_missing_dsm_key(tmp_path, capsys):
         ({"slope": "0.3"}, "config key 'slope' must be a finite number, got '0.3'"),
         ({"initial_window": False}, "config key 'initial_window' must be a finite number, got False"),
         ({"max_window_m": float("inf")}, "config key 'max_window_m' must be a finite number, got inf"),
+        ({"radius_m": True}, "config key 'radius_m' must be a finite number, got True"),
+        ({"radius_m": "inf"}, "config key 'radius_m' must be a finite number, got 'inf'"),
+        ({"center_lon": [72.5]}, "config key 'center_lon' must be a finite number, got [72.5]"),
+        ({"base_elevation_m": True},
+         "config key 'base_elevation_m' must be a finite number, got True"),
+        ({"base_elevation_m": float("inf")},
+         "config key 'base_elevation_m' must be a finite number, got inf"),
+        ({"center_lat": 10**400}, f"config key 'center_lat' must be a finite number, got {10**400}"),
+        ({"dsm": 5}, "config key 'dsm' must be a path string, got 5"),
+        ({"out_dir": ["out"]}, "config key 'out_dir' must be a path string, got ['out']"),
+        ({"rules": {"path": "rules.json"}},
+         "config key 'rules' must be a path string, got {'path': 'rules.json'}"),
+        ({"published_reference": True},
+         "config key 'published_reference' must be a path string, got True"),
+        ({"occupancy": 0.5}, "unknown config key 'occupancy'; did you mean 'occupancy_rate'?"),
+        ({"zzz": 1}, "unknown config key 'zzz'"),
     ],
 )
 def test_non_numeric_config_values_are_typed_errors(tmp_path, capsys, extra, message):
@@ -347,7 +368,10 @@ def test_non_numeric_config_values_are_typed_errors(tmp_path, capsys, extra, mes
     config = {"dsm": "dsm.asc", "footprints": "fp.geojson", "out_dir": "out", **extra}
     (tmp_path / "config.json").write_text(json.dumps(config))
     commands = [["run", "--config", str(tmp_path / "config.json")]]
-    if not set(extra) & {"slope", "initial_window", "max_window_m"}:
+    # `estimate --config` reads only the estimation keys, and rejects unknown ones
+    run_only = {*popvol.cli.FILTER_KEYS, *popvol.cli.PATH_KEYS, *popvol.cli.AMENITY_KEYS,
+                "base_elevation_m"}
+    if not set(extra) & run_only:
         commands.append([
             "estimate", "--config", str(tmp_path / "config.json"),
             "--dsm", str(tmp_path / "dsm.asc"), "--dtm", str(tmp_path / "dsm.asc"),
@@ -358,6 +382,7 @@ def test_non_numeric_config_values_are_typed_errors(tmp_path, capsys, extra, mes
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_excluded_rows_keep_height_when_only_the_estimate_fails(tmp_path):
@@ -388,6 +413,7 @@ def test_run_matches_standalone_stages(tmp_path):
     out = tmp_path / "out"
     assert main([
         "dtm", "--dsm", str(tmp_path / "dsm.asc"), "--out-dtm", str(tmp_path / "s_dtm.asc"),
+        "--out-mask", str(tmp_path / "s_ground_mask.asc"),
     ]) == 0
     assert main([
         "estimate", "--dsm", str(tmp_path / "dsm.asc"), "--dtm", str(tmp_path / "s_dtm.asc"),
@@ -396,13 +422,24 @@ def test_run_matches_standalone_stages(tmp_path):
         "--out-estimates", str(tmp_path / "s_estimates.csv"),
     ]) == 0
     assert main([
+        "validate", "--estimates", str(tmp_path / "s_estimates.csv"),
+        "--ground-truth", str(tmp_path / "gt.csv"), "--out", str(tmp_path / "s_validation.csv"),
+    ]) == 0
+    assert main([
         "model3d", "--footprints", str(tmp_path / "fp.geojson"),
         "--heights", str(tmp_path / "s_heights.csv"), "--out", str(tmp_path / "s_model.obj"),
     ]) == 0
-    assert (tmp_path / "s_dtm.asc").read_text() == (out / "dtm.asc").read_text()
-    assert (tmp_path / "s_heights.csv").read_text() == (out / "heights.csv").read_text()
-    assert (tmp_path / "s_estimates.csv").read_text() == (out / "estimates.csv").read_text()
-    assert (tmp_path / "s_model.obj").read_text() == (out / "model.obj").read_text()
+    assert main([
+        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
+        "--center-lat", "23.0", "--center-lon", "72.5", "--radius-m", "2000",
+        "--out-records", str(tmp_path / "s_amenities.csv"),
+        "--out-summary", str(tmp_path / "s_amenities_summary.csv"),
+    ]) == 0
+    names = ("dtm.asc", "ground_mask.asc", "heights.csv", "estimates.csv", "validation.csv",
+             "model.obj", "amenities.csv", "amenities_summary.csv")
+    for name in names:
+        assert (tmp_path / f"s_{name}").read_bytes() == (out / name).read_bytes(), name
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ("summary.json",))
 
 
 def test_run_rerun_byte_identical(tmp_path):
@@ -444,3 +481,183 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ("[1, 2]", "published_reference {path} must be a JSON object"),
+        ('{"unit_diff_pct": {"TOTAL": "x"}}',
+         "published_reference unit_diff_pct 'TOTAL' must be a finite number, got 'x'"),
+        ('{"persons": {"TypeA": NaN}}',
+         "published_reference persons 'TypeA' must be a finite number, got nan"),
+        ('{"persons": [3]}', "published_reference 'persons' must be an object of label: number"),
+        ('{"unit_diff_pct": 4}',
+         "published_reference 'unit_diff_pct' must be an object of label: number"),
+        ("{", "invalid published_reference JSON in {path}: Expecting property name enclosed "
+              "in double quotes: line 1 column 2 (char 1)"),
+    ],
+)
+def test_bad_published_reference_is_typed_error(tmp_path, capsys, content, message):
+    for name in ("dsm.asc", "fp.geojson"):
+        (tmp_path / name).write_text("never read\n")
+    (tmp_path / "pub.json").write_text(content)
+    config = {"dsm": "dsm.asc", "footprints": "fp.geojson", "out_dir": "out",
+              "published_reference": "pub.json"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(path=tmp_path / 'pub.json')}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_center_out_of_range_is_typed_error(tmp_path, capsys):
+    config = _write_run_config(tmp_path)
+    doc = json.loads(config.read_text())
+    config.write_text(json.dumps({**doc, "center_lat": 123}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: center: coordinates (123, 72.5) out of range\n"
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--radius-m", "nan", "radius_m must be a finite number >= 0, got nan"),
+        ("--radius-m", "inf", "radius_m must be a finite number >= 0, got inf"),
+        ("--center-lat", "nan", "center: coordinates (nan, 72.5) out of range"),
+        ("--center-lat", "123", "center: coordinates (123.0, 72.5) out of range"),
+        ("--center-lon", "-inf", "center: coordinates (23.0, -inf) out of range"),
+    ],
+)
+def test_bad_amenity_center_or_radius_is_typed_error(tmp_path, capsys, flag, value, message):
+    (tmp_path / "site.osm").write_text(OSM_FIXTURE)
+    (tmp_path / "rules.json").write_text(RULES_JSON)
+    flags = {"--center-lat": "23.0", "--center-lon": "72.5", "--radius-m": "2000", flag: value}
+    assert main([
+        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
+        *(f"{k}={v}" for k, v in flags.items()),
+        "--out-records", str(tmp_path / "records.csv"),
+        "--out-summary", str(tmp_path / "summary.csv"),
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "height,base,message",
+    [
+        ("6.000", "inf", "building 'B1': base elevation inf is not finite"),
+        ("6.000", "nan", "building 'B1': base elevation nan is not finite"),
+        ("inf", "0", "building 'B1': extrusion height inf is not finite"),
+        ("nan", "0", "building 'B1': extrusion height nan is not finite"),
+    ],
+)
+def test_non_finite_extrusion_is_typed_error(tmp_path, capsys, height, base, message):
+    fps = [Footprint("B1", "T", rectangle_ring(0, 0, 10, 12))]
+    (tmp_path / "fp.geojson").write_text(footprints_to_geojson(fps))
+    (tmp_path / "h.csv").write_text(f"id,type_label,height_m\nB1,T,{height}\n")
+    assert main([
+        "model3d", "--footprints", str(tmp_path / "fp.geojson"),
+        "--heights", str(tmp_path / "h.csv"), "--out", str(tmp_path / "model.obj"),
+        "--base-elevation", base,
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "model.obj").exists()
+
+
+TINY_SCENE = {
+    "georef": {"ncols": 40, "nrows": 30, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
+    "terrain": {"origin_elev": 50.0},
+    "prisms": [
+        {"id": "B1", "type_label": "TypeA", "ring": [[5, 5], [15, 5], [15, 15], [5, 15]],
+         "height_m": 9.0, "unit_area_m2": 150.0, "units_per_floor": 4},
+        {"id": "B2", "type_label": "TypeB", "ring": [[22, 8], [32, 8], [32, 20], [22, 20]],
+         "height_m": 6.0, "unit_area_m2": 52.0, "units_per_floor": 2},
+    ],
+}
+TINY_CONFIG = {
+    "dsm": "dsm.asc", "footprints": "fp.geojson", "ground_truth": "gt.csv",
+    "osm": "site.osm", "rules": "rules.json", "published_reference": "pub.json",
+    "center_lat": 23.0, "center_lon": 72.5, "radius_m": 2000.0, "out_dir": "out",
+}
+INPUT_NAMES = ("dsm.asc", "fp.geojson", "gt.csv", "site.osm", "rules.json", "pub.json")
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_non_strings = _json_values.filter(lambda v: not isinstance(v, str))
+# strings stay relative names inside the site directory: the inputs, their
+# cross-wirings, and names that do not exist
+_input_paths = st.sampled_from(INPUT_NAMES) | st.text(alphabet="ab.", max_size=6) | _non_strings
+_out_dirs = st.text(alphabet="ab", min_size=1, max_size=3) | _non_strings
+_numbers = st.floats(-200, 200) | st.integers(-200, 200) | _json_values
+_tables = _json_values | st.dictionaries(
+    st.sampled_from(["TypeA", "TypeB", "TOTAL"]), _numbers, min_size=1, max_size=3
+)
+_reference = st.fixed_dictionaries({}, optional={"unit_diff_pct": _tables, "persons": _tables})
+# the reference shape twice, so that labels the run knows are drawn often
+_published = st.one_of(
+    st.text(max_size=12), _json_values.map(json.dumps),
+    _reference.map(json.dumps), _reference.map(json.dumps),
+)
+_KEY_VALUES = {
+    **{k: _input_paths for k in popvol.cli.INPUT_KEYS},
+    "out_dir": _out_dirs,
+    **{k: _numbers for k in ("center_lat", "center_lon", "radius_m", "base_elevation_m")},
+}
+# a few keys per example, so that most runs get past the config checks
+_overrides = st.lists(st.sampled_from(sorted(_KEY_VALUES)), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _KEY_VALUES[k] for k in keys})
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_site(tmp_path_factory):
+    site = tmp_path_factory.mktemp("tiny_site")
+    (site / "scene.json").write_text(json.dumps(TINY_SCENE))
+    assert main([
+        "synth", "--scene", str(site / "scene.json"),
+        "--out-dsm", str(site / "dsm.asc"), "--out-footprints", str(site / "fp.geojson"),
+    ]) == 0
+    (site / "gt.csv").write_text("type_label,units\nTypeA,12\nTypeB,4\n")
+    (site / "site.osm").write_text(OSM_FIXTURE)
+    (site / "rules.json").write_text(RULES_JSON)
+    return site
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(overrides=_overrides, published=_published)
+def test_run_config_values_exit_0_or_one_line_exit_2(tiny_site, overrides, published):
+    (tiny_site / "pub.json").write_text(published)
+    (tiny_site / "config.json").write_text(json.dumps({**TINY_CONFIG, **overrides}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["run", "--config", str(tiny_site / "config.json")])
+    lines = err.getvalue().splitlines()
+    assert rc == 0 or (rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (rc, lines)
+
+
+@pytest.mark.parametrize(
+    "estimates,ground_truth,message",
+    [
+        (None, "x\n1\n", "ground-truth CSV needs columns: type_label,units"),
+        (None, "type_label,units\nTypeA\n", "invalid literal for int() with base 10: ''"),
+        ("x\n1\n", None, "estimates CSV needs columns: " + popvol.cli.ESTIMATES_HEADER),
+        (popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA\n", None,
+         "invalid literal for int() with base 10: ''"),
+    ],
+)
+def test_bad_validate_csvs_are_typed_errors(tmp_path, capsys, estimates, ground_truth, message):
+    (tmp_path / "e.csv").write_text(
+        estimates or popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA,9.000,3,4,12,150.000,48.000,\n"
+    )
+    (tmp_path / "gt.csv").write_text(ground_truth or "type_label,units\nTypeA,12\n")
+    assert main([
+        "validate", "--estimates", str(tmp_path / "e.csv"),
+        "--ground-truth", str(tmp_path / "gt.csv"), "--out", str(tmp_path / "report.csv"),
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -19,7 +19,7 @@ from popvol import (
 from popvol.dtm import window_sizes
 from popvol.synth import rectangle_ring
 
-from conftest import make_grid
+from conftest import cell_set, make_grid
 
 
 def brute_force_opening(data: np.ndarray, window: int) -> np.ndarray:
@@ -178,7 +178,7 @@ def test_interior_prism_cells_flagged():
     dsm = synthesize_dsm(scene).dsm
     _, ground = progressive_morphological_filter(dsm)
     for fp, _ in prisms:
-        cells = rasterize_polygon(fp, ref)
+        cells = cell_set(rasterize_polygon(fp, ref))
         interior = {
             (r, c)
             for r, c in cells

@@ -9,7 +9,6 @@ from popvol import (
     GeorefMismatchError,
     Grid,
     GridGeoref,
-    grid_stats,
     grid_subtract,
     read_ascii_grid,
     write_ascii_grid,
@@ -295,14 +294,3 @@ def _random_grid_like(g: Grid, rng: random.Random) -> np.ndarray:
         values[idx] = np.nan if rng.random() < 0.2 else rng.uniform(-100, 100)
     return values
 
-
-def test_stats_examples():
-    s = grid_stats(make_grid([[1.0, 2.0], [3.0, np.nan]]))
-    assert (s.min, s.max, s.mean, s.count) == (1.0, 3.0, 2.0, 3)
-
-    empty = grid_stats(make_grid([[np.nan, np.nan]]))
-    assert empty.count == 0
-    assert empty.min is None and empty.max is None and empty.mean is None
-
-    const = grid_stats(make_grid([[7.0, 7.0], [7.0, 7.0]]))
-    assert const.min == const.max == const.mean == 7.0

@@ -27,6 +27,8 @@ from popvol.synth import (
     rectangle_ring,
 )
 
+from conftest import cell_set
+
 
 def _scene(prisms=(), noise=0.0, seed=0, terrain=TerrainModel(50.0), size=(60, 50)):
     return SyntheticScene(
@@ -42,7 +44,7 @@ def test_prism_indicator_exact_without_noise():
     fp = Footprint("P", "T", rectangle_ring(10, 10, 30, 30))
     scene = _scene([(fp, 19.8)])
     result = synthesize_dsm(scene)
-    cells = rasterize_polygon(fp, scene.georef)
+    cells = cell_set(rasterize_polygon(fp, scene.georef))
     diff = result.dsm.data - result.truth_dtm.data
     # the surface is bit-identical to terrain + indicator * height
     expected = result.truth_dtm.data.copy()
@@ -99,7 +101,7 @@ def _pairwise_reference(scene):
         + scene.terrain.grad_x * (gx - ref.xll)
         + scene.terrain.grad_y * (gy - ref.yll)
     )
-    cell_sets = [(fp, h, rasterize_polygon(fp, ref)) for fp, h in scene.prisms]
+    cell_sets = [(fp, h, cell_set(rasterize_polygon(fp, ref))) for fp, h in scene.prisms]
     for i in range(len(cell_sets)):
         for j in range(i + 1, len(cell_sets)):
             a, b = cell_sets[i][2], cell_sets[j][2]
@@ -160,7 +162,10 @@ def test_label_raster_matches_pairwise_reference(scene):
             ids = [fp.id for fp, _ in scene.prisms]
             a, b = re.fullmatch(r"prisms '(\w+)' and '(\w+)' overlap", str(err.value)).groups()
             assert ids.index(a) < ids.index(b)
-            ca, cb = (rasterize_polygon(scene.prisms[ids.index(k)][0], scene.georef) for k in (a, b))
+            ca, cb = (
+                cell_set(rasterize_polygon(scene.prisms[ids.index(k)][0], scene.georef))
+                for k in (a, b)
+            )
             assert ca & cb and not (ca <= cb or cb <= ca)
         return
     assert synthesize_dsm(scene).dsm.data.tobytes() == expected.tobytes()
@@ -195,8 +200,8 @@ def test_nested_prisms_innermost_wins():
     outer = Footprint("outer", "T", rectangle_ring(10, 10, 30, 30))
     inner = Footprint("inner", "T", rectangle_ring(20, 20, 10, 10))
     result = synthesize_dsm(_scene([(outer, 5.0), (inner, 12.0)]))
-    inner_cells = rasterize_polygon(inner, result.dsm.georef)
-    outer_cells = rasterize_polygon(outer, result.dsm.georef)
+    inner_cells = cell_set(rasterize_polygon(inner, result.dsm.georef))
+    outer_cells = cell_set(rasterize_polygon(outer, result.dsm.georef))
     r, c = next(iter(inner_cells))
     assert result.dsm.data[r, c] == 50.0 + 12.0
     ring_cell = next(iter(outer_cells - inner_cells))
