@@ -40,7 +40,7 @@ from .estimate import (
 from .footprints import Footprint, parse_footprints, zonal_height
 from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
 from .mesh import Mesh, extrude, write_obj
-from .osm import count_within_radius, filter_amenities, load_rules, parse_osm
+from .osm import _check_coords, count_within_radius, filter_amenities, load_rules, parse_osm
 from .synth import load_scene, synthesize_dsm
 from .validate import (
     diff_footnotes,
@@ -75,6 +75,8 @@ BAND_KEYS = ("min_area_m2", "max_area_m2", "persons")
 INPUT_KEYS = ("dsm", "footprints", "ground_truth", "osm", "rules", "published_reference")
 PATH_KEYS = INPUT_KEYS + ("out_dir",)
 AMENITY_KEYS = ("center_lat", "center_lon", "radius_m")
+# characters encoded and written at a time
+_WRITE_SLICE = 1 << 20
 CONFIG_KEYS = frozenset(
     PATH_KEYS + AMENITY_KEYS + ("base_elevation_m", "bands") + ESTIMATION_KEYS + FILTER_KEYS
 )
@@ -90,7 +92,11 @@ def _read_text(path) -> str:
 def _write_text(path, text: str) -> None:
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text)
+    # in slices: encoding a whole grid's text at once holds a second copy of
+    # it, and that copy set the peak RSS of `run` on a 1000x1000 grid
+    with p.open("w") as f:
+        for i in range(0, len(text), _WRITE_SLICE):
+            f.write(text[i:i + _WRITE_SLICE])
 
 
 def _load_json_object(path, what: str) -> dict:
@@ -510,6 +516,11 @@ def cmd_run(args) -> int:
     params = build_filter_params(cfg)
     est_cfg = build_estimation_config(cfg)
     numbers = _finite_numbers(cfg, AMENITY_KEYS + ("base_elevation_m",), "config key")
+    count_amenities = all(cfg.get(k) is not None for k in ("osm", "rules") + AMENITY_KEYS)
+    if count_amenities:
+        _check_coords(numbers["center_lat"], numbers["center_lon"], "center")
+        if numbers["radius_m"] < 0:
+            raise ConfigError(f"config key 'radius_m' must be >= 0, got {numbers['radius_m']}")
     published = {}
     if cfg.get("published_reference"):
         published = _load_published_reference(resolve(cfg["published_reference"]))
@@ -550,7 +561,7 @@ def cmd_run(args) -> int:
         footprints, heights, numbers.get("base_elevation_m", 0.0), out / "model.obj"
     )
 
-    if all(cfg.get(k) is not None for k in ("osm", "rules") + AMENITY_KEYS):
+    if count_amenities:
         stages["amenities"] = amenities_stage(
             parse_osm(_read_text(resolve(cfg["osm"]))),
             load_rules(_read_text(resolve(cfg["rules"]))),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bands import band_count, part_rows, row_bands, run_bands
 from .grid import Grid
 
 
@@ -36,7 +37,11 @@ class DtmFilterParams:
     max_threshold_m: float = 3.0
 
     def validate(self, cellsize: float) -> None:
-        if self.initial_window < 3 or self.initial_window % 2 == 0:
+        if (
+            not float(self.initial_window).is_integer()
+            or self.initial_window < 3
+            or self.initial_window % 2 == 0
+        ):
             raise ValueError(f"initial_window must be an odd integer >= 3, got {self.initial_window}")
         if self.slope < 0:
             raise ValueError(f"slope must be >= 0, got {self.slope}")
@@ -54,7 +59,7 @@ class DtmFilterParams:
 def window_sizes(params: DtmFilterParams, cellsize: float) -> list[int]:
     """Window progression w, 2w-1, ... up to the first window >= max_window_m."""
     sizes = []
-    w = params.initial_window
+    w = int(params.initial_window)
     while True:
         sizes.append(w)
         if w * cellsize >= params.max_window_m:
@@ -103,17 +108,55 @@ def progressive_morphological_filter(
     ground_mask is a boolean array, True where the cell was never flagged as
     non-ground (nodata cells are never flagged). Wherever ground_mask is True
     the returned terrain equals the input surface exactly.
+
+    Large grids are filtered in row bands, one per usable CPU. A cell's result
+    depends only on cells within sum(w - 1) rows of it (each opening reaches
+    w - 1 cells, and the threshold step is per cell), so each band is filtered
+    with that many extra rows on each side and cropped: the output equals the
+    one-band filter bit for bit. Bands are used only while a band and its
+    halo stay smaller than the grid.
     """
     if params is None:
         params = DtmFilterParams()
     cellsize = dsm.georef.cellsize
     params.validate(cellsize)
+    windows = window_sizes(params, cellsize)
+    halo = sum(w - 1 for w in windows)
 
-    surface = dsm.data.copy()
+    nrows = dsm.georef.nrows
+    bounds = row_bands(nrows, band_count(dsm.data.size))
+    while len(bounds) > 1 and any(
+        min(nrows, stop + halo) - max(0, start - halo) >= nrows for start, stop in bounds
+    ):
+        bounds = row_bands(nrows, len(bounds) - 1)
+
+    def band(start: int, stop: int):
+        lo = max(0, start - halo)
+        band_terrain, band_flagged = _filter(dsm.data[lo:stop + halo], windows, params, cellsize)
+        step = part_rows(dsm.georef.ncols)
+        for top in range(start, stop, step):
+            rows = slice(top - lo, min(top + step, stop) - lo)
+            yield top, band_terrain[rows], band_flagged[rows]
+
+    terrain = np.empty(dsm.data.shape)
+    flagged = np.empty(dsm.data.shape, dtype=bool)
+
+    def take(part):
+        top, terrain_rows, flagged_rows = part
+        terrain[top:top + len(terrain_rows)] = terrain_rows
+        flagged[top:top + len(flagged_rows)] = flagged_rows
+
+    run_bands(band, bounds, take)
+    return Grid(dsm.georef, terrain, dsm.nodata), ~flagged
+
+
+def _filter(
+    surface: np.ndarray, windows: list[int], params: DtmFilterParams, cellsize: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The filter on one block of rows: (terrain, flagged)."""
     flagged = np.zeros(surface.shape, dtype=bool)
-
     prev_w = None
-    for w in window_sizes(params, cellsize):
+    for w in windows:
         opened = _dilate(_erode(surface, w), w)
         if prev_w is None:
             dh = params.initial_threshold_m
@@ -127,5 +170,4 @@ def progressive_morphological_filter(
         surface = np.where(hit, opened, surface)
         flagged |= hit
         prev_w = w
-
-    return Grid(dsm.georef, surface, dsm.nodata), ~flagged
+    return surface, flagged

@@ -76,6 +76,12 @@ class EstimationConfig:
             raise ConfigError(f"occupancy_rate must be in [0, 1], got {self.occupancy_rate}")
         if not 0 < self.efficiency <= 1:
             raise ConfigError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        if not 0 <= self.height_percentile <= 100:
+            raise ConfigError(
+                f"height_percentile must be in [0, 100], got {self.height_percentile}"
+            )
+        if not (float(self.min_cells).is_integer() and self.min_cells >= 1):
+            raise ConfigError(f"min_cells must be an integer >= 1, got {self.min_cells}")
         self.bands = tuple(self.bands)
         if not self.bands:
             raise ConfigError("band table must not be empty")

@@ -10,11 +10,13 @@ Internally nodata cells are held as NaN; the sentinel only appears in files.
 Values are printed with shortest round-trip precision so that
 ``read_ascii_grid(write_ascii_grid(g))`` reproduces ``g`` exactly.
 
-Both directions stream the body one row at a time: the reader converts each
-line's tokens in one pass and the writer formats each row from numpy masks of
-its NaN and integral cells, so per-cell Python objects live for one row only.
-The values read and the text written are exactly those of ``float`` and
-``format_value`` applied cell by cell.
+Both directions work on parts of about 16,000 cells (``_bands.PART_CELLS``):
+the reader converts a part's lines in one pass and the writer formats a part's
+rows from numpy masks of its NaN and integral cells, so per-cell Python
+objects live for one part only. Grids of 100,000 cells or more are split into
+row bands, one per usable CPU (see ``_bands``). The values read and the text
+written are exactly those of ``float`` and ``format_value`` applied cell by
+cell, whatever the number of bands.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bands import band_count, part_rows, row_bands, run_bands
 from .errors import AsciiGridError, GeorefMismatchError
 
 DEFAULT_NODATA = -9999.0
@@ -206,17 +209,20 @@ def read_ascii_grid(text: str) -> Grid:
     values = np.empty(expected, dtype=np.float64)
     count = 0
     body = lines[body_start:]
-    for line in body:
-        tokens = line.split()
-        end = count + len(tokens)
-        try:
-            parsed = list(map(float, tokens))
-        except ValueError:
-            parsed = None
-        if parsed is None or end > expected:
+
+    def take(part):
+        nonlocal count
+        if part is None or count + len(part) > expected:
             _raise_first_bad_token(body, body_start + 1, expected)
-        values[count:end] = parsed
-        count = end
+        values[count:count + len(part)] = part
+        count += len(part)
+
+    step = part_rows(ncols)
+    run_bands(
+        lambda start, stop: _parse_lines(body, start, stop, step),
+        row_bands(len(body), band_count(expected)),
+        take,
+    )
     if np.isinf(values[:count]).any():
         _raise_first_bad_token(body, body_start + 1, expected)
     if count < expected:
@@ -228,18 +234,46 @@ def read_ascii_grid(text: str) -> Grid:
     return Grid(georef, values.reshape(nrows, ncols), nodata)
 
 
-def _format_row(row: np.ndarray, sentinel: str) -> str:
-    """One body line: ``format_value`` of each cell, ``sentinel`` for NaN."""
-    integral = (np.trunc(row) == row) & (np.abs(row) < _INT_LIMIT)
-    if integral.all():
-        return " ".join(map(str, row.astype(np.int64).tolist()))
-    tokens = list(map(repr, row.tolist()))
-    for c in np.flatnonzero(np.isnan(row)).tolist():
-        tokens[c] = sentinel
-    cols = np.flatnonzero(integral)
-    for c, v in zip(cols.tolist(), row[cols].astype(np.int64).tolist()):
-        tokens[c] = str(v)
-    return " ".join(tokens)
+def _parse_lines(body: list[str], start: int, stop: int, step: int):
+    """The values of ``body[start:stop]``, ``step`` lines per float64 array;
+    None for a part with a non-numeric token, after which nothing more is
+    parsed."""
+    for top in range(start, stop, step):
+        try:
+            yield np.array(list(map(float, " ".join(body[top:min(top + step, stop)]).split())))
+        except ValueError:
+            yield None
+            return
+
+
+def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str):
+    """Body lines of rows ``start:stop``, ``format_value`` of each cell and
+    ``sentinel`` for NaN, as one list per part. The NaN and integral masks are
+    taken once per part, so narrow grids pay no per-row numpy cost."""
+    ncols = data.shape[1]
+    step = part_rows(ncols)
+    for top in range(start, stop, step):
+        chunk = data[top:min(top + step, stop)]
+        integral = (np.trunc(chunk) == chunk) & (np.abs(chunk) < _INT_LIMIT)
+        whole = integral.all(axis=1)
+        # all-integral rows (every ground-mask row) print straight from int64
+        ints = iter(chunk[whole].astype(np.int64).tolist())
+        mixed = chunk[~whole]
+        tokens = list(map(repr, mixed.ravel().tolist()))
+        for i in np.flatnonzero(np.isnan(mixed)).tolist():
+            tokens[i] = sentinel
+        cells = np.flatnonzero(integral[~whole])
+        for i, v in zip(cells.tolist(), mixed.ravel()[cells].astype(np.int64).tolist()):
+            tokens[i] = str(v)
+        lines = []
+        at = 0
+        for is_whole in whole.tolist():
+            if is_whole:
+                lines.append(" ".join(map(str, next(ints))))
+            else:
+                lines.append(" ".join(tokens[at:at + ncols]))
+                at += ncols
+        yield lines
 
 
 def write_ascii_grid(g: Grid) -> str:
@@ -254,8 +288,13 @@ def write_ascii_grid(g: Grid) -> str:
         f"cellsize {format_value(ref.cellsize)}",
         f"NODATA_value {sentinel}",
     ]
-    out.extend(_format_row(row, sentinel) for row in g.data)
-    return "\n".join(out) + "\n"
+    run_bands(
+        lambda start, stop: _format_rows(g.data, start, stop, sentinel),
+        row_bands(ref.nrows, band_count(g.data.size)),
+        out.extend,
+    )
+    out.append("")  # a final newline, without a second copy of the text
+    return "\n".join(out)
 
 
 def grid_subtract(a: Grid, b: Grid) -> Grid:

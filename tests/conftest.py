@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from popvol import _bands
 from popvol import (
     BuildingHeightRecord,
     EstimationConfig,
@@ -24,6 +26,16 @@ def make_grid(values, cellsize=1.0, xll=0.0, yll=0.0, nodata=-9999.0) -> Grid:
     arr = np.asarray(values, dtype=np.float64)
     georef = GridGeoref(arr.shape[1], arr.shape[0], xll, yll, cellsize)
     return Grid(georef, arr, nodata)
+
+
+@contextlib.contextmanager
+def split_into(nbands: int):
+    """Split every grid, however small, into ``nbands`` row bands (fewer only
+    where a grid has fewer rows or the PMF halo does not fit)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_bands, "MIN_SPLIT_CELLS", 0)
+        mp.setattr(_bands.os, "sched_getaffinity", lambda pid: set(range(nbands)))
+        yield
 
 
 def cell_set(cells) -> set[tuple[int, int]]:

@@ -21,7 +21,7 @@ from popvol.footprints import Footprint
 from popvol.grid import Grid, GridGeoref
 from popvol.synth import rectangle_ring
 
-from conftest import make_grid
+from conftest import make_grid, split_into
 
 SCENE = {
     "georef": {"ncols": 160, "nrows": 140, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
@@ -352,6 +352,10 @@ def test_run_missing_dsm_key(tmp_path, capsys):
         ({"base_elevation_m": float("inf")},
          "config key 'base_elevation_m' must be a finite number, got inf"),
         ({"center_lat": 10**400}, f"config key 'center_lat' must be a finite number, got {10**400}"),
+        ({"height_percentile": 150}, "height_percentile must be in [0, 100], got 150"),
+        ({"height_percentile": -0.5}, "height_percentile must be in [0, 100], got -0.5"),
+        ({"min_cells": 0}, "min_cells must be an integer >= 1, got 0"),
+        ({"min_cells": 2.5}, "min_cells must be an integer >= 1, got 2.5"),
         ({"dsm": 5}, "config key 'dsm' must be a path string, got 5"),
         ({"out_dir": ["out"]}, "config key 'out_dir' must be a path string, got ['out']"),
         ({"rules": {"path": "rules.json"}},
@@ -459,6 +463,17 @@ DEMO = Path(__file__).resolve().parents[1] / "demo"
 
 
 def test_demo_reproduces_committed_outputs(tmp_path):
+    _assert_demo_reproduced(tmp_path)
+
+
+def test_demo_reproduces_committed_outputs_in_bands(tmp_path):
+    """Every grid read and written in three row bands (the demo's PMF halo
+    covers its grid, so the filter stays one band)."""
+    with split_into(3):
+        _assert_demo_reproduced(tmp_path)
+
+
+def _assert_demo_reproduced(tmp_path):
     for name in ("scene.json", "config.json", "ground_truth.csv", "site.osm", "rules.json"):
         shutil.copy(DEMO / name, tmp_path / name)
     out = tmp_path / "out"
@@ -518,6 +533,32 @@ def test_run_center_out_of_range_is_typed_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr().err == "error: center: coordinates (123, 72.5) out of range\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({"center_lon": -200}, "center: coordinates (23.0, -200) out of range"),
+        ({"radius_m": -1}, "config key 'radius_m' must be >= 0, got -1"),
+    ],
+)
+def test_run_checks_the_amenity_center_before_any_output(tmp_path, capsys, extra, message):
+    config = _write_run_config(tmp_path)
+    config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_fractional_initial_window(tmp_path, capsys):
+    config = _write_run_config(tmp_path)
+    config.write_text(json.dumps({**json.loads(config.read_text()), "initial_window": 3.5}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: initial_window must be an odd integer >= 3, got 3.5\n"
+    assert not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize(

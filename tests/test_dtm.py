@@ -195,6 +195,8 @@ def test_param_validation():
         progressive_morphological_filter(g, DtmFilterParams(initial_window=4))
     with pytest.raises(ValueError):
         progressive_morphological_filter(g, DtmFilterParams(initial_window=1))
+    with pytest.raises(ValueError, match="odd integer"):
+        progressive_morphological_filter(g, DtmFilterParams(initial_window=3.5))
     with pytest.raises(ValueError):
         progressive_morphological_filter(g, DtmFilterParams(slope=-0.1))
     with pytest.raises(ValueError):

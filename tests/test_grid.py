@@ -13,6 +13,7 @@ from popvol import (
     read_ascii_grid,
     write_ascii_grid,
 )
+from popvol._bands import PART_CELLS
 from popvol.cli import main
 from popvol.grid import format_value
 
@@ -96,10 +97,10 @@ def _write_reference(g: Grid) -> str:
     return "\n".join(out) + "\n"
 
 
-def _mixed_rows() -> list[list[float]]:
+def _mixed_rows(nrows: int = 20, ncols: int = 30) -> list[list[float]]:
     """Rows mixing nodata, integral and fractional cells at random."""
     rng = np.random.default_rng(5)
-    frac = rng.normal(0.0, 1e3, (20, 30))
+    frac = rng.normal(0.0, 1e3, (nrows, ncols))
     kind = rng.integers(0, 3, frac.shape)
     return np.select([kind == 0, kind == 1], [np.nan, np.round(frac)], frac).tolist()
 
@@ -116,6 +117,8 @@ ADVERSARIAL = [
     [[42.0]],
     [[_NAN]],
     _mixed_rows(),
+    # one column over more rows than one part holds
+    _mixed_rows(PART_CELLS + 1000, 1),
 ]
 
 
