@@ -8,7 +8,7 @@ amenity counts around the site, and an extruded 3D block model.
 
 __version__ = "0.1.0"
 
-from .dtm import DtmFilterParams, morphological_opening, progressive_morphological_filter
+from .dtm import DtmFilterParams, progressive_morphological_filter
 from .errors import (
     AsciiGridError,
     ConfigError,

@@ -380,19 +380,7 @@ def _read_heights_by_id(text: str) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _import_pmf_backend() -> None:
-    """Import scipy.ndimage before any grid is read.
-
-    The PMF imports it lazily, so commands without a PMF skip its cost. A
-    command that runs the PMF imports it first: with glibc's malloc, an
-    import between the PMF's full-grid temporaries left the heap fragmented,
-    and ``run`` on a 1000x1000 grid peaked at 139 MB instead of 131 MB.
-    """
-    import scipy.ndimage  # noqa: F401
-
-
 def cmd_dtm(args) -> int:
-    _import_pmf_backend()
     dsm = read_ascii_grid(_read_text(args.dsm))
     _, record = dtm_stage(dsm, build_filter_params(vars(args)), args.out_dtm, args.out_mask)
     print(
@@ -493,7 +481,6 @@ def footprints_to_geojson(footprints: Sequence[Footprint]) -> str:
 
 
 def cmd_run(args) -> int:
-    _import_pmf_backend()
     cfg = _load_config(args.config)
     for key in PATH_KEYS:
         if cfg.get(key) is not None and not isinstance(cfg[key], str):
@@ -525,12 +512,15 @@ def cmd_run(args) -> int:
     if cfg.get("published_reference"):
         published = _load_published_reference(resolve(cfg["published_reference"]))
 
+    # the filter keys are checked against the DSM's cell size before any output
+    dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
+    params.validate(dsm.georef.cellsize)
+
     out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     stages: dict = {}
     summary: dict = {"stages": stages, "footnotes": []}
 
-    dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
     dtm, stages["dtm"] = dtm_stage(dsm, params, out / "dtm.asc", out / "ground_mask.asc")
 
     footprints = parse_footprints(_read_text(resolve(cfg["footprints"])))

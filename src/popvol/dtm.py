@@ -5,7 +5,9 @@ opening it with square windows of exponentially growing size (w -> 2w - 1).
 At each step, cells where the surface sits more than a slope-linked threshold
 above the opened surface are classified non-ground and lowered onto the
 opened surface; ground cells keep their original elevation, so the terrain
-model equals the surface model wherever nothing was removed.
+model equals the surface model wherever nothing was removed (Zhang et al.
+2003, IEEE TGRS 41(4)). Erosion and dilation are numpy running min/max
+filters (van Herk 1992; Gil & Werman 1993).
 """
 
 from __future__ import annotations
@@ -68,36 +70,42 @@ def window_sizes(params: DtmFilterParams, cellsize: float) -> list[int]:
     return sizes
 
 
-def _erode(data: np.ndarray, window: int) -> np.ndarray:
-    from scipy import ndimage  # here, so that commands without a PMF skip its import
+def _running(data: np.ndarray, window: int, pick) -> np.ndarray:
+    """``pick`` (np.minimum or np.maximum) over the ``window`` x ``window``
+    square around each cell, edge cells repeated. Along each axis, ``pick`` of
+    slices shifted by 1, 2, 4, ... spans k, the largest power of two <=
+    ``window``; two spans at offsets 0 and ``window - k`` cover the window.
+    Both axes are padded at once, so two buffers take turns as input and
+    output; the result is a view into one of them."""
+    half = window // 2
+    p = np.pad(data, half, mode="edge")
+    q = np.empty_like(p)
+    for axis in (0, 1):
+        n = data.shape[axis]
+        p, q = np.moveaxis(p, axis, 0), np.moveaxis(q, axis, 0)
+        size, k = len(p), 1
+        while 2 * k <= window:
+            pick(p[:size - k], p[k:size], out=q[:size - k])
+            p, q = q, p
+            size -= k
+            k *= 2
+        pick(p[:n], p[window - k:window - k + n], out=q[:n])
+        p, q = np.moveaxis(q[:n], 0, axis), np.moveaxis(p[:n], 0, axis)
+    return p
 
+
+def _erode(data: np.ndarray, window: int) -> np.ndarray:
     # Nodata (NaN) is absent from the kernel: +inf never wins a minimum, and a
     # window of nothing but +inf marks an all-nodata neighborhood.
-    filled = np.where(np.isnan(data), np.inf, data)
-    out = ndimage.minimum_filter(filled, size=window, mode="nearest")
+    out = _running(np.where(np.isnan(data), np.inf, data), window, np.minimum)
     out[np.isinf(out)] = np.nan
     return out
 
 
 def _dilate(data: np.ndarray, window: int) -> np.ndarray:
-    from scipy import ndimage
-
-    filled = np.where(np.isnan(data), -np.inf, data)
-    out = ndimage.maximum_filter(filled, size=window, mode="nearest")
+    out = _running(np.where(np.isnan(data), -np.inf, data), window, np.maximum)
     out[np.isinf(out)] = np.nan
     return out
-
-
-def morphological_opening(g: Grid, window: int) -> Grid:
-    """Erosion then dilation with a square window, nodata cells absent.
-
-    Removes features narrower than the window; never raises any cell.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be an odd positive integer, got {window}")
-    if window == 1:
-        return Grid(g.georef, g.data.copy(), g.nodata)
-    return Grid(g.georef, _dilate(_erode(g.data, window), window), g.nodata)
 
 
 def progressive_morphological_filter(

@@ -217,7 +217,8 @@ def read_ascii_grid(text: str) -> Grid:
         values[count:count + len(part)] = part
         count += len(part)
 
-    step = part_rows(ncols)
+    # lines per part from the first non-blank line: it may hold a row or one value
+    step = part_rows(next((len(t) for t in map(str.split, body) if t), 1))
     run_bands(
         lambda start, stop: _parse_lines(body, start, stop, step),
         row_bands(len(body), band_count(expected)),

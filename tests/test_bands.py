@@ -58,13 +58,18 @@ def test_banded_write_equals_one_band(grid, nbands):
 @given(
     grid=_grids(),
     nbands=st.integers(2, 4),
-    sizes=st.lists(st.integers(0, 4), min_size=1, max_size=40).map(lambda s: s + [1]),
+    sizes=st.one_of(
+        st.just([1]),
+        st.lists(st.integers(0, 4), min_size=1, max_size=40).map(lambda s: s + [1]),
+    ),
     bad=st.sampled_from([None, "oops", "inf", "-inf", "7"]),
     where=st.tuples(st.integers(0, 3), st.integers(0, 99)),
+    part_cells=st.sampled_from([_bands.PART_CELLS, 3]),
 )
-def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where):
-    """Values spread unevenly over lines; a bad token ("7" is one value too
-    many) put into the body lines of one band."""
+def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where, part_cells):
+    """Values one per line or spread unevenly over lines; a bad token ("7" is
+    one value too many) put into the body lines of one band. The bands are
+    read in parts of ``part_cells`` values, the one band in default parts."""
     lines = write_ascii_grid(grid).splitlines()
     header, tokens = lines[:6], " ".join(lines[6:]).split()
     body, i = [], 0
@@ -85,8 +90,28 @@ def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where):
         assert one == grid
     else:
         assert isinstance(one, tuple)
-    with split_into(nbands):
+    with split_into(nbands), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_bands, "PART_CELLS", part_cells)
         assert _outcome(text) == one
+
+
+def test_read_parts_hold_part_cells_values_at_one_value_per_line(monkeypatch):
+    """Lines per part follow the values on a line, not ncols."""
+    grid = Grid(GridGeoref(40, 3, 0.0, 0.0, 1.0), np.arange(120.0).reshape(3, 40))
+    lines = write_ascii_grid(grid).splitlines()
+    text = "\n".join(lines[:6] + " ".join(lines[6:]).split()) + "\n"
+    parse = popvol.grid._parse_lines
+    sizes = []
+
+    def spy(*args):
+        for part in parse(*args):
+            sizes.append(len(part))
+            yield part
+
+    monkeypatch.setattr(_bands, "PART_CELLS", 50)
+    monkeypatch.setattr(popvol.grid, "_parse_lines", spy)
+    assert read_ascii_grid(text) == grid
+    assert sizes == [50, 50, 20]
 
 
 @st.composite

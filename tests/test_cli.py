@@ -488,14 +488,25 @@ def _assert_demo_reproduced(tmp_path):
         assert (out / name).read_bytes() == (DEMO / "out" / name).read_bytes(), name
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_leaves_scipy_unloaded(tmp_path):
+    """Neither importing the CLI nor running ``dtm`` and ``run``, the commands
+    with a PMF, loads scipy."""
+    config = _write_run_config(tmp_path)
+    dtm = ["dtm", "--dsm", str(tmp_path / "dsm.asc"), "--out-dtm", str(tmp_path / "dtm.asc")]
+    code = (
+        "import sys, popvol.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+        f"assert popvol.cli.main({dtm!r}) == 0\n"
+        f"assert popvol.cli.main(['run', '--config', {str(config)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+    )
     src = Path(popvol.__file__).resolve().parents[1]
-    code = "import sys, popvol.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "dtm.asc").read_bytes() == (tmp_path / "dtm.asc").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -552,13 +563,24 @@ def test_run_checks_the_amenity_center_before_any_output(tmp_path, capsys, extra
     assert not (tmp_path / "out").exists()
 
 
-def test_run_rejects_a_fractional_initial_window(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({"initial_window": 3.5}, "initial_window must be an odd integer >= 3, got 3.5"),
+        ({"max_window_m": 2.0},
+         "max_window_m (2.0) smaller than the initial window (3 cells x 1.0 m)"),
+    ],
+    ids=["fractional_initial_window", "max_window_below_the_first_window"],
+)
+def test_run_checks_the_filter_keys_before_any_output(tmp_path, capsys, extra, message):
+    """The filter keys are checked against the DSM's cell size before the
+    output directory is made."""
     config = _write_run_config(tmp_path)
-    config.write_text(json.dumps({**json.loads(config.read_text()), "initial_window": 3.5}))
+    config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
     capsys.readouterr()
     assert main(["run", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == "error: initial_window must be an odd integer >= 3, got 3.5\n"
-    assert not any((tmp_path / "out").iterdir())
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

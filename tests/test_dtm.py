@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from popvol import (
     DtmFilterParams,
@@ -11,12 +14,11 @@ from popvol import (
     GridGeoref,
     SyntheticScene,
     TerrainModel,
-    morphological_opening,
     progressive_morphological_filter,
     rasterize_polygon,
     synthesize_dsm,
 )
-from popvol.dtm import window_sizes
+from popvol.dtm import _dilate, _erode, _running, window_sizes
 from popvol.synth import rectangle_ring
 
 from conftest import cell_set, make_grid
@@ -45,25 +47,27 @@ def brute_force_opening(data: np.ndarray, window: int) -> np.ndarray:
     return apply(apply(data, min), max)
 
 
+def opening(data: np.ndarray, window: int) -> np.ndarray:
+    return _dilate(_erode(data, window), window)
+
+
 def test_window_one_is_identity():
-    g = make_grid([[1.0, 2.0], [np.nan, 4.0]])
-    out = morphological_opening(g, 1)
-    assert out == g
+    data = np.array([[1.0, 2.0], [np.nan, 4.0]])
+    assert np.array_equal(opening(data, 1), data, equal_nan=True)
 
 
 def test_constant_grid_unchanged():
-    g = make_grid(np.full((9, 9), 3.25))
+    data = np.full((9, 9), 3.25)
     for window in (3, 5, 7):
-        assert np.array_equal(morphological_opening(g, window).data, g.data)
+        assert np.array_equal(opening(data, window), data)
 
 
 def test_spike_removed_window3():
     data = np.zeros((7, 7))
     data[3, 3] = 20.0
-    g = make_grid(data)
-    out = morphological_opening(g, 3)
-    assert out.data[3, 3] == 0.0
-    assert np.array_equal(out.data, brute_force_opening(data, 3))
+    out = opening(data, 3)
+    assert out[3, 3] == 0.0
+    assert np.array_equal(out, brute_force_opening(data, 3))
 
 
 def test_opening_matches_brute_force_with_nodata():
@@ -72,19 +76,54 @@ def test_opening_matches_brute_force_with_nodata():
         data = rng.uniform(0, 30, size=(12, 10))
         holes = rng.random(size=data.shape) < 0.15
         data[holes] = np.nan
-        g = make_grid(data)
-        out = morphological_opening(g, window)
-        assert np.array_equal(out.data, brute_force_opening(data, window), equal_nan=True)
+        assert np.array_equal(opening(data, window), brute_force_opening(data, window), equal_nan=True)
 
 
-def test_opening_rejects_even_or_nonpositive_window():
-    g = make_grid([[1.0]])
-    with pytest.raises(ValueError):
-        morphological_opening(g, 2)
-    with pytest.raises(ValueError):
-        morphological_opening(g, 0)
-    with pytest.raises(ValueError):
-        morphological_opening(g, -3)
+# scipy's filters, the separable running min/max popvol replaced, are the oracle
+_PICKS = [(np.minimum, ndimage.minimum_filter), (np.maximum, ndimage.maximum_filter)]
+_filter_settings = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def _filter_grids(draw, pool):
+    """A grid of 1 to 30 rows and columns, a quarter of its cells random
+    floats and the rest drawn from ``pool``, and an odd window up to 81
+    cells, so often wider than the grid."""
+    nrows, ncols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = np.where(
+        rng.random((nrows, ncols)) < 0.25,
+        rng.normal(0.0, 100.0, (nrows, ncols)),
+        rng.choice(np.array(pool), (nrows, ncols)),
+    )
+    return data, 2 * draw(st.integers(0, 40)) + 1
+
+
+@_filter_settings
+@given(case=_filter_grids([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]))
+@example(case=(np.array([[0.0, -0.0, np.inf, -0.0, 0.0, -np.inf, 2.5]]), 3))
+@example(case=(np.array([[-0.0], [0.0], [-np.inf], [0.0], [np.inf], [-0.0]]), 5))
+@example(case=(np.array([[0.0, -0.0], [-0.0, 0.0]]), 9))
+def test_running_equals_scipy_bit_for_bit(case):
+    """Same bytes as scipy with ``mode="nearest"``, so ties between 0.0 and
+    -0.0 resolve alike; 1-row and 1-column grids and windows wider than the grid."""
+    data, window = case
+    for pick, reference in _PICKS:
+        expected = reference(data, size=window, mode="nearest")
+        assert _running(data, window, pick).tobytes() == expected.tobytes()
+
+
+@_filter_settings
+@given(case=_filter_grids([np.nan, np.nan, 0.0, -0.0, 1.0]))
+def test_erode_and_dilate_equal_scipy_with_nodata_holes(case):
+    """NaN cells are absent from the window, and a window of nothing but NaN stays NaN."""
+    data, window = case
+    for op, reference, fill in (
+        (_erode, ndimage.minimum_filter, np.inf), (_dilate, ndimage.maximum_filter, -np.inf)
+    ):
+        expected = reference(np.where(np.isnan(data), fill, data), size=window, mode="nearest")
+        expected[np.isinf(expected)] = np.nan
+        assert op(data, window).tobytes() == expected.tobytes()
 
 
 def test_window_progression():
