@@ -36,6 +36,7 @@ from .estimate import (
     SocietyEstimate,
     aggregate,
     estimate_building,
+    excluded_estimate,
 )
 from .footprints import Footprint, parse_footprints, zonal_height
 from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
@@ -43,6 +44,7 @@ from .mesh import Mesh, extrude, write_obj
 from .osm import _check_coords, count_within_radius, filter_amenities, load_rules, parse_osm
 from .synth import load_scene, synthesize_dsm
 from .validate import (
+    csv_field,
     diff_footnotes,
     person_total_footnotes,
     read_ground_truth,
@@ -83,18 +85,23 @@ CONFIG_KEYS = frozenset(
 
 
 def _read_text(path) -> str:
+    """The UTF-8 text of an input file, whatever the locale."""
     p = Path(path)
     if not p.is_file():
         raise PipelineError(f"input file not found: {p}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise PipelineError(f"input file {p} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 with ``\\n`` line ends, whatever the platform."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     # in slices: encoding a whole grid's text at once holds a second copy of
     # it, and that copy set the peak RSS of `run` on a 1000x1000 grid
-    with p.open("w") as f:
+    with p.open("w", encoding="utf-8", newline="\n") as f:
         for i in range(0, len(text), _WRITE_SLICE):
             f.write(text[i:i + _WRITE_SLICE])
 
@@ -217,18 +224,25 @@ def read_estimates_csv(text: str) -> list[BuildingEstimate]:
         raise PipelineError(f"estimates CSV needs columns: {ESTIMATES_HEADER}")
     rows = []
     for rec in reader:
-        excluded = bool(rec["excluded"])
+        line = reader.line_num
+
+        def real(column, default):
+            return csv_field(rec, column, "estimates", line) if rec[column] else default
+
+        def integer(column):
+            return csv_field(rec, column, "estimates", line, int, "an integer")
+
         rows.append(
             BuildingEstimate(
                 id=rec["id"],
                 type_label=rec["type_label"],
-                height_m=float(rec["height_m"]) if rec["height_m"] else float("nan"),
-                floors=int(rec["floors"]),
-                units_per_floor=int(rec["units_per_floor"]),
-                units=int(rec["units"]),
-                unit_area_m2=float(rec["unit_area_m2"]) if rec["unit_area_m2"] else None,
-                persons=float(rec["persons"]) if rec["persons"] else 0.0,
-                excluded=excluded,
+                height_m=real("height_m", float("nan")),
+                floors=integer("floors"),
+                units_per_floor=integer("units_per_floor"),
+                units=integer("units"),
+                unit_area_m2=real("unit_area_m2", None),
+                persons=real("persons", 0.0),
+                excluded=bool(rec["excluded"]),
                 excluded_reason=rec["excluded"],
             )
         )
@@ -253,31 +267,15 @@ def estimate_buildings(
             rec = zonal_height(ndsm, fp, cfg.height_percentile, cfg.min_cells)
         except FootprintError as e:
             warnings.append(str(e))
-            estimates.append(_excluded_estimate(fp, float("nan"), e))
+            estimates.append(excluded_estimate(fp, float("nan"), f"error: {e}"))
             continue
         height_rows.append((fp, rec))
         try:
             estimates.append(estimate_building(rec, fp, cfg))
         except ConfigError as e:
             warnings.append(str(e))
-            estimates.append(_excluded_estimate(fp, rec.height_m, e))
+            estimates.append(excluded_estimate(fp, rec.height_m, f"error: {e}"))
     return height_rows, estimates, warnings
-
-
-def _excluded_estimate(fp: Footprint, height_m: float, error: Exception) -> BuildingEstimate:
-    """The row of a building left out of the totals because of ``error``."""
-    return BuildingEstimate(
-        id=fp.id,
-        type_label=fp.type_label,
-        height_m=height_m,
-        floors=0,
-        units_per_floor=0,
-        units=0,
-        unit_area_m2=fp.unit_area_m2,
-        persons=0.0,
-        excluded=True,
-        excluded_reason=f"error: {error}",
-    )
 
 
 def _ground_mask_grid(dsm: Grid, ground_mask: np.ndarray) -> Grid:
@@ -372,7 +370,8 @@ def _read_heights_by_id(text: str) -> dict[str, float]:
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or not {"id", "height_m"} <= set(reader.fieldnames):
         raise PipelineError("heights CSV needs columns: id,height_m")
-    return {rec["id"]: float(rec["height_m"]) for rec in reader if rec["height_m"]}
+    return {rec["id"]: csv_field(rec, "height_m", "heights", reader.line_num)
+            for rec in reader if rec["height_m"]}
 
 
 # ---------------------------------------------------------------------------

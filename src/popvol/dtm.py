@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bands import band_count, part_rows, row_bands, run_bands
+from ._bands import row_bands, run_bands
 from .grid import Grid
 
 
@@ -131,30 +131,21 @@ def progressive_morphological_filter(
     windows = window_sizes(params, cellsize)
     halo = sum(w - 1 for w in windows)
 
-    nrows = dsm.georef.nrows
-    bounds = row_bands(nrows, band_count(dsm.data.size))
-    while len(bounds) > 1 and any(
-        min(nrows, stop + halo) - max(0, start - halo) >= nrows for start, stop in bounds
-    ):
-        bounds = row_bands(nrows, len(bounds) - 1)
-
     def band(start: int, stop: int):
         lo = max(0, start - halo)
         band_terrain, band_flagged = _filter(dsm.data[lo:stop + halo], windows, params, cellsize)
-        step = part_rows(dsm.georef.ncols)
-        for top in range(start, stop, step):
-            rows = slice(top - lo, min(top + step, stop) - lo)
-            yield top, band_terrain[rows], band_flagged[rows]
+        rows = slice(start - lo, stop - lo)
+        return start, band_terrain[rows], band_flagged[rows]
 
     terrain = np.empty(dsm.data.shape)
     flagged = np.empty(dsm.data.shape, dtype=bool)
 
-    def take(part):
-        top, terrain_rows, flagged_rows = part
-        terrain[top:top + len(terrain_rows)] = terrain_rows
-        flagged[top:top + len(flagged_rows)] = flagged_rows
+    def take(result):
+        start, band_terrain, band_flagged = result
+        rows = slice(start, start + len(band_terrain))
+        terrain[rows], flagged[rows] = band_terrain, band_flagged
 
-    run_bands(band, bounds, take)
+    run_bands(band, row_bands(dsm.georef.nrows, dsm.data.size, halo), take)
     return Grid(dsm.georef, terrain, dsm.nodata), ~flagged
 
 

@@ -179,24 +179,21 @@ def persons_per_unit(unit_area_m2: float, bands: Sequence[PersonsBand]) -> float
     return best.persons
 
 
+def excluded_estimate(fp: Footprint, height_m: float, reason: str) -> BuildingEstimate:
+    """The zeroed row of a building left out of the totals for ``reason``."""
+    return BuildingEstimate(
+        id=fp.id, type_label=fp.type_label, height_m=height_m, floors=0, units_per_floor=0,
+        units=0, unit_area_m2=fp.unit_area_m2, persons=0.0, excluded=True, excluded_reason=reason,
+    )
+
+
 def estimate_building(
     rec: BuildingHeightRecord, fp: Footprint, cfg: EstimationConfig
 ) -> BuildingEstimate:
     """Full per-building estimate; short buildings come back excluded."""
     floors = floors_from_height(rec.height_m, cfg)
     if floors is None:
-        return BuildingEstimate(
-            id=rec.id,
-            type_label=fp.type_label,
-            height_m=rec.height_m,
-            floors=0,
-            units_per_floor=0,
-            units=0,
-            unit_area_m2=fp.unit_area_m2,
-            persons=0.0,
-            excluded=True,
-            excluded_reason="below minimum height",
-        )
+        return excluded_estimate(fp, rec.height_m, "below minimum height")
     upf = units_per_floor(
         rec.footprint_area_m2,
         fp.unit_area_m2,

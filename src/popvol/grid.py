@@ -10,11 +10,13 @@ Internally nodata cells are held as NaN; the sentinel only appears in files.
 Values are printed with shortest round-trip precision so that
 ``read_ascii_grid(write_ascii_grid(g))`` reproduces ``g`` exactly.
 
-Both directions work on parts of about 16,000 cells (``_bands.PART_CELLS``):
-the reader converts a part's lines in one pass and the writer formats a part's
-rows from numpy masks of its NaN and integral cells, so per-cell Python
-objects live for one part only. Grids of 100,000 cells or more are split into
-row bands, one per usable CPU (see ``_bands``). The values read and the text
+Grids of 100,000 cells or more are read and written in row bands, one per
+usable CPU (see ``_bands``); each band gives one result. Within a band both
+directions work in chunks of about ``_PART_CELLS`` cells: the reader streams
+a band's tokens into float64 arrays of at most that many values, however they
+are spread over lines, and the writer formats whole rows, at least one per
+chunk, from numpy masks of a chunk's NaN and integral cells. So per-cell
+Python objects live for one chunk only. The values read and the text
 written are exactly those of ``float`` and ``format_value`` applied cell by
 cell, whatever the number of bands.
 """
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
-from ._bands import band_count, part_rows, row_bands, run_bands
+from ._bands import row_bands, run_bands
 from .errors import AsciiGridError, GeorefMismatchError
 
 DEFAULT_NODATA = -9999.0
@@ -38,6 +41,10 @@ GEOREF_TOLERANCE_M = 1e-6
 
 # format_value prints integral values below this magnitude as integers.
 _INT_LIMIT = 1e15
+# cells converted or formatted at a time: 16 rows of a 1000-column grid, so
+# few per-cell Python objects live at once, yet many rows of a narrow grid,
+# so numpy's fixed per-call cost is spread over them.
+_PART_CELLS = 16384
 
 
 def format_value(v: float) -> str:
@@ -210,18 +217,17 @@ def read_ascii_grid(text: str) -> Grid:
     count = 0
     body = lines[body_start:]
 
-    def take(part):
+    def take(chunks):
         nonlocal count
-        if part is None or count + len(part) > expected:
-            _raise_first_bad_token(body, body_start + 1, expected)
-        values[count:count + len(part)] = part
-        count += len(part)
+        for chunk in chunks:
+            if chunk is None or count + len(chunk) > expected:
+                _raise_first_bad_token(body, body_start + 1, expected)
+            values[count:count + len(chunk)] = chunk
+            count += len(chunk)
 
-    # lines per part from the first non-blank line: it may hold a row or one value
-    step = part_rows(next((len(t) for t in map(str.split, body) if t), 1))
     run_bands(
-        lambda start, stop: _parse_lines(body, start, stop, step),
-        row_bands(len(body), band_count(expected)),
+        lambda start, stop: _parse_lines(body, start, stop),
+        row_bands(len(body), expected),
         take,
     )
     if np.isinf(values[:count]).any():
@@ -235,24 +241,27 @@ def read_ascii_grid(text: str) -> Grid:
     return Grid(georef, values.reshape(nrows, ncols), nodata)
 
 
-def _parse_lines(body: list[str], start: int, stop: int, step: int):
-    """The values of ``body[start:stop]``, ``step`` lines per float64 array;
-    None for a part with a non-numeric token, after which nothing more is
-    parsed."""
-    for top in range(start, stop, step):
-        try:
-            yield np.array(list(map(float, " ".join(body[top:min(top + step, stop)]).split())))
-        except ValueError:
-            yield None
-            return
+def _parse_lines(body: list[str], start: int, stop: int) -> list:
+    """The values of ``body[start:stop]`` in float64 arrays of at most
+    ``_PART_CELLS`` values (``np.fromiter`` applies ``float`` to each token),
+    ending in None at a chunk with a non-numeric token."""
+    tokens = chain.from_iterable(map(str.split, islice(body, start, stop)))
+    chunks = []
+    try:
+        while len(chunk := np.fromiter(islice(tokens, _PART_CELLS), np.float64)):
+            chunks.append(chunk)
+    except ValueError:
+        chunks.append(None)
+    return chunks
 
 
-def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str):
+def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str) -> list[str]:
     """Body lines of rows ``start:stop``, ``format_value`` of each cell and
-    ``sentinel`` for NaN, as one list per part. The NaN and integral masks are
-    taken once per part, so narrow grids pay no per-row numpy cost."""
+    ``sentinel`` for NaN. The NaN and integral masks are taken once per chunk
+    of ``_PART_CELLS`` cells, so narrow grids pay no per-row numpy cost."""
     ncols = data.shape[1]
-    step = part_rows(ncols)
+    step = max(1, _PART_CELLS // ncols)
+    lines = []
     for top in range(start, stop, step):
         chunk = data[top:min(top + step, stop)]
         integral = (np.trunc(chunk) == chunk) & (np.abs(chunk) < _INT_LIMIT)
@@ -266,7 +275,6 @@ def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str):
         cells = np.flatnonzero(integral[~whole])
         for i, v in zip(cells.tolist(), mixed.ravel()[cells].astype(np.int64).tolist()):
             tokens[i] = str(v)
-        lines = []
         at = 0
         for is_whole in whole.tolist():
             if is_whole:
@@ -274,7 +282,7 @@ def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str):
             else:
                 lines.append(" ".join(tokens[at:at + ncols]))
                 at += ncols
-        yield lines
+    return lines
 
 
 def write_ascii_grid(g: Grid) -> str:
@@ -291,7 +299,7 @@ def write_ascii_grid(g: Grid) -> str:
     ]
     run_bands(
         lambda start, stop: _format_rows(g.data, start, stop, sentinel),
-        row_bands(ref.nrows, band_count(g.data.size)),
+        row_bands(ref.nrows, g.data.size),
         out.extend,
     )
     out.append("")  # a final newline, without a second copy of the text

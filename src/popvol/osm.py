@@ -68,11 +68,19 @@ def _float_attr(el, name: str, elem_id) -> float:
         ) from None
 
 
+def _int_attr(raw: str, what: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise OsmParseError(f"{what} {raw!r} is not an integer") from None
+
+
 def parse_osm(text: str) -> list[OsmElement]:
     """Parse nodes and ways from an .osm XML document, in document order.
 
-    Closed ways drop the repeated last node reference before averaging; ways
-    whose references resolve to no known nodes are dropped with a warning.
+    Node ids must be unique. Closed ways drop the repeated last node
+    reference before averaging; ways whose references resolve to no known
+    nodes are dropped with a warning.
     """
     try:
         root = ET.fromstring(text)
@@ -83,11 +91,9 @@ def parse_osm(text: str) -> list[OsmElement]:
 
     nodes: dict[int, tuple[float, float]] = {}
     for el in root.iter("node"):
-        raw_id = _require_attr(el, "id", "?")
-        try:
-            elem_id = int(raw_id)
-        except ValueError:
-            raise OsmParseError(f"node id {raw_id!r} is not an integer") from None
+        elem_id = _int_attr(_require_attr(el, "id", "?"), "node id")
+        if elem_id in nodes:
+            raise OsmParseError(f"node id {elem_id} appears more than once")
         nodes[elem_id] = (
             _float_attr(el, "lat", elem_id),
             _float_attr(el, "lon", elem_id),
@@ -107,12 +113,9 @@ def parse_osm(text: str) -> list[OsmElement]:
             _check_coords(lat, lon, f"element {elem_id}")
             elements.append(OsmElement(elem_id, "node", lat, lon, tags))
         elif el.tag == "way":
-            raw_id = _require_attr(el, "id", "?")
-            try:
-                elem_id = int(raw_id)
-            except ValueError:
-                raise OsmParseError(f"way id {raw_id!r} is not an integer") from None
-            refs = [int(nd.get("ref")) for nd in el.findall("nd") if nd.get("ref")]
+            elem_id = _int_attr(_require_attr(el, "id", "?"), "way id")
+            what = f"way {elem_id}: node reference"
+            refs = [_int_attr(r, what) for nd in el.findall("nd") if (r := nd.get("ref"))]
             if len(refs) >= 2 and refs[0] == refs[-1]:
                 refs = refs[:-1]
             coords = [nodes[r] for r in refs if r in nodes]

@@ -36,8 +36,20 @@ class ValidationRow:
     diff_pct: float
 
 
+def csv_field(rec: dict, column: str, kind: str, line: int, convert=float, expected="a number"):
+    """``convert(rec[column])``; a ValueError becomes a PipelineError that
+    names the ``kind`` of CSV, the line, the column and the value."""
+    try:
+        return convert(rec[column])
+    except ValueError:
+        raise PipelineError(
+            f"{kind} CSV line {line}, column {column!r}: expected {expected}, got {rec[column]!r}"
+        ) from None
+
+
 def read_ground_truth(text: str) -> list[GroundTruthRow]:
-    """Parse a `type_label,units` CSV; type labels must be unique."""
+    """Parse a `type_label,units` CSV; type labels must be unique and units
+    integers >= 0."""
     reader = csv.DictReader(io.StringIO(text), restval="")
     if reader.fieldnames is None or not {"type_label", "units"} <= set(reader.fieldnames):
         raise PipelineError("ground-truth CSV needs columns: type_label,units")
@@ -48,7 +60,8 @@ def read_ground_truth(text: str) -> list[GroundTruthRow]:
         if label in seen:
             raise PipelineError(f"duplicate ground-truth type label {label!r}")
         seen.add(label)
-        rows.append(GroundTruthRow(label, int(rec["units"])))
+        rows.append(csv_field(rec, "units", "ground-truth", reader.line_num,
+                              lambda raw: GroundTruthRow(label, int(raw)), "an integer >= 0"))
     return rows
 
 

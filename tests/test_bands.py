@@ -64,12 +64,12 @@ def test_banded_write_equals_one_band(grid, nbands):
     ),
     bad=st.sampled_from([None, "oops", "inf", "-inf", "7"]),
     where=st.tuples(st.integers(0, 3), st.integers(0, 99)),
-    part_cells=st.sampled_from([_bands.PART_CELLS, 3]),
+    part_cells=st.sampled_from([popvol.grid._PART_CELLS, 3]),
 )
 def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where, part_cells):
     """Values one per line or spread unevenly over lines; a bad token ("7" is
     one value too many) put into the body lines of one band. The bands are
-    read in parts of ``part_cells`` values, the one band in default parts."""
+    read in chunks of ``part_cells`` values, the one band in default chunks."""
     lines = write_ascii_grid(grid).splitlines()
     header, tokens = lines[:6], " ".join(lines[6:]).split()
     body, i = [], 0
@@ -80,7 +80,8 @@ def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where, part_cells
         i += n
     if bad is not None:
         band_index, offset = where
-        start, stop = _bands.row_bands(len(body), nbands)[band_index % nbands]
+        with split_into(nbands):
+            start, stop = _bands.row_bands(len(body), 0)[band_index % nbands]
         line = start + offset % (stop - start)
         body[line] = f"{body[line]} {bad}"
     text = "\n".join(header + body) + "\n"
@@ -91,12 +92,12 @@ def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where, part_cells
     else:
         assert isinstance(one, tuple)
     with split_into(nbands), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_bands, "PART_CELLS", part_cells)
+        mp.setattr(popvol.grid, "_PART_CELLS", part_cells)
         assert _outcome(text) == one
 
 
-def test_read_parts_hold_part_cells_values_at_one_value_per_line(monkeypatch):
-    """Lines per part follow the values on a line, not ncols."""
+def test_read_chunks_hold_part_cells_values_at_one_value_per_line(monkeypatch):
+    """Values per chunk follow the values read, not ncols or lines."""
     grid = Grid(GridGeoref(40, 3, 0.0, 0.0, 1.0), np.arange(120.0).reshape(3, 40))
     lines = write_ascii_grid(grid).splitlines()
     text = "\n".join(lines[:6] + " ".join(lines[6:]).split()) + "\n"
@@ -104,14 +105,38 @@ def test_read_parts_hold_part_cells_values_at_one_value_per_line(monkeypatch):
     sizes = []
 
     def spy(*args):
-        for part in parse(*args):
-            sizes.append(len(part))
-            yield part
+        chunks = parse(*args)
+        sizes.extend(map(len, chunks))
+        return chunks
 
-    monkeypatch.setattr(_bands, "PART_CELLS", 50)
+    monkeypatch.setattr(popvol.grid, "_PART_CELLS", 50)
     monkeypatch.setattr(popvol.grid, "_parse_lines", spy)
     assert read_ascii_grid(text) == grid
     assert sizes == [50, 50, 20]
+
+
+def test_read_chunks_stay_bounded_when_the_first_line_holds_one_value():
+    """One value on the first body line and whole rows after: no chunk of any
+    band holds more than ``_PART_CELLS`` plus one line's values."""
+    ncols = 300
+    data = np.arange(200.0 * ncols).reshape(200, ncols) / 8
+    grid = Grid(GridGeoref(ncols, 200, 0.0, 0.0, 1.0), data)
+    lines = write_ascii_grid(grid).splitlines()
+    first = lines[6].split()
+    text = "\n".join(lines[:6] + [first[0], " ".join(first[1:])] + lines[7:]) + "\n"
+    sizes = []
+
+    def spy(band, bounds, take):
+        def spy_take(chunks):
+            sizes.extend(map(len, chunks))
+            take(chunks)
+        _bands.run_bands(band, bounds, spy_take)
+
+    with split_into(3), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popvol.grid, "run_bands", spy)
+        assert read_ascii_grid(text) == grid
+    assert sum(sizes) == data.size
+    assert max(sizes) <= popvol.grid._PART_CELLS + ncols
 
 
 @st.composite
@@ -210,24 +235,36 @@ def _in_child() -> bool:
     return os.getpid() != _PARENT
 
 
-def _exit_in_child(code, after=0):
-    """A band whose parts are its row numbers, each repeated 5,000 times (so
-    that parts reach the file past its write buffer), but whose child leaves
-    through ``os._exit(code)`` after ``after`` parts."""
+class _ExitWhenPickled:
+    """Leaves the process through ``os._exit(code)`` when pickled."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def __reduce__(self):
+        os._exit(self.code)
+
+
+def _exit_in_child(code, after):
+    """A band whose result is one 100 kB bytes object per row (so that rows
+    reach the file past its write buffer), but whose child leaves through
+    ``os._exit(code)`` while pickling the row at ``after``."""
     def band(start, stop):
-        for i, r in enumerate(range(start, stop)):
-            if _in_child() and i == after:
-                os._exit(code)
-            yield [r] * 5000
+        rows = [bytes([r]) * 100_000 for r in range(start, stop)]
+        if _in_child():
+            rows.insert(after, _ExitWhenPickled(code))
+        return rows
     return band
 
 
-@pytest.mark.parametrize("code,after", [(3, 0), (1, 3), (0, 3)])
+@pytest.mark.parametrize("code,after", [(3, 0), (1, 3), (0, 0), (0, 3)])
 def test_failed_or_short_worker_band_is_computed_by_the_parent(code, after):
-    """Exit codes 3 and 1, and a child exiting 0 with a short file."""
+    """Exit codes 3 and 1, and a child exiting 0 before writing or with a
+    short file."""
     got = []
-    _bands.run_bands(_exit_in_child(code, after), _bands.row_bands(15, 3), got.append)
-    assert got == [[r] * 5000 for r in range(15)]
+    with split_into(3):
+        _bands.run_bands(_exit_in_child(code, after), _bands.row_bands(15, 0), got.extend)
+    assert got == [bytes([r]) * 100_000 for r in range(15)]
 
 
 def test_failed_worker_still_gives_the_right_grid_and_pmf():
@@ -268,10 +305,10 @@ def test_band_error_is_raised_by_the_parent():
     def band(start, stop):
         if start > 0:
             raise ValueError(f"bad band {start}")
-        yield start
+        return start
 
-    with pytest.raises(ValueError, match="bad band 4"):
-        _bands.run_bands(band, _bands.row_bands(8, 2), lambda part: None)
+    with split_into(2), pytest.raises(ValueError, match="bad band 4"):
+        _bands.run_bands(band, _bands.row_bands(8, 0), lambda result: None)
     _assert_no_children()
 
 
@@ -280,24 +317,60 @@ def test_children_are_stopped_and_reaped_when_the_parent_fails():
         if _in_child():
             time.sleep(60)
         raise RuntimeError("parent band failed")
-        yield
 
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="parent band failed"):
-        _bands.run_bands(band, _bands.row_bands(9, 3), lambda part: None)
+    with split_into(3), pytest.raises(RuntimeError, match="parent band failed"):
+        _bands.run_bands(band, _bands.row_bands(9, 0), lambda result: None)
     assert time.perf_counter() - t0 < 30
     _assert_no_children()
 
 
 def test_row_bands_cover_the_rows_in_order():
-    assert _bands.row_bands(10, 3) == [(0, 3), (3, 6), (6, 10)]
-    assert _bands.row_bands(2, 4) == [(0, 1), (1, 2)]
-    assert _bands.row_bands(0, 2) == [(0, 0)]
+    with split_into(3):
+        assert _bands.row_bands(10, 0) == [(0, 3), (3, 6), (6, 10)]
+        assert _bands.row_bands(2, 0) == [(0, 1), (1, 2)]
+        assert _bands.row_bands(0, 0) == [(0, 0)]
 
 
 def test_small_grids_stay_one_band():
-    assert _bands.band_count(_bands.MIN_SPLIT_CELLS - 1) == 1
-    assert _bands.band_count(_bands.MIN_SPLIT_CELLS) == len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
+    assert _bands.row_bands(100, _bands.MIN_SPLIT_CELLS - 1) == [(0, 100)]
+    assert len(_bands.row_bands(100, _bands.MIN_SPLIT_CELLS)) == min(cpus, 100)
+
+
+def _reference_bands(nrows, cells, halo, cpus):
+    """The split rule as ``band_count``, the two-argument ``row_bands`` and
+    the PMF's halo-shrink loop composed it before ``row_bands`` took it in."""
+    def split(nbands):
+        nbands = max(1, min(nbands, nrows))
+        return [(nrows * i // nbands, nrows * (i + 1) // nbands) for i in range(nbands)]
+
+    bounds = split(1 if cells < _bands.MIN_SPLIT_CELLS or cpus is None else cpus)
+    while len(bounds) > 1 and any(
+        min(nrows, stop + halo) - max(0, start - halo) >= nrows for start, stop in bounds
+    ):
+        bounds = split(len(bounds) - 1)
+    return bounds
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(
+    nrows=st.integers(0, 600),
+    halo=st.integers(0, 300),
+    cpus=st.one_of(st.none(), st.integers(1, 8)),
+    cells=st.one_of(
+        st.integers(0, 4 * _bands.MIN_SPLIT_CELLS),
+        st.sampled_from([_bands.MIN_SPLIT_CELLS - 1, _bands.MIN_SPLIT_CELLS]),
+    ),
+)
+def test_row_bands_equal_the_composed_split_rule(nrows, halo, cpus, cells):
+    """``cpus`` None: no ``os.sched_getaffinity``, as where fork is missing."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cpus is None:
+            mp.delattr(_bands.os, "sched_getaffinity")
+        else:
+            mp.setattr(_bands.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert _bands.row_bands(nrows, cells, halo) == _reference_bands(nrows, cells, halo, cpus)
 
 
 def test_band_is_computed_by_the_parent_when_fork_fails(monkeypatch):
@@ -306,5 +379,7 @@ def test_band_is_computed_by_the_parent_when_fork_fails(monkeypatch):
 
     monkeypatch.setattr(_bands.os, "fork", no_fork)
     got = []
-    _bands.run_bands(lambda start, stop: range(start, stop), _bands.row_bands(6, 3), got.append)
+    with split_into(3):
+        _bands.run_bands(lambda start, stop: list(range(start, stop)),
+                         _bands.row_bands(6, 0), got.extend)
     assert got == list(range(6))

@@ -509,6 +509,40 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "out" / "dtm.asc").read_bytes() == (tmp_path / "dtm.asc").read_bytes()
 
 
+def test_files_are_utf8_with_lf_whatever_the_locale(tmp_path):
+    """Under an ASCII locale, a non-ASCII footprint id is read from UTF-8
+    inputs and written to the OBJ as UTF-8, with ``\\n`` line ends."""
+    fps = [Footprint("Bâti-1", "T", rectangle_ring(0, 0, 10, 12))]
+    doc = json.dumps(json.loads(footprints_to_geojson(fps)), ensure_ascii=False)
+    (tmp_path / "fp.geojson").write_bytes(doc.encode("utf-8"))
+    (tmp_path / "h.csv").write_bytes("id,type_label,height_m\nBâti-1,T,6.000\n".encode("utf-8"))
+    src = Path(popvol.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    result = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "popvol.cli", "model3d",
+         "--footprints", str(tmp_path / "fp.geojson"), "--heights", str(tmp_path / "h.csv"),
+         "--out", str(tmp_path / "model.obj")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    obj = (tmp_path / "model.obj").read_bytes()
+    assert "o Bâti-1\n".encode("utf-8") in obj
+    assert b"\r" not in obj
+
+
+def test_non_utf8_input_is_typed_error(tmp_path, capsys):
+    text = write_ascii_grid(make_grid([[1.0, 2.0], [3.0, 4.0]])).encode("utf-8")
+    at = text.index(b"\n1") + 1
+    (tmp_path / "dsm.asc").write_bytes(text[:at] + b"\xff" + text[at:])
+    assert main(["dtm", "--dsm", str(tmp_path / "dsm.asc"),
+                 "--out-dtm", str(tmp_path / "dtm.asc")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: input file {tmp_path / 'dsm.asc'} is not UTF-8: "
+        f"invalid start byte at byte {at}\n"
+    )
+    assert not (tmp_path / "dtm.asc").exists()
+
+
 @pytest.mark.parametrize(
     "content,message",
     [
@@ -629,6 +663,20 @@ def test_non_finite_extrusion_is_typed_error(tmp_path, capsys, height, base, mes
     assert not (tmp_path / "model.obj").exists()
 
 
+def test_bad_heights_csv_value_is_typed_error(tmp_path, capsys):
+    fps = [Footprint("B1", "T", rectangle_ring(0, 0, 10, 12))]
+    (tmp_path / "fp.geojson").write_text(footprints_to_geojson(fps))
+    (tmp_path / "h.csv").write_text("id,type_label,height_m\nB1,T,tall\n")
+    assert main([
+        "model3d", "--footprints", str(tmp_path / "fp.geojson"),
+        "--heights", str(tmp_path / "h.csv"), "--out", str(tmp_path / "model.obj"),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "error: heights CSV line 2, column 'height_m': expected a number, got 'tall'\n"
+    )
+    assert not (tmp_path / "model.obj").exists()
+
+
 TINY_SCENE = {
     "georef": {"ncols": 40, "nrows": 30, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
     "terrain": {"origin_elev": 50.0},
@@ -708,10 +756,15 @@ def test_run_config_values_exit_0_or_one_line_exit_2(tiny_site, overrides, publi
     "estimates,ground_truth,message",
     [
         (None, "x\n1\n", "ground-truth CSV needs columns: type_label,units"),
-        (None, "type_label,units\nTypeA\n", "invalid literal for int() with base 10: ''"),
+        (None, "type_label,units\nTypeA\n",
+         "ground-truth CSV line 2, column 'units': expected an integer >= 0, got ''"),
+        (None, "type_label,units\nTypeA,12\nTypeB,-3\n",
+         "ground-truth CSV line 3, column 'units': expected an integer >= 0, got '-3'"),
         ("x\n1\n", None, "estimates CSV needs columns: " + popvol.cli.ESTIMATES_HEADER),
         (popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA\n", None,
-         "invalid literal for int() with base 10: ''"),
+         "estimates CSV line 2, column 'floors': expected an integer, got ''"),
+        (popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA,9.000,3,4,12,150.000,many,\n", None,
+         "estimates CSV line 2, column 'persons': expected a number, got 'many'"),
     ],
 )
 def test_bad_validate_csvs_are_typed_errors(tmp_path, capsys, estimates, ground_truth, message):

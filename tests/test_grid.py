@@ -13,9 +13,8 @@ from popvol import (
     read_ascii_grid,
     write_ascii_grid,
 )
-from popvol._bands import PART_CELLS
 from popvol.cli import main
-from popvol.grid import format_value
+from popvol.grid import _PART_CELLS, format_value
 
 from conftest import make_grid
 
@@ -117,8 +116,8 @@ ADVERSARIAL = [
     [[42.0]],
     [[_NAN]],
     _mixed_rows(),
-    # one column over more rows than one part holds
-    _mixed_rows(PART_CELLS + 1000, 1),
+    # one column over more rows than one chunk holds
+    _mixed_rows(_PART_CELLS + 1000, 1),
 ]
 
 

@@ -90,6 +90,42 @@ def test_node_coordinates_out_of_range():
         parse_osm('<osm><node id="5" lat="91.0" lon="0"/></osm>')
 
 
+_DUPLICATE_NODE = """<osm>
+  <node id="1" lat="23.0" lon="72.5"><tag k="amenity" v="hospital"/></node>
+  <node id="1" lat="40.0" lon="10.0"/>
+</osm>"""
+_BAD_REF = """<osm>
+  <node id="1" lat="23.0" lon="72.5"/>
+  <way id="7"><nd ref="1"/><nd ref="x"/><tag k="amenity" v="school"/></way>
+</osm>"""
+_BAD_IDS = [
+    (_DUPLICATE_NODE, "node id 1 appears more than once"),
+    (_BAD_REF, "way 7: node reference 'x' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("text,message", _BAD_IDS, ids=["duplicate_node", "bad_ref"])
+def test_repeated_node_id_or_bad_node_reference_is_typed_error(tmp_path, capsys, text, message):
+    """A repeated node id would give both elements the second node's
+    coordinates; a non-integer reference names its way."""
+    with pytest.raises(OsmParseError) as e:
+        parse_osm(text)
+    assert str(e.value) == message
+    (tmp_path / "site.osm").write_text(text)
+    (tmp_path / "rules.json").write_text(json.dumps(
+        [{"category": r.category, "key": r.key, "value": r.value} for r in RULES]
+    ))
+    rc = main([
+        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
+        "--center-lat", "23.0", "--center-lon", "72.5", "--radius-m", "2000",
+        "--out-records", str(tmp_path / "records.csv"),
+        "--out-summary", str(tmp_path / "summary.csv"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "records.csv").exists()
+
+
 def test_filter_assigns_category():
     elements = parse_osm(OSM_WAY)
     records = filter_amenities(elements, RULES)
