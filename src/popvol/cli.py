@@ -3,13 +3,14 @@
 Stages exchange data through CSV and ASCII-grid files so each is independently
 runnable; one function per stage serves both its subcommand and ``run``.
 
-``run`` takes every parameter from a JSON config, and its ``--out-dir`` flag
-is the only flag that overrides a config value (``out_dir``). ``estimate``
-reads the estimation keys of the same config through ``--config`` and has no
-parameter flags; ``dtm`` takes the filter parameters as flags and reads no
-config. Unknown config keys are rejected. Per-building failures never abort a
-batch: they are recorded as warnings and flagged rows, and the command still
-exits 0.
+Every parameter comes from one JSON config: ``run`` reads all of it, and
+``dtm``, ``estimate``, ``amenities`` and ``model3d`` read their own keys of
+the same file through ``--config``. The other flags name files or
+directories, and ``run``'s ``--out-dir`` is the only one that overrides a
+config value (``out_dir``).
+One function reads each group of keys for both ``run`` and the subcommand.
+Unknown config keys are rejected. Per-building failures never abort a batch:
+they are recorded as warnings and flagged rows, and the command still exits 0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,10 +43,11 @@ from .estimate import (
 from .footprints import Footprint, parse_footprints, zonal_height
 from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
 from .mesh import Mesh, extrude, write_obj
-from .osm import _check_coords, count_within_radius, filter_amenities, load_rules, parse_osm
+from .osm import check_center, count_within_radius, filter_amenities, load_rules, parse_osm
 from .synth import load_scene, synthesize_dsm
 from .validate import (
     csv_field,
+    csv_records,
     diff_footnotes,
     person_total_footnotes,
     read_ground_truth,
@@ -57,22 +60,9 @@ ESTIMATES_HEADER = (
     "id,type_label,height_m,floors,units_per_floor,units,unit_area_m2,persons,excluded"
 )
 
-ESTIMATION_KEYS = (
-    "floor_height_m",
-    "min_building_height_m",
-    "occupancy_rate",
-    "efficiency",
-    "height_percentile",
-    "min_cells",
-)
-FILTER_KEYS = (
-    "initial_window",
-    "max_window_m",
-    "slope",
-    "initial_threshold_m",
-    "max_threshold_m",
-)
-BAND_KEYS = ("min_area_m2", "max_area_m2", "persons")
+ESTIMATION_KEYS = tuple(f.name for f in fields(EstimationConfig) if f.name != "bands")
+FILTER_KEYS = tuple(f.name for f in fields(DtmFilterParams))
+BAND_KEYS = tuple(f.name for f in fields(PersonsBand))
 # input files of `run`, resolved relative to the config file
 INPUT_KEYS = ("dsm", "footprints", "ground_truth", "osm", "rules", "published_reference")
 PATH_KEYS = INPUT_KEYS + ("out_dir",)
@@ -117,14 +107,18 @@ def _load_json_object(path, what: str) -> dict:
 
 
 def _load_config(path) -> dict:
-    """The config object; a key outside CONFIG_KEYS is a ConfigError that
-    names the closest known key."""
-    doc = _load_json_object(path, "config")
+    """The config object, or {} without a ``path``. A key outside CONFIG_KEYS
+    is a ConfigError that names the closest known key, and so is a path key
+    that is not a string."""
+    doc = _load_json_object(path, "config") if path else {}
     for key in doc:
         if key not in CONFIG_KEYS:
             close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ConfigError(f"unknown config key {key!r}{hint}")
+    for key in PATH_KEYS:
+        if doc.get(key) is not None and not isinstance(doc[key], str):
+            raise ConfigError(f"config key {key!r} must be a path string, got {doc[key]!r}")
     return doc
 
 
@@ -179,6 +173,21 @@ def build_filter_params(cfg: dict) -> DtmFilterParams:
     return DtmFilterParams(**_finite_numbers(cfg, FILTER_KEYS, "config key"))
 
 
+def build_amenity_query(cfg: dict) -> Optional[tuple[float, float, float]]:
+    """(center_lat, center_lon, radius_m), checked by ``check_center``, or
+    None unless all three are set; each one set must be a finite number."""
+    numbers = _finite_numbers(cfg, AMENITY_KEYS, "config key")
+    if len(numbers) < len(AMENITY_KEYS):
+        return None
+    query = tuple(numbers[k] for k in AMENITY_KEYS)
+    check_center(*query)
+    return query
+
+
+def build_base_elevation(cfg: dict) -> float:
+    return _finite_numbers(cfg, ("base_elevation_m",), "config key").get("base_elevation_m", 0.0)
+
+
 def _fmt_real(v: Optional[float], decimals: int = 3) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return ""
@@ -218,13 +227,8 @@ def render_estimates_csv(estimates: Sequence[BuildingEstimate]) -> str:
 
 
 def read_estimates_csv(text: str) -> list[BuildingEstimate]:
-    reader = csv.DictReader(io.StringIO(text), restval="")
-    required = set(ESTIMATES_HEADER.split(","))
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise PipelineError(f"estimates CSV needs columns: {ESTIMATES_HEADER}")
     rows = []
-    for rec in reader:
-        line = reader.line_num
+    for line, rec in csv_records(text, "estimates", ESTIMATES_HEADER, unique="id"):
 
         def real(column, default):
             return csv_field(rec, column, "estimates", line) if rec[column] else default
@@ -367,11 +371,9 @@ def amenities_stage(
 
 
 def _read_heights_by_id(text: str) -> dict[str, float]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or not {"id", "height_m"} <= set(reader.fieldnames):
-        raise PipelineError("heights CSV needs columns: id,height_m")
-    return {rec["id"]: csv_field(rec, "height_m", "heights", reader.line_num)
-            for rec in reader if rec["height_m"]}
+    return {rec["id"]: csv_field(rec, "height_m", "heights", line)
+            for line, rec in csv_records(text, "heights", "id,height_m", unique="id")
+            if rec["height_m"]}
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +382,9 @@ def _read_heights_by_id(text: str) -> dict[str, float]:
 
 
 def cmd_dtm(args) -> int:
+    params = build_filter_params(_load_config(args.config))
     dsm = read_ascii_grid(_read_text(args.dsm))
-    _, record = dtm_stage(dsm, build_filter_params(vars(args)), args.out_dtm, args.out_mask)
+    _, record = dtm_stage(dsm, params, args.out_dtm, args.out_mask)
     print(
         f"dtm: {dsm.georef.nrows}x{dsm.georef.ncols} cells, "
         f"{record['non_ground_cells']} non-ground"
@@ -390,7 +393,7 @@ def cmd_dtm(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = build_estimation_config(_load_config(args.config) if args.config else {})
+    cfg = build_estimation_config(_load_config(args.config))
     society, _, warnings, record = estimate_stage(
         read_ascii_grid(_read_text(args.dsm)), read_ascii_grid(_read_text(args.dtm)),
         parse_footprints(_read_text(args.footprints)), cfg, args.out_heights, args.out_estimates,
@@ -417,19 +420,25 @@ def cmd_validate(args) -> int:
 
 
 def cmd_amenities(args) -> int:
+    cfg = _load_config(args.config)
+    query = build_amenity_query(cfg)
+    if query is None:
+        missing = next(k for k in AMENITY_KEYS if cfg.get(k) is None)
+        raise ConfigError(f"config is missing required key {missing!r}")
     record = amenities_stage(
         parse_osm(_read_text(args.osm)), load_rules(_read_text(args.rules)),
-        args.center_lat, args.center_lon, args.radius_m, args.out_records, args.out_summary,
+        *query, args.out_records, args.out_summary,
     )
     counts = ", ".join(f"{c}={n}" for c, n in record["counts"].items())
-    print(f"amenities: {counts} within {args.radius_m} m")
+    print(f"amenities: {counts} within {query[2]} m")
     return 0
 
 
 def cmd_model3d(args) -> int:
+    base_elevation_m = build_base_elevation(_load_config(args.config))
     mesh, skipped, _ = model3d_stage(
         parse_footprints(_read_text(args.footprints)),
-        _read_heights_by_id(_read_text(args.heights)), args.base_elevation, args.out,
+        _read_heights_by_id(_read_text(args.heights)), base_elevation_m, args.out,
     )
     for fid in skipped:
         print(f"warning: no height for footprint {fid!r}, skipped", file=sys.stderr)
@@ -481,9 +490,6 @@ def footprints_to_geojson(footprints: Sequence[Footprint]) -> str:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    for key in PATH_KEYS:
-        if cfg.get(key) is not None and not isinstance(cfg[key], str):
-            raise ConfigError(f"config key {key!r} must be a path string, got {cfg[key]!r}")
     for key in ("dsm", "footprints"):
         if not cfg.get(key):
             raise ConfigError(f"config is missing required key {key!r}")
@@ -501,12 +507,8 @@ def cmd_run(args) -> int:
 
     params = build_filter_params(cfg)
     est_cfg = build_estimation_config(cfg)
-    numbers = _finite_numbers(cfg, AMENITY_KEYS + ("base_elevation_m",), "config key")
-    count_amenities = all(cfg.get(k) is not None for k in ("osm", "rules") + AMENITY_KEYS)
-    if count_amenities:
-        _check_coords(numbers["center_lat"], numbers["center_lon"], "center")
-        if numbers["radius_m"] < 0:
-            raise ConfigError(f"config key 'radius_m' must be >= 0, got {numbers['radius_m']}")
+    query = build_amenity_query(cfg)
+    base_elevation_m = build_base_elevation(cfg)
     published = {}
     if cfg.get("published_reference"):
         published = _load_published_reference(resolve(cfg["published_reference"]))
@@ -547,15 +549,14 @@ def cmd_run(args) -> int:
         summary["footnotes"].extend(person_total_footnotes(society, published["persons"]))
 
     _, _, stages["model3d"] = model3d_stage(
-        footprints, heights, numbers.get("base_elevation_m", 0.0), out / "model.obj"
+        footprints, heights, base_elevation_m, out / "model.obj"
     )
 
-    if count_amenities:
+    if query and cfg.get("osm") and cfg.get("rules"):
         stages["amenities"] = amenities_stage(
             parse_osm(_read_text(resolve(cfg["osm"]))),
             load_rules(_read_text(resolve(cfg["rules"]))),
-            numbers["center_lat"], numbers["center_lon"], numbers["radius_m"],
-            out / "amenities.csv", out / "amenities_summary.csv",
+            *query, out / "amenities.csv", out / "amenities_summary.csv",
         )
     else:
         stages["amenities"] = {"status": "skipped"}
@@ -573,14 +574,6 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_filter_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--initial-window", dest="initial_window", type=int, default=None)
-    p.add_argument("--max-window-m", dest="max_window_m", type=float, default=None)
-    p.add_argument("--slope", dest="slope", type=float, default=None)
-    p.add_argument("--initial-threshold-m", dest="initial_threshold_m", type=float, default=None)
-    p.add_argument("--max-threshold-m", dest="max_threshold_m", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="popvol",
@@ -588,59 +581,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dtm", help="derive a bare-earth terrain model from a surface model")
-    p.add_argument("--dsm", required=True)
-    p.add_argument("--out-dtm", required=True)
-    p.add_argument("--out-mask", default=None)
-    _add_filter_args(p)
-    p.set_defaults(func=cmd_dtm)
-
-    p = sub.add_parser("estimate", help="per-building heights, units and persons")
-    p.add_argument("--dsm", required=True)
-    p.add_argument("--dtm", required=True)
-    p.add_argument("--footprints", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out-heights", required=True)
-    p.add_argument("--out-estimates", required=True)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("validate", help="compare estimated units against ground truth")
-    p.add_argument("--estimates", required=True)
-    p.add_argument("--ground-truth", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("amenities", help="count OSM amenities around a site")
-    p.add_argument("--osm", required=True)
-    p.add_argument("--rules", required=True)
-    p.add_argument("--center-lat", type=float, required=True)
-    p.add_argument("--center-lon", type=float, required=True)
-    p.add_argument("--radius-m", type=float, required=True)
-    p.add_argument("--out-records", required=True)
-    p.add_argument("--out-summary", required=True)
-    p.set_defaults(func=cmd_amenities)
-
-    p = sub.add_parser("model3d", help="extrude footprints into an OBJ block model")
-    p.add_argument("--footprints", required=True)
-    p.add_argument("--heights", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--base-elevation", type=float, default=0.0)
-    p.set_defaults(func=cmd_model3d)
-
-    p = sub.add_parser("synth", help="generate a synthetic scene with known ground truth")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--out-dsm", required=True)
-    p.add_argument("--out-truth-dtm", default=None)
-    p.add_argument("--out-heights", default=None)
-    p.add_argument("--out-footprints", default=None)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("run", help="full pipeline driven by a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_run)
-
+    # each flag names a file or directory; one marked "?" may be left out
+    for func, text, flags in (
+        (cmd_dtm, "derive a bare-earth terrain model from a surface model",
+         "--dsm --out-dtm --out-mask? --config?"),
+        (cmd_estimate, "per-building heights, units and persons",
+         "--dsm --dtm --footprints --config? --out-heights --out-estimates"),
+        (cmd_validate, "compare estimated units against ground truth",
+         "--estimates --ground-truth --out"),
+        (cmd_amenities, "count OSM amenities around a site",
+         "--osm --rules --config --out-records --out-summary"),
+        (cmd_model3d, "extrude footprints into an OBJ block model",
+         "--footprints --heights --out --config?"),
+        (cmd_synth, "generate a synthetic scene with known ground truth",
+         "--scene --out-dsm --out-truth-dtm? --out-heights? --out-footprints?"),
+        (cmd_run, "full pipeline driven by a JSON config", "--config --out-dir?"),
+    ):
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=text)
+        for flag in flags.split():
+            p.add_argument(flag.rstrip("?"), required=not flag.endswith("?"))
+        p.set_defaults(func=func)
     return parser
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bands import row_bands, run_bands
+from .errors import ConfigError
 from .grid import Grid
 
 
@@ -44,15 +45,15 @@ class DtmFilterParams:
             or self.initial_window < 3
             or self.initial_window % 2 == 0
         ):
-            raise ValueError(f"initial_window must be an odd integer >= 3, got {self.initial_window}")
+            raise ConfigError(f"initial_window must be an odd integer >= 3, got {self.initial_window}")
         if self.slope < 0:
-            raise ValueError(f"slope must be >= 0, got {self.slope}")
+            raise ConfigError(f"slope must be >= 0, got {self.slope}")
         if self.initial_threshold_m <= 0:
-            raise ValueError(f"initial_threshold_m must be > 0, got {self.initial_threshold_m}")
+            raise ConfigError(f"initial_threshold_m must be > 0, got {self.initial_threshold_m}")
         if self.max_threshold_m < self.initial_threshold_m:
-            raise ValueError("max_threshold_m must be >= initial_threshold_m")
+            raise ConfigError("max_threshold_m must be >= initial_threshold_m")
         if self.max_window_m < self.initial_window * cellsize:
-            raise ValueError(
+            raise ConfigError(
                 f"max_window_m ({self.max_window_m}) smaller than the initial "
                 f"window ({self.initial_window} cells x {cellsize} m)"
             )

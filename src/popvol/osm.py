@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import OsmParseError, PipelineError
+from .errors import ConfigError, OsmParseError, PipelineError
 
 logger = logging.getLogger(__name__)
 
@@ -137,6 +137,14 @@ def _check_coords(lat: float, lon: float, where: str) -> None:
         raise OsmParseError(f"{where}: coordinates ({lat}, {lon}) out of range")
 
 
+def check_center(center_lat: float, center_lon: float, radius_m: float) -> None:
+    """Reject a center outside ±90° latitude and ±180° longitude, or a radius
+    that is not a finite number >= 0."""
+    _check_coords(center_lat, center_lon, "center")
+    if not (math.isfinite(radius_m) and radius_m >= 0):
+        raise ConfigError(f"radius_m must be a finite number >= 0, got {radius_m}")
+
+
 def load_rules(text: str) -> list[TagRule]:
     """Rules JSON: array of {category, key, value} objects."""
     try:
@@ -188,9 +196,7 @@ def count_within_radius(
 ) -> tuple[dict[str, int], list[tuple[AmenityRecord, float]]]:
     """Per-category counts of amenities within radius_m of the center, plus
     the matched records with their distances."""
-    _check_coords(center_lat, center_lon, "center")
-    if not (math.isfinite(radius_m) and radius_m >= 0):
-        raise ValueError(f"radius_m must be a finite number >= 0, got {radius_m}")
+    check_center(center_lat, center_lon, radius_m)
     counts = {rec.category: 0 for rec in amenities}
     matched = []
     for rec in amenities:

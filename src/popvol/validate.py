@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import PipelineError, ReportMismatchError
 from .estimate import SocietyEstimate
@@ -47,20 +47,38 @@ def csv_field(rec: dict, column: str, kind: str, line: int, convert=float, expec
         ) from None
 
 
+def csv_records(
+    text: str, kind: str, columns: str, unique: Optional[str] = None
+) -> Iterator[tuple[int, dict]]:
+    """(line, record) for each row of a CSV whose header holds the
+    comma-separated ``columns``; fields missing from a short row read "". A
+    value of the ``unique`` column seen twice is a PipelineError that names
+    the ``kind`` of CSV, the line and the value."""
+    reader = csv.DictReader(io.StringIO(text), restval="")
+    if reader.fieldnames is None or not set(columns.split(",")) <= set(reader.fieldnames):
+        raise PipelineError(f"{kind} CSV needs columns: {columns}")
+    seen = set()
+    for rec in reader:
+        if unique is not None:
+            if rec[unique] in seen:
+                raise PipelineError(
+                    f"{kind} CSV line {reader.line_num}: duplicate {unique} {rec[unique]!r}"
+                )
+            seen.add(rec[unique])
+        yield reader.line_num, rec
+
+
 def read_ground_truth(text: str) -> list[GroundTruthRow]:
     """Parse a `type_label,units` CSV; type labels must be unique and units
     integers >= 0."""
-    reader = csv.DictReader(io.StringIO(text), restval="")
-    if reader.fieldnames is None or not {"type_label", "units"} <= set(reader.fieldnames):
-        raise PipelineError("ground-truth CSV needs columns: type_label,units")
     rows = []
     seen = set()
-    for rec in reader:
+    for line, rec in csv_records(text, "ground-truth", "type_label,units"):
         label = rec["type_label"].strip()
         if label in seen:
             raise PipelineError(f"duplicate ground-truth type label {label!r}")
         seen.add(label)
-        rows.append(csv_field(rec, "units", "ground-truth", reader.line_num,
+        rows.append(csv_field(rec, "units", "ground-truth", line,
                               lambda raw: GroundTruthRow(label, int(raw)), "an integer >= 0"))
     return rows
 

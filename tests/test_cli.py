@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -247,16 +248,23 @@ RULES_JSON = json.dumps([
 ])
 
 
+AMENITY_QUERY = {"center_lat": 23.0, "center_lon": 72.5, "radius_m": 2000.0}
+
+
+def amenities_argv(tmp_path, config):
+    return [
+        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
+        "--config", str(config),
+        "--out-records", str(tmp_path / "records.csv"),
+        "--out-summary", str(tmp_path / "summary.csv"),
+    ]
+
+
 def test_amenities_command(tmp_path):
     (tmp_path / "site.osm").write_text(OSM_FIXTURE)
     (tmp_path / "rules.json").write_text(RULES_JSON)
-    rc = main([
-        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
-        "--center-lat", "23.0", "--center-lon", "72.5", "--radius-m", "2000",
-        "--out-records", str(tmp_path / "records.csv"),
-        "--out-summary", str(tmp_path / "summary.csv"),
-    ])
-    assert rc == 0
+    (tmp_path / "config.json").write_text(json.dumps(AMENITY_QUERY))
+    assert main(amenities_argv(tmp_path, tmp_path / "config.json")) == 0
     summary = dict(
         line.split(",") for line in (tmp_path / "summary.csv").read_text().splitlines()[1:]
     )
@@ -297,9 +305,7 @@ def _write_run_config(tmp_path):
         "ground_truth": "gt.csv",
         "osm": "site.osm",
         "rules": "rules.json",
-        "center_lat": 23.0,
-        "center_lon": 72.5,
-        "radius_m": 2000.0,
+        **AMENITY_QUERY,
         "out_dir": "out",
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
@@ -351,6 +357,8 @@ def test_run_missing_dsm_key(tmp_path, capsys):
          "config key 'base_elevation_m' must be a finite number, got True"),
         ({"base_elevation_m": float("inf")},
          "config key 'base_elevation_m' must be a finite number, got inf"),
+        ({"base_elevation_m": float("nan")},
+         "config key 'base_elevation_m' must be a finite number, got nan"),
         ({"center_lat": 10**400}, f"config key 'center_lat' must be a finite number, got {10**400}"),
         ({"height_percentile": 150}, "height_percentile must be in [0, 100], got 150"),
         ({"height_percentile": -0.5}, "height_percentile must be in [0, 100], got -0.5"),
@@ -367,26 +375,43 @@ def test_run_missing_dsm_key(tmp_path, capsys):
     ],
 )
 def test_non_numeric_config_values_are_typed_errors(tmp_path, capsys, extra, message):
-    for name in ("dsm.asc", "fp.geojson"):
+    """Each case through ``run`` and through every subcommand that reads its
+    key; an unknown key or a bad path key through every command with
+    ``--config``."""
+    for name in ("dsm.asc", "fp.geojson", "h.csv", "site.osm", "rules.json"):
         (tmp_path / name).write_text("never read\n")
     config = {"dsm": "dsm.asc", "footprints": "fp.geojson", "out_dir": "out", **extra}
     (tmp_path / "config.json").write_text(json.dumps(config))
-    commands = [["run", "--config", str(tmp_path / "config.json")]]
-    # `estimate --config` reads only the estimation keys, and rejects unknown ones
-    run_only = {*popvol.cli.FILTER_KEYS, *popvol.cli.PATH_KEYS, *popvol.cli.AMENITY_KEYS,
-                "base_elevation_m"}
-    if not set(extra) & run_only:
-        commands.append([
-            "estimate", "--config", str(tmp_path / "config.json"),
+    cli = popvol.cli
+    with_config = ["--config", str(tmp_path / "config.json")]
+    readers = {
+        (*cli.ESTIMATION_KEYS, "bands"): [
+            "estimate", *with_config,
             "--dsm", str(tmp_path / "dsm.asc"), "--dtm", str(tmp_path / "dsm.asc"),
             "--footprints", str(tmp_path / "fp.geojson"),
-            "--out-heights", str(tmp_path / "h.csv"), "--out-estimates", str(tmp_path / "e.csv"),
-        ])
+            "--out-heights", str(tmp_path / "s_h.csv"), "--out-estimates", str(tmp_path / "e.csv"),
+        ],
+        cli.FILTER_KEYS: [
+            "dtm", *with_config, "--dsm", str(tmp_path / "dsm.asc"),
+            "--out-dtm", str(tmp_path / "dtm.asc"),
+        ],
+        cli.AMENITY_KEYS: amenities_argv(tmp_path, tmp_path / "config.json"),
+        ("base_elevation_m",): [
+            "model3d", *with_config, "--footprints", str(tmp_path / "fp.geojson"),
+            "--heights", str(tmp_path / "h.csv"), "--out", str(tmp_path / "model.obj"),
+        ],
+    }
+    parameters = {k for keys in readers for k in keys}
+    commands = [["run", *with_config]] + [
+        argv for keys, argv in readers.items()
+        if set(extra) & set(keys) or not set(extra) & parameters
+    ]
+    assert len(commands) > 1
     for argv in commands:
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out").exists()
-    assert not (tmp_path / "h.csv").exists()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    for name in ("out", "s_h.csv", "dtm.asc", "records.csv", "model.obj"):
+        assert not (tmp_path / name).exists()
 
 
 def test_excluded_rows_keep_height_when_only_the_estimate_fails(tmp_path):
@@ -410,18 +435,23 @@ def test_excluded_rows_keep_height_when_only_the_estimate_fails(tmp_path):
 
 
 def test_run_matches_standalone_stages(tmp_path):
-    # `run` must produce the same bytes as driving each stage by hand,
-    # because the CSVs are the inter-stage contract
+    # `run` must produce the same bytes as driving each stage by hand with
+    # the run's config, because the CSVs are the inter-stage contract
     config = _write_run_config(tmp_path)
+    # a 0.15 m first threshold flags terrain noise, so the DTM itself changes
+    non_default = {"slope": 0.2, "max_window_m": 40.0, "initial_threshold_m": 0.15,
+                   "floor_height_m": 2.8, "height_percentile": 80.0, "base_elevation_m": 12.5}
+    config.write_text(json.dumps({**json.loads(config.read_text()), **non_default}))
     assert main(["run", "--config", str(config)]) == 0
     out = tmp_path / "out"
+    with_config = ["--config", str(config)]
     assert main([
-        "dtm", "--dsm", str(tmp_path / "dsm.asc"), "--out-dtm", str(tmp_path / "s_dtm.asc"),
-        "--out-mask", str(tmp_path / "s_ground_mask.asc"),
+        "dtm", *with_config, "--dsm", str(tmp_path / "dsm.asc"),
+        "--out-dtm", str(tmp_path / "s_dtm.asc"), "--out-mask", str(tmp_path / "s_ground_mask.asc"),
     ]) == 0
     assert main([
-        "estimate", "--dsm", str(tmp_path / "dsm.asc"), "--dtm", str(tmp_path / "s_dtm.asc"),
-        "--footprints", str(tmp_path / "fp.geojson"),
+        "estimate", *with_config, "--dsm", str(tmp_path / "dsm.asc"),
+        "--dtm", str(tmp_path / "s_dtm.asc"), "--footprints", str(tmp_path / "fp.geojson"),
         "--out-heights", str(tmp_path / "s_heights.csv"),
         "--out-estimates", str(tmp_path / "s_estimates.csv"),
     ]) == 0
@@ -430,12 +460,12 @@ def test_run_matches_standalone_stages(tmp_path):
         "--ground-truth", str(tmp_path / "gt.csv"), "--out", str(tmp_path / "s_validation.csv"),
     ]) == 0
     assert main([
-        "model3d", "--footprints", str(tmp_path / "fp.geojson"),
+        "model3d", *with_config, "--footprints", str(tmp_path / "fp.geojson"),
         "--heights", str(tmp_path / "s_heights.csv"), "--out", str(tmp_path / "s_model.obj"),
     ]) == 0
     assert main([
-        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
-        "--center-lat", "23.0", "--center-lon", "72.5", "--radius-m", "2000",
+        "amenities", *with_config,
+        "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
         "--out-records", str(tmp_path / "s_amenities.csv"),
         "--out-summary", str(tmp_path / "s_amenities_summary.csv"),
     ]) == 0
@@ -585,7 +615,7 @@ def test_run_center_out_of_range_is_typed_error(tmp_path, capsys):
     "extra,message",
     [
         ({"center_lon": -200}, "center: coordinates (23.0, -200) out of range"),
-        ({"radius_m": -1}, "config key 'radius_m' must be >= 0, got -1"),
+        ({"radius_m": -1}, "radius_m must be a finite number >= 0, got -1"),
     ],
 )
 def test_run_checks_the_amenity_center_before_any_output(tmp_path, capsys, extra, message):
@@ -618,62 +648,74 @@ def test_run_checks_the_filter_keys_before_any_output(tmp_path, capsys, extra, m
 
 
 @pytest.mark.parametrize(
-    "flag,value,message",
+    "query,message",
     [
-        ("--radius-m", "nan", "radius_m must be a finite number >= 0, got nan"),
-        ("--radius-m", "inf", "radius_m must be a finite number >= 0, got inf"),
-        ("--center-lat", "nan", "center: coordinates (nan, 72.5) out of range"),
-        ("--center-lat", "123", "center: coordinates (123.0, 72.5) out of range"),
-        ("--center-lon", "-inf", "center: coordinates (23.0, -inf) out of range"),
+        ({"radius_m": float("nan")}, "config key 'radius_m' must be a finite number, got nan"),
+        ({"radius_m": -0.5}, "radius_m must be a finite number >= 0, got -0.5"),
+        ({"center_lat": float("nan")}, "config key 'center_lat' must be a finite number, got nan"),
+        ({"center_lat": 123}, "center: coordinates (123, 72.5) out of range"),
+        ({"center_lon": 180.5}, "center: coordinates (23.0, 180.5) out of range"),
+        ({"center_lat": None}, "config is missing required key 'center_lat'"),
     ],
 )
-def test_bad_amenity_center_or_radius_is_typed_error(tmp_path, capsys, flag, value, message):
+def test_bad_amenity_center_or_radius_is_typed_error(tmp_path, capsys, query, message):
     (tmp_path / "site.osm").write_text(OSM_FIXTURE)
     (tmp_path / "rules.json").write_text(RULES_JSON)
-    flags = {"--center-lat": "23.0", "--center-lon": "72.5", "--radius-m": "2000", flag: value}
-    assert main([
-        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
-        *(f"{k}={v}" for k, v in flags.items()),
-        "--out-records", str(tmp_path / "records.csv"),
-        "--out-summary", str(tmp_path / "summary.csv"),
-    ]) == 2
+    (tmp_path / "config.json").write_text(json.dumps({**AMENITY_QUERY, **query}))
+    assert main(amenities_argv(tmp_path, tmp_path / "config.json")) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "records.csv").exists()
 
 
 @pytest.mark.parametrize(
-    "height,base,message",
+    "height,message",
     [
-        ("6.000", "inf", "building 'B1': base elevation inf is not finite"),
-        ("6.000", "nan", "building 'B1': base elevation nan is not finite"),
-        ("inf", "0", "building 'B1': extrusion height inf is not finite"),
-        ("nan", "0", "building 'B1': extrusion height nan is not finite"),
+        ("inf", "building 'B1': extrusion height inf is not finite"),
+        ("nan", "building 'B1': extrusion height nan is not finite"),
     ],
 )
-def test_non_finite_extrusion_is_typed_error(tmp_path, capsys, height, base, message):
+def test_non_finite_extrusion_is_typed_error(tmp_path, capsys, height, message):
     fps = [Footprint("B1", "T", rectangle_ring(0, 0, 10, 12))]
     (tmp_path / "fp.geojson").write_text(footprints_to_geojson(fps))
     (tmp_path / "h.csv").write_text(f"id,type_label,height_m\nB1,T,{height}\n")
     assert main([
         "model3d", "--footprints", str(tmp_path / "fp.geojson"),
         "--heights", str(tmp_path / "h.csv"), "--out", str(tmp_path / "model.obj"),
-        "--base-elevation", base,
     ]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "model.obj").exists()
 
 
-def test_bad_heights_csv_value_is_typed_error(tmp_path, capsys):
+def test_parser_has_no_value_flags():
+    """Every parameter value is read from the config and checked there: no
+    flag converts its value with ``type=``, so none can bypass those checks."""
+    parser = popvol.cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {"parser": parser, **subparsers.choices}
+    for name, command in commands.items():
+        for action in command._actions:
+            assert action.type is None, (name, action.option_strings)
+    assert len(commands) == 8
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ("B1,T,tall\n", "heights CSV line 2, column 'height_m': expected a number, got 'tall'"),
+        # a second row would otherwise set B1's extrusion height
+        ("B1,T,6.000\nB2,T,9.000\nB1,T,40.000\n", "heights CSV line 4: duplicate id 'B1'"),
+    ],
+    ids=["bad_value", "repeated_id"],
+)
+def test_bad_heights_csv_value_is_typed_error(tmp_path, capsys, rows, message):
     fps = [Footprint("B1", "T", rectangle_ring(0, 0, 10, 12))]
     (tmp_path / "fp.geojson").write_text(footprints_to_geojson(fps))
-    (tmp_path / "h.csv").write_text("id,type_label,height_m\nB1,T,tall\n")
+    (tmp_path / "h.csv").write_text("id,type_label,height_m\n" + rows)
     assert main([
         "model3d", "--footprints", str(tmp_path / "fp.geojson"),
         "--heights", str(tmp_path / "h.csv"), "--out", str(tmp_path / "model.obj"),
     ]) == 2
-    assert capsys.readouterr().err == (
-        "error: heights CSV line 2, column 'height_m': expected a number, got 'tall'\n"
-    )
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "model.obj").exists()
 
 
@@ -765,6 +807,9 @@ def test_run_config_values_exit_0_or_one_line_exit_2(tiny_site, overrides, publi
          "estimates CSV line 2, column 'floors': expected an integer, got ''"),
         (popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA,9.000,3,4,12,150.000,many,\n", None,
          "estimates CSV line 2, column 'persons': expected a number, got 'many'"),
+        (popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA,9.000,3,4,12,150.000,48.000,"
+         "\nB1,TypeA,9.000,3,4,12,150.000,48.000,\n", None,
+         "estimates CSV line 3: duplicate id 'B1'"),
     ],
 )
 def test_bad_validate_csvs_are_typed_errors(tmp_path, capsys, estimates, ground_truth, message):

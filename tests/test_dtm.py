@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from popvol import (
+    ConfigError,
     DtmFilterParams,
     Footprint,
     Grid,
@@ -230,19 +231,19 @@ def test_interior_prism_cells_flagged():
 
 def test_param_validation():
     g = make_grid(np.zeros((5, 5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         progressive_morphological_filter(g, DtmFilterParams(initial_window=4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         progressive_morphological_filter(g, DtmFilterParams(initial_window=1))
-    with pytest.raises(ValueError, match="odd integer"):
+    with pytest.raises(ConfigError, match="odd integer"):
         progressive_morphological_filter(g, DtmFilterParams(initial_window=3.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         progressive_morphological_filter(g, DtmFilterParams(slope=-0.1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         progressive_morphological_filter(g, DtmFilterParams(initial_threshold_m=0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         progressive_morphological_filter(
             g, DtmFilterParams(initial_threshold_m=2.0, max_threshold_m=1.0)
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         progressive_morphological_filter(g, DtmFilterParams(max_window_m=2.0))

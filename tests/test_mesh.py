@@ -70,6 +70,13 @@ def test_negative_height_rejected():
         extrude([(unit_square(), -1.0)])
 
 
+@pytest.mark.parametrize("base", [float("inf"), float("nan"), {"B1": float("-inf")}])
+def test_non_finite_base_rejected(base):
+    message = r"^building 'B1': base elevation -?(inf|nan) is not finite$"
+    with pytest.raises(PipelineError, match=message):
+        extrude([(unit_square(), 1.0)], base_elevation_m=base)
+
+
 def test_bounding_box_matches_dimensions():
     fp = Footprint("T1-01", "Type1", rectangle_ring(100.0, 200.0, 30.0, 30.5))
     mesh = extrude([(fp, 19.8)], base_elevation_m=50.0)

@@ -104,6 +104,20 @@ _BAD_IDS = [
 ]
 
 
+def _amenities(tmp_path):
+    """``amenities`` on the site.osm and rules.json in ``tmp_path``, 2000 m
+    around (23.0, 72.5)."""
+    (tmp_path / "config.json").write_text(
+        json.dumps({"center_lat": 23.0, "center_lon": 72.5, "radius_m": 2000.0})
+    )
+    return main([
+        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
+        "--config", str(tmp_path / "config.json"),
+        "--out-records", str(tmp_path / "records.csv"),
+        "--out-summary", str(tmp_path / "summary.csv"),
+    ])
+
+
 @pytest.mark.parametrize("text,message", _BAD_IDS, ids=["duplicate_node", "bad_ref"])
 def test_repeated_node_id_or_bad_node_reference_is_typed_error(tmp_path, capsys, text, message):
     """A repeated node id would give both elements the second node's
@@ -115,12 +129,7 @@ def test_repeated_node_id_or_bad_node_reference_is_typed_error(tmp_path, capsys,
     (tmp_path / "rules.json").write_text(json.dumps(
         [{"category": r.category, "key": r.key, "value": r.value} for r in RULES]
     ))
-    rc = main([
-        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
-        "--center-lat", "23.0", "--center-lon", "72.5", "--radius-m", "2000",
-        "--out-records", str(tmp_path / "records.csv"),
-        "--out-summary", str(tmp_path / "summary.csv"),
-    ])
+    rc = _amenities(tmp_path)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "records.csv").exists()
@@ -175,12 +184,7 @@ def test_malformed_rules_are_typed_errors(tmp_path, capsys, rules, index):
         load_rules(text)
     (tmp_path / "site.osm").write_text('<osm version="0.6"></osm>')
     (tmp_path / "rules.json").write_text(text)
-    rc = main([
-        "amenities", "--osm", str(tmp_path / "site.osm"), "--rules", str(tmp_path / "rules.json"),
-        "--center-lat", "23.0", "--center-lon", "72.5", "--radius-m", "2000",
-        "--out-records", str(tmp_path / "records.csv"),
-        "--out-summary", str(tmp_path / "summary.csv"),
-    ])
+    rc = _amenities(tmp_path)
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: rules entry #{index}: needs string 'category', 'key' and 'value'\n"
