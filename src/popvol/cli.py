@@ -502,6 +502,8 @@ def cmd_run(args) -> int:
         q = Path(p)
         return q if q.is_absolute() else base_dir / q
     for key in INPUT_KEYS:
+        if cfg.get(key) == "":
+            raise ConfigError(f"config key {key!r} is an empty path")
         if cfg.get(key) and not resolve(cfg[key]).is_file():
             raise ConfigError(f"config key {key!r}: file not found: {resolve(cfg[key])}")
 
@@ -581,26 +583,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # each flag names a file or directory; one marked "?" may be left out
-    for func, text, flags in (
-        (cmd_dtm, "derive a bare-earth terrain model from a surface model",
-         "--dsm --out-dtm --out-mask? --config?"),
-        (cmd_estimate, "per-building heights, units and persons",
-         "--dsm --dtm --footprints --config? --out-heights --out-estimates"),
-        (cmd_validate, "compare estimated units against ground truth",
-         "--estimates --ground-truth --out"),
-        (cmd_amenities, "count OSM amenities around a site",
-         "--osm --rules --config --out-records --out-summary"),
-        (cmd_model3d, "extrude footprints into an OBJ block model",
-         "--footprints --heights --out --config?"),
-        (cmd_synth, "generate a synthetic scene with known ground truth",
-         "--scene --out-dsm --out-truth-dtm? --out-heights? --out-footprints?"),
-        (cmd_run, "full pipeline driven by a JSON config", "--config --out-dir?"),
-    ):
-        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=text)
-        for flag in flags.split():
-            p.add_argument(flag.rstrip("?"), required=not flag.endswith("?"))
-        p.set_defaults(func=func)
+
+    p = sub.add_parser("dtm", help="derive a bare-earth terrain model from a surface model")
+    p.add_argument("--dsm", required=True)
+    p.add_argument("--out-dtm", required=True)
+    p.add_argument("--out-mask", default=None)
+    p.add_argument("--config", default=None)
+    p.set_defaults(func=cmd_dtm)
+
+    p = sub.add_parser("estimate", help="per-building heights, units and persons")
+    p.add_argument("--dsm", required=True)
+    p.add_argument("--dtm", required=True)
+    p.add_argument("--footprints", required=True)
+    p.add_argument("--config", default=None)
+    p.add_argument("--out-heights", required=True)
+    p.add_argument("--out-estimates", required=True)
+    p.set_defaults(func=cmd_estimate)
+
+    p = sub.add_parser("validate", help="compare estimated units against ground truth")
+    p.add_argument("--estimates", required=True)
+    p.add_argument("--ground-truth", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("amenities", help="count OSM amenities around a site")
+    p.add_argument("--osm", required=True)
+    p.add_argument("--rules", required=True)
+    p.add_argument("--config", required=True)
+    p.add_argument("--out-records", required=True)
+    p.add_argument("--out-summary", required=True)
+    p.set_defaults(func=cmd_amenities)
+
+    p = sub.add_parser("model3d", help="extrude footprints into an OBJ block model")
+    p.add_argument("--footprints", required=True)
+    p.add_argument("--heights", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--config", default=None)
+    p.set_defaults(func=cmd_model3d)
+
+    p = sub.add_parser("synth", help="generate a synthetic scene with known ground truth")
+    p.add_argument("--scene", required=True)
+    p.add_argument("--out-dsm", required=True)
+    p.add_argument("--out-truth-dtm", default=None)
+    p.add_argument("--out-heights", default=None)
+    p.add_argument("--out-footprints", default=None)
+    p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("run", help="full pipeline driven by a JSON config")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out-dir", default=None)
+    p.set_defaults(func=cmd_run)
+
     return parser
 
 

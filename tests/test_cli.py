@@ -627,6 +627,17 @@ def test_run_checks_the_amenity_center_before_any_output(tmp_path, capsys, extra
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["ground_truth", "osm", "rules", "published_reference"])
+def test_run_empty_input_path_is_typed_error(tmp_path, capsys, key):
+    """An input key set to "" is refused, not read as a stage left out."""
+    config = _write_run_config(tmp_path)
+    config.write_text(json.dumps({**json.loads(config.read_text()), key: ""}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: config key {key!r} is an empty path\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "extra,message",
     [

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from popvol import (
+    ConfigError,
     OsmParseError,
     PipelineError,
     TagRule,
@@ -247,6 +248,24 @@ def test_count_super_antipodal_radius_catches_everything():
     amenities = filter_amenities(elements, RULES)
     counts, _ = count_within_radius(amenities, -45.0, -170.0, 20_100_000.0)
     assert counts == {"school": 1}
+
+
+@pytest.mark.parametrize(
+    "center,radius,error,message",
+    [
+        ((22.0, 72.0), float("nan"), ConfigError, "radius_m must be a finite number >= 0, got nan"),
+        ((22.0, 72.0), float("inf"), ConfigError, "radius_m must be a finite number >= 0, got inf"),
+        ((22.0, 72.0), -1.0, ConfigError, "radius_m must be a finite number >= 0, got -1.0"),
+        ((float("nan"), 72.0), 100.0, OsmParseError, "center: coordinates (nan, 72.0) out of range"),
+        ((22.0, float("-inf")), 100.0, OsmParseError,
+         "center: coordinates (22.0, -inf) out of range"),
+    ],
+)
+def test_count_rejects_a_bad_center_or_radius(center, radius, error, message):
+    amenities = filter_amenities(parse_osm(OSM_ONE_NODE), RULES)
+    with pytest.raises(error) as caught:
+        count_within_radius(amenities, *center, radius)
+    assert str(caught.value) == message
 
 
 def test_count_monotone_in_radius():
