@@ -1,14 +1,19 @@
-"""Row bands of a raster job, run on every usable CPU.
+"""Work run in forked children: row bands of a raster job, and background jobs.
+
+``background(job)`` runs ``job()`` in a forked child while its ``with`` block
+runs. The child pickles the result, with the log records the job emitted, to
+an unlinked temporary file and leaves through ``os._exit``. When the block
+asks for the result, the parent reaps the child, logs those records and
+unpickles it. A job whose child could not be forked, exited non-zero or left
+a short file runs in the parent at that point instead, so a failing job
+raises and logs there, as in a serial run. Leaving the block stops and reaps
+a child whose result was not taken. ``popvol run``'s amenity stage is one.
 
 ``row_bands(nrows, cells, halo)`` is the whole split rule. ``run_bands(band,
 bounds, take)`` calls ``take`` once on ``band(start, stop)`` for each
 ``(start, stop)`` in ``bounds``, in order, so the caller sees exactly what one
 serial pass over the bands would give. The calling process computes the first
-band itself. Every other band runs in a forked child, which pickles its one
-result to an unlinked temporary file and leaves through ``os._exit``. After
-its own band, the parent reaps each child and unpickles its result. A band
-whose child could not be forked, exited non-zero or left a short file is
-computed by the parent instead, so a failing band raises its error there.
+band itself; every other band is a background job.
 
 There is no pool, thread or pipe: a child holds nothing the parent must
 drain. Only files this process created and its own children wrote are
@@ -17,6 +22,9 @@ unpickled.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import logging
 import os
 import pickle
 import tempfile
@@ -55,31 +63,43 @@ def run_bands(band, bounds, take) -> None:
     arguments and on state that exists before the call, because all but the
     first band run in forked children.
     """
-    workers = [_fork(band, start, stop) for start, stop in bounds[1:]]
+    jobs = [functools.partial(band, start, stop) for start, stop in bounds]
+    with contextlib.ExitStack() as stack:
+        results = [stack.enter_context(background(job)) for job in jobs[1:]]
+        take(jobs[0]())
+        for result in results:
+            take(result())
+
+
+@contextlib.contextmanager
+def background(job):
+    """Run ``job()`` in a forked child; the block gets a callable that
+    returns the result, the child's or, if it failed, ``job()``'s."""
+    worker = _fork(job)
     try:
-        take(band(*bounds[0]))
-        for (start, stop), worker in zip(bounds[1:], workers):
-            take(pickle.load(worker[1]) if _reap(worker) else band(start, stop))
+        yield functools.partial(_result, worker, job)
     finally:
-        for worker in workers:
-            _discard(worker)
+        _discard(worker)
 
 
-def _fork(band, start: int, stop: int) -> list:
-    """Start a child that pickles ``band(start, stop)`` to a temporary file,
-    followed by the pickle's length. Returns ``[pid, file]``, with pid None
-    if no file or child could be had; the parent then computes the band
-    itself, and ``_discard`` closes the file."""
+def _fork(job) -> list:
+    """Start a child that pickles ``job()`` and the log records it emitted to
+    a temporary file, followed by the pickle's length. Returns ``[pid,
+    file]``, with pid None if no file or child could be had; the job then runs
+    in this process, and ``_discard`` closes the file."""
     f = None
     try:
         f = tempfile.TemporaryFile()
         pid = os.fork()
-    except OSError:
+    except (OSError, AttributeError):  # AttributeError: no os.fork here
         return [None, f]
     if pid == 0:
         code = 1
         try:
-            pickle.dump(band(start, stop), f, pickle.HIGHEST_PROTOCOL)
+            records = []
+            # hold the job's log records for the parent; the patch dies with this child
+            logging.Logger.callHandlers = lambda logger, record: records.append(record)
+            pickle.dump((job(), records), f, pickle.HIGHEST_PROTOCOL)
             f.write(f.tell().to_bytes(_TRAILER_BYTES, "little"))
             f.flush()
             code = 0
@@ -88,10 +108,20 @@ def _fork(band, start: int, stop: int) -> list:
     return [pid, f]
 
 
+def _result(worker: list, job):
+    """The child's result, logging what the child logged; ``job()`` if it failed."""
+    if not _reap(worker):
+        return job()
+    result, records = pickle.load(worker[1])
+    for record in records:
+        logging.getLogger(record.name).callHandlers(record)
+    return result
+
+
 def _reap(worker: list) -> bool:
     """Wait for the child; True, with the file at its start, if the child
-    exited 0 and wrote its whole result; False when the band must be computed
-    again: no child, a non-zero exit or a short file."""
+    exited 0 and wrote its whole result; False when the job must run again:
+    no child, a non-zero exit or a short file."""
     pid, f = worker
     if pid is None:
         return False

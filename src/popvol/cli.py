@@ -16,8 +16,10 @@ they are recorded as warnings and flagged rows, and the command still exits 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import difflib
+import functools
 import io
 import json
 import math
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _bands
 from .dtm import DtmFilterParams, progressive_morphological_filter
 from .errors import ConfigError, FootprintError, PipelineError
 from .estimate import (
@@ -347,14 +349,12 @@ def model3d_stage(
     return mesh, skipped, _record(out, buildings=len(mesh.groups))
 
 
-def amenities_stage(
-    elements, rules, center_lat: float, center_lon: float, radius_m: float,
-    out_records, out_summary,
-) -> dict:
-    """Count the amenities within ``radius_m`` of the center and write the
-    records and summary CSVs. Returns the stage record."""
+def amenity_texts(osm_path, rules_path, center_lat, center_lon, radius_m) -> tuple:
+    """The records and summary CSV texts of the amenities within ``radius_m``
+    of the center, and the counts by category."""
     counts, matched = count_within_radius(
-        filter_amenities(elements, rules), center_lat, center_lon, radius_m
+        filter_amenities(parse_osm(_read_text(osm_path)), load_rules(_read_text(rules_path))),
+        center_lat, center_lon, radius_m,
     )
     records = _csv_text(
         "category,element_id,name,lat,lon,distance_m",
@@ -364,10 +364,15 @@ def amenities_stage(
             for rec, dist in sorted(matched, key=lambda t: (t[0].category, t[0].element_id))
         ),
     )
-    _write_text(out_records, records)
     counts = {c: counts[c] for c in sorted(counts)}
-    _write_text(out_summary, _csv_text("category,count", counts.items()))
-    return _record(out_records, out_summary, counts=counts)
+    return records, _csv_text("category,count", counts.items()), counts
+
+
+def amenities_stage(texts, out_records, out_summary) -> dict:
+    """Write the two CSV texts of ``amenity_texts``. Returns the stage record."""
+    _write_text(out_records, texts[0])
+    _write_text(out_summary, texts[1])
+    return _record(out_records, out_summary, counts=texts[2])
 
 
 def _read_heights_by_id(text: str) -> dict[str, float]:
@@ -426,8 +431,7 @@ def cmd_amenities(args) -> int:
         missing = next(k for k in AMENITY_KEYS if cfg.get(k) is None)
         raise ConfigError(f"config is missing required key {missing!r}")
     record = amenities_stage(
-        parse_osm(_read_text(args.osm)), load_rules(_read_text(args.rules)),
-        *query, args.out_records, args.out_summary,
+        amenity_texts(args.osm, args.rules, *query), args.out_records, args.out_summary
     )
     counts = ", ".join(f"{c}={n}" for c, n in record["counts"].items())
     print(f"amenities: {counts} within {query[2]} m")
@@ -515,53 +519,58 @@ def cmd_run(args) -> int:
     if cfg.get("published_reference"):
         published = _load_published_reference(resolve(cfg["published_reference"]))
 
-    # the filter keys are checked against the DSM's cell size before any output
-    dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
-    params.validate(dsm.georef.cellsize)
-
-    out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    stages: dict = {}
-    summary: dict = {"stages": stages, "footnotes": []}
-
-    dtm, stages["dtm"] = dtm_stage(dsm, params, out / "dtm.asc", out / "ground_mask.asc")
-
-    footprints = parse_footprints(_read_text(resolve(cfg["footprints"])))
-    society, heights, summary["warnings"], stages["estimate"] = estimate_stage(
-        dsm, dtm, footprints, est_cfg, out / "heights.csv", out / "estimates.csv"
-    )
-    summary["totals"] = {
-        "units": society.total_units,
-        "persons": society.total_persons,
-        "persons_rounded": society.total_persons_rounded,
-        "by_type": {
-            label: {"units": tot.units, "persons": tot.persons}
-            for label, tot in society.per_type.items()
-        },
-    }
-
-    if cfg.get("ground_truth"):
-        gt = read_ground_truth(_read_text(resolve(cfg["ground_truth"])))
-        rows, stages["validate"] = validate_stage(society, gt, out / "validation.csv")
-        if published.get("unit_diff_pct"):
-            summary["footnotes"].extend(diff_footnotes(rows, published["unit_diff_pct"]))
-    else:
-        stages["validate"] = {"status": "skipped"}
-    if published.get("persons"):
-        summary["footnotes"].extend(person_total_footnotes(society, published["persons"]))
-
-    _, _, stages["model3d"] = model3d_stage(
-        footprints, heights, base_elevation_m, out / "model.obj"
-    )
-
+    # the amenity stage needs no other stage's output: a forked child computes it meanwhile
+    amenity_job = contextlib.nullcontext()
     if query and cfg.get("osm") and cfg.get("rules"):
-        stages["amenities"] = amenities_stage(
-            parse_osm(_read_text(resolve(cfg["osm"]))),
-            load_rules(_read_text(resolve(cfg["rules"]))),
-            *query, out / "amenities.csv", out / "amenities_summary.csv",
+        amenity_job = _bands.background(functools.partial(
+            amenity_texts, resolve(cfg["osm"]), resolve(cfg["rules"]), *query
+        ))
+    with amenity_job as amenities:
+        # the filter keys are checked against the DSM's cell size before any output
+        dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
+        params.validate(dsm.georef.cellsize)
+
+        out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        stages: dict = {}
+        summary: dict = {"stages": stages, "footnotes": []}
+
+        dtm, stages["dtm"] = dtm_stage(dsm, params, out / "dtm.asc", out / "ground_mask.asc")
+
+        footprints = parse_footprints(_read_text(resolve(cfg["footprints"])))
+        society, heights, summary["warnings"], stages["estimate"] = estimate_stage(
+            dsm, dtm, footprints, est_cfg, out / "heights.csv", out / "estimates.csv"
         )
-    else:
-        stages["amenities"] = {"status": "skipped"}
+        summary["totals"] = {
+            "units": society.total_units,
+            "persons": society.total_persons,
+            "persons_rounded": society.total_persons_rounded,
+            "by_type": {
+                label: {"units": tot.units, "persons": tot.persons}
+                for label, tot in society.per_type.items()
+            },
+        }
+
+        if cfg.get("ground_truth"):
+            gt = read_ground_truth(_read_text(resolve(cfg["ground_truth"])))
+            rows, stages["validate"] = validate_stage(society, gt, out / "validation.csv")
+            if published.get("unit_diff_pct"):
+                summary["footnotes"].extend(diff_footnotes(rows, published["unit_diff_pct"]))
+        else:
+            stages["validate"] = {"status": "skipped"}
+        if published.get("persons"):
+            summary["footnotes"].extend(person_total_footnotes(society, published["persons"]))
+
+        _, _, stages["model3d"] = model3d_stage(
+            footprints, heights, base_elevation_m, out / "model.obj"
+        )
+
+        if amenities:
+            stages["amenities"] = amenities_stage(
+                amenities(), out / "amenities.csv", out / "amenities_summary.csv"
+            )
+        else:
+            stages["amenities"] = {"status": "skipped"}
 
     _write_text(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(

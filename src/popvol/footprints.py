@@ -88,8 +88,9 @@ class Footprint:
 
     def __post_init__(self):
         self.ring = normalize_ring(self.ring, label=f"footprint {self.id!r}")
-        if self.unit_area_m2 is not None and self.unit_area_m2 <= 0:
-            raise FootprintError(f"footprint {self.id!r}: unit_area_m2 must be > 0")
+        area = self.unit_area_m2
+        if area is not None and not (area > 0 and math.isfinite(area)):
+            raise FootprintError(f"footprint {self.id!r}: unit_area_m2 must be finite and > 0")
         if self.units_per_floor_override is not None and self.units_per_floor_override < 1:
             raise FootprintError(f"footprint {self.id!r}: units_per_floor must be >= 1")
 
@@ -155,6 +156,14 @@ def parse_footprints(text: str) -> list[Footprint]:
 
         unit_area = props.get("unit_area_m2")
         override = props.get("units_per_floor")
+        if isinstance(unit_area, bool) or isinstance(override, bool):
+            raise FootprintError(
+                f"feature {fid!r}: unit_area_m2 and units_per_floor must be numbers"
+            )
+        if isinstance(override, float) and not override.is_integer():
+            raise FootprintError(
+                f"feature {fid!r}: units_per_floor must be a whole number, got {override!r}"
+            )
         try:
             unit_area = float(unit_area) if unit_area is not None else None
             override = int(override) if override is not None else None

@@ -1,4 +1,5 @@
 import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +37,29 @@ def split_into(nbands: int):
         mp.setattr(_bands, "MIN_SPLIT_CELLS", 0)
         mp.setattr(_bands.os, "sched_getaffinity", lambda pid: set(range(nbands)))
         yield
+
+
+_PARENT = os.getpid()
+
+
+def in_child() -> bool:
+    """True in a process forked from the test session."""
+    return os.getpid() != _PARENT
+
+
+class ExitWhenPickled:
+    """Leaves the process through ``os._exit(code)`` when pickled."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def __reduce__(self):
+        os._exit(self.code)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def cell_set(cells) -> set[tuple[int, int]]:

@@ -1,5 +1,6 @@
 """Row bands: banded grid I/O and the banded PMF equal their one-band results."""
 
+import logging
 import os
 import time
 
@@ -15,7 +16,7 @@ from popvol.dtm import DtmFilterParams, progressive_morphological_filter
 from popvol.errors import AsciiGridError
 from popvol.grid import Grid, GridGeoref, read_ascii_grid, write_ascii_grid
 
-from conftest import split_into
+from conftest import ExitWhenPickled, assert_no_children, in_child, split_into
 
 SENTINEL = -3.5
 _settings = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -228,31 +229,14 @@ def test_pmf_stays_one_band_when_the_halo_covers_the_grid():
     assert calls == [[(0, 200)]]
 
 
-_PARENT = os.getpid()
-
-
-def _in_child() -> bool:
-    return os.getpid() != _PARENT
-
-
-class _ExitWhenPickled:
-    """Leaves the process through ``os._exit(code)`` when pickled."""
-
-    def __init__(self, code):
-        self.code = code
-
-    def __reduce__(self):
-        os._exit(self.code)
-
-
 def _exit_in_child(code, after):
     """A band whose result is one 100 kB bytes object per row (so that rows
     reach the file past its write buffer), but whose child leaves through
     ``os._exit(code)`` while pickling the row at ``after``."""
     def band(start, stop):
         rows = [bytes([r]) * 100_000 for r in range(start, stop)]
-        if _in_child():
-            rows.insert(after, _ExitWhenPickled(code))
+        if in_child():
+            rows.insert(after, ExitWhenPickled(code))
         return rows
     return band
 
@@ -281,7 +265,7 @@ def test_failed_worker_still_gives_the_right_grid_and_pmf():
 
     def failing(fn):
         def wrapper(*args):
-            if _in_child():
+            if in_child():
                 os._exit(5)
             return fn(*args)
         return wrapper
@@ -296,11 +280,6 @@ def test_failed_worker_still_gives_the_right_grid_and_pmf():
     assert np.array_equal(banded_ground, ground)
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_band_error_is_raised_by_the_parent():
     def band(start, stop):
         if start > 0:
@@ -309,12 +288,12 @@ def test_band_error_is_raised_by_the_parent():
 
     with split_into(2), pytest.raises(ValueError, match="bad band 4"):
         _bands.run_bands(band, _bands.row_bands(8, 0), lambda result: None)
-    _assert_no_children()
+    assert_no_children()
 
 
 def test_children_are_stopped_and_reaped_when_the_parent_fails():
     def band(start, stop):
-        if _in_child():
+        if in_child():
             time.sleep(60)
         raise RuntimeError("parent band failed")
 
@@ -322,7 +301,7 @@ def test_children_are_stopped_and_reaped_when_the_parent_fails():
     with split_into(3), pytest.raises(RuntimeError, match="parent band failed"):
         _bands.run_bands(band, _bands.row_bands(9, 0), lambda result: None)
     assert time.perf_counter() - t0 < 30
-    _assert_no_children()
+    assert_no_children()
 
 
 def test_row_bands_cover_the_rows_in_order():
@@ -383,3 +362,32 @@ def test_band_is_computed_by_the_parent_when_fork_fails(monkeypatch):
         _bands.run_bands(lambda start, stop: list(range(start, stop)),
                          _bands.row_bands(6, 0), got.extend)
     assert got == list(range(6))
+
+
+_log = logging.getLogger("popvol.test_background")
+
+
+def _logging_job():
+    _log.warning("computed in the %s", "child" if in_child() else "parent")
+    return 42
+
+
+def test_background_job_records_are_logged_by_the_parent_when_taken(caplog):
+    with caplog.at_level(logging.WARNING, logger=_log.name):
+        with _bands.background(_logging_job) as result:
+            assert result() == 42
+        assert [r.getMessage() for r in caplog.records] == ["computed in the child"]
+        caplog.clear()
+        with _bands.background(_logging_job):
+            pass  # never taken: the child is stopped and its records dropped
+        assert caplog.records == []
+    assert_no_children()
+
+
+def test_background_job_runs_in_the_parent_without_fork(monkeypatch, caplog):
+    monkeypatch.delattr(_bands.os, "fork")
+    with caplog.at_level(logging.WARNING, logger=_log.name):
+        with _bands.background(_logging_job) as result:
+            assert caplog.records == []
+            assert result() == 42
+        assert [r.getMessage() for r in caplog.records] == ["computed in the parent"]

@@ -2,11 +2,13 @@ import argparse
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from popvol.footprints import Footprint
 from popvol.grid import Grid, GridGeoref
 from popvol.synth import rectangle_ring
 
-from conftest import make_grid, split_into
+from conftest import ExitWhenPickled, assert_no_children, in_child, make_grid, split_into
 
 SCENE = {
     "georef": {"ncols": 160, "nrows": 140, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
@@ -489,6 +491,101 @@ def test_run_rerun_byte_identical(tmp_path):
     assert first == second
 
 
+# the amenity stage of `run` runs in a forked child; these pin that every
+# way it can fail gives what a serial run gives
+
+
+def _run_outputs(config) -> dict[str, bytes]:
+    assert main(["run", "--config", str(config)]) == 0
+    return {p.name: p.read_bytes() for p in sorted((config.parent / "out").iterdir())}
+
+
+def _failing_amenity_child(mp, failure):
+    """Make the amenity child fail: no fork, a fork that raises, a child that
+    exits 3, or one that exits 0 leaving a short file."""
+    if failure == "no_fork":
+        mp.delattr(popvol._bands.os, "fork")
+    elif failure == "fork_error":
+        def fork():
+            raise OSError("fork unavailable")
+        mp.setattr(popvol._bands.os, "fork", fork)
+    elif failure in ("exit_3", "short_file"):
+        real = popvol.cli.amenity_texts
+
+        def texts(*args):
+            result = real(*args)
+            if in_child():
+                if failure == "exit_3":
+                    os._exit(3)
+                return [bytes(100_000), ExitWhenPickled(0)]
+            return result
+        mp.setattr(popvol.cli, "amenity_texts", texts)
+
+
+@pytest.mark.parametrize("failure", ["none", "fork_error", "exit_3", "short_file"])
+def test_run_outputs_equal_the_serial_run_whatever_the_amenity_child_does(tmp_path, failure):
+    config = _write_run_config(tmp_path)
+    with pytest.MonkeyPatch.context() as mp:
+        _failing_amenity_child(mp, "no_fork")
+        serial = _run_outputs(config)
+    shutil.rmtree(tmp_path / "out")
+    with pytest.MonkeyPatch.context() as mp:
+        _failing_amenity_child(mp, failure)
+        assert _run_outputs(config) == serial
+    assert_no_children()
+
+
+@pytest.mark.parametrize("failure", ["none", "no_fork", "exit_3"])
+def test_dropped_ways_warning_is_logged_once(tmp_path, caplog, failure):
+    config = _write_run_config(tmp_path)
+    osm = OSM_FIXTURE.replace("</osm>", '  <way id="9"><nd ref="404"/></way>\n</osm>')
+    (tmp_path / "site.osm").write_text(osm)
+    with caplog.at_level(logging.WARNING, logger="popvol.osm"), pytest.MonkeyPatch.context() as mp:
+        _failing_amenity_child(mp, failure)
+        assert main(["run", "--config", str(config)]) == 0
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("popvol.osm", "dropped 1 ways with no resolvable member nodes")
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,content,message",
+    [
+        ("site.osm", "<osm><node", "malformed XML: unclosed token: line 1, column 5"),
+        ("rules.json", "[{", "invalid rules JSON: Expecting property name enclosed in double "
+         "quotes: line 1 column 3 (char 2)"),
+    ],
+)
+def test_broken_amenity_input_fails_at_the_amenity_stage(tmp_path, capsys, name, content, message):
+    config = _write_run_config(tmp_path)
+    (tmp_path / name).write_text(content)
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "dtm.asc", "estimates.csv", "ground_mask.asc", "heights.csv", "model.obj", "validation.csv"
+    ]
+    assert_no_children()
+
+
+def test_failing_earlier_stage_stops_the_amenity_child(tmp_path, capsys, monkeypatch):
+    config = _write_run_config(tmp_path)
+    (tmp_path / "fp.geojson").write_text("{nope")
+    real = popvol.cli.amenity_texts
+
+    def slow_in_child(*args):
+        if in_child():
+            time.sleep(60)
+        return real(*args)
+
+    monkeypatch.setattr(popvol.cli, "amenity_texts", slow_in_child)
+    t0 = time.perf_counter()
+    assert main(["run", "--config", str(config)]) == 2
+    assert time.perf_counter() - t0 < 30
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+    assert_no_children()
+    assert not list((tmp_path / "out").glob("amenities*"))
+
+
 DEMO = Path(__file__).resolve().parents[1] / "demo"
 
 
@@ -516,6 +613,25 @@ def _assert_demo_reproduced(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == golden
     for name in golden:
         assert (out / name).read_bytes() == (DEMO / "out" / name).read_bytes(), name
+
+
+def test_demo_run_is_silent_under_dev_mode_with_warnings_as_errors(tmp_path):
+    """A child process, so that a ResourceWarning from an unclosed file in
+    the forked paths, which only shows at exit, fails the run."""
+    src = Path(popvol.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "popvol.cli", "run",
+         "--config", str(DEMO / "config.json"), "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    synth_outputs = {"dsm.asc", "footprints.geojson"}
+    assert written == sorted({p.name for p in (DEMO / "out").iterdir()} - synth_outputs)
+    for name in written:
+        assert (tmp_path / "out" / name).read_bytes() == (DEMO / "out" / name).read_bytes(), name
 
 
 def test_cli_leaves_scipy_unloaded(tmp_path):

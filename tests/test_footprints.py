@@ -19,6 +19,7 @@ from popvol import (
     parse_footprints,
     rasterize_polygon,
     synthesize_dsm,
+    write_ascii_grid,
     zonal_height,
 )
 from popvol.cli import main
@@ -163,6 +164,49 @@ def test_malformed_features_are_typed_errors(tmp_path, capsys, text, message):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+_NOT_NUMBERS = "feature 'B1': unit_area_m2 and units_per_floor must be numbers"
+_BAD_AREA = "footprint 'B1': unit_area_m2 must be finite and > 0"
+
+
+@pytest.mark.parametrize(
+    "props,message",
+    [
+        ({"units_per_floor": 2.7}, "feature 'B1': units_per_floor must be a whole number, got 2.7"),
+        ({"units_per_floor": float("nan")},
+         "feature 'B1': units_per_floor must be a whole number, got nan"),
+        ({"units_per_floor": True}, _NOT_NUMBERS),
+        ({"unit_area_m2": False}, _NOT_NUMBERS),
+        ({"unit_area_m2": float("nan")}, _BAD_AREA),
+        ({"unit_area_m2": float("inf")}, _BAD_AREA),
+        ({"unit_area_m2": float("-inf")}, _BAD_AREA),
+        ({"unit_area_m2": 0}, _BAD_AREA),
+    ],
+    ids=["fractional_units", "nan_units", "boolean_units", "boolean_area",
+         "nan_area", "inf_area", "minus_inf_area", "zero_area"],
+)
+def test_bad_unit_fields_are_typed_errors(tmp_path, capsys, props, message):
+    """Through ``parse_footprints`` and through ``estimate``, which stops
+    with one error line before it writes anything."""
+    text = collection(feature("B1", SQUARE, **props))
+    with pytest.raises(FootprintError, match=re.escape(message)):
+        parse_footprints(text)
+    (tmp_path / "fp.geojson").write_text(text)
+    (tmp_path / "flat.asc").write_text(write_ascii_grid(make_grid(np.full((12, 12), 5.0))))
+    rc = main([
+        "estimate", "--dsm", str(tmp_path / "flat.asc"), "--dtm", str(tmp_path / "flat.asc"),
+        "--footprints", str(tmp_path / "fp.geojson"),
+        "--out-heights", str(tmp_path / "h.csv"), "--out-estimates", str(tmp_path / "e.csv"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_whole_float_units_per_floor_is_an_integer():
+    fp = parse_footprints(collection(feature("B1", SQUARE, units_per_floor=3.0)))[0]
+    assert fp.units_per_floor_override == 3 and type(fp.units_per_floor_override) is int
 
 
 def test_three_dimensional_positions_keep_x_and_y():
