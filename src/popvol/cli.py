@@ -42,7 +42,7 @@ from .estimate import (
     estimate_building,
     excluded_estimate,
 )
-from .footprints import Footprint, parse_footprints, zonal_height
+from .footprints import Footprint, parse_footprints, rasterize_footprints, zonal_height
 from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
 from .mesh import Mesh, extrude, write_obj
 from .osm import check_center, count_within_radius, filter_amenities, load_rules, parse_osm
@@ -268,9 +268,9 @@ def estimate_buildings(
     height_rows = []
     estimates: list[BuildingEstimate] = []
     warnings: list[str] = []
-    for fp in footprints:
+    for fp, cells in zip(footprints, rasterize_footprints(footprints, ndsm.georef)):
         try:
-            rec = zonal_height(ndsm, fp, cfg.height_percentile, cfg.min_cells)
+            rec = zonal_height(ndsm, fp, cfg.height_percentile, cfg.min_cells, cells=cells)
         except FootprintError as e:
             warnings.append(str(e))
             estimates.append(excluded_estimate(fp, float("nan"), f"error: {e}"))

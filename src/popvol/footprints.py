@@ -4,6 +4,13 @@ Footprints are single exterior rings in the same projected CRS as the rasters
 (meters). Rasterization uses the cell-center even-odd rule with a fixed
 +1e-9 * cellsize nudge on the test point, which resolves boundary-grazing
 centers deterministically without exact predicates.
+
+One scanline pass rasterizes a batch of footprints. A ring edge crosses the
+row of nudged center ``cy`` when ``(y1 > cy) != (y2 > cy)``, at ``x_at = (x2 -
+x1) * (cy - y1) / (y2 - y1) + x1``. Sorted per (footprint, row), crossings 2j
+and 2j+1 bound a span of the span table (footprint, row, col_lo, col_hi): the
+cells with an odd number of crossings at or left of their nudged center. Each
+footprint's cells are expanded from its own spans, one footprint at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -154,23 +161,9 @@ def parse_footprints(text: str) -> list[Footprint]:
             raise FootprintError(f"duplicate footprint id {fid!r}")
         seen.add(fid)
 
-        unit_area = props.get("unit_area_m2")
-        override = props.get("units_per_floor")
-        if isinstance(unit_area, bool) or isinstance(override, bool):
-            raise FootprintError(
-                f"feature {fid!r}: unit_area_m2 and units_per_floor must be numbers"
-            )
-        if isinstance(override, float) and not override.is_integer():
-            raise FootprintError(
-                f"feature {fid!r}: units_per_floor must be a whole number, got {override!r}"
-            )
-        try:
-            unit_area = float(unit_area) if unit_area is not None else None
-            override = int(override) if override is not None else None
-        except (TypeError, ValueError):
-            raise FootprintError(
-                f"feature {fid!r}: unit_area_m2 and units_per_floor must be numbers"
-            ) from None
+        unit_area, override = unit_fields(
+            props.get("unit_area_m2"), props.get("units_per_floor"), f"feature {fid!r}"
+        )
         footprints.append(
             Footprint(
                 id=fid,
@@ -181,6 +174,27 @@ def parse_footprints(text: str) -> list[Footprint]:
             )
         )
     return footprints
+
+
+def unit_fields(unit_area, units_per_floor, label: str) -> tuple[Optional[float], Optional[int]]:
+    """A footprint's optional ``unit_area_m2`` and ``units_per_floor`` as a
+    float and an int, None where absent. A boolean, a value that is not a
+    number and a fractional or non-finite ``units_per_floor`` are a
+    FootprintError; ``Footprint`` checks the ranges."""
+    not_numbers = f"{label}: unit_area_m2 and units_per_floor must be numbers"
+    if isinstance(unit_area, bool) or isinstance(units_per_floor, bool):
+        raise FootprintError(not_numbers)
+    if isinstance(units_per_floor, float) and not units_per_floor.is_integer():
+        raise FootprintError(
+            f"{label}: units_per_floor must be a whole number, got {units_per_floor!r}"
+        )
+    try:
+        return (
+            None if unit_area is None else float(unit_area),
+            None if units_per_floor is None else int(units_per_floor),
+        )
+    except (TypeError, ValueError):
+        raise FootprintError(not_numbers) from None
 
 
 def _position(p, fid: str, k: int) -> tuple[float, float]:
@@ -199,48 +213,57 @@ def footprint_area(f: Footprint) -> float:
     return abs(_signed_area(f.ring))
 
 
-def _points_in_ring(xs: np.ndarray, ys: np.ndarray, ring) -> np.ndarray:
-    """Even-odd (crossing parity) point-in-polygon test, vectorized."""
-    inside = np.zeros(xs.shape, dtype=bool)
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        crosses = (y1 > ys) != (y2 > ys)
-        if not crosses.any():
-            continue
-        x_at = (x2 - x1) * (ys - y1) / (y2 - y1) + x1
-        inside ^= crosses & (xs < x_at)
-    return inside
+def rasterize_footprints(
+    footprints: Sequence[Footprint], georef: GridGeoref
+) -> Iterator[np.ndarray]:
+    """Cells of ``georef`` whose nudged center lies inside each footprint: one
+    ``(n, 2)`` integer array of (row, col) per footprint, in input order, rows
+    counted from the north and listed south to north, columns ascending. A
+    footprint that selects no cell gets an empty array."""
+    cs = georef.cellsize
+    eps = 1e-9 * cs
+    # every ring edge as (footprint index, x1, y1, x2, y2)
+    owner, x1, y1, x2, y2 = np.array([
+        (k, *p, *q) for k, f in enumerate(footprints)
+        for p, q in zip(f.ring, f.ring[1:] + f.ring[:1])
+    ]).reshape(-1, 5).T
+
+    # candidate rows, counted from the south: each edge's y-range widened by a row
+    lo = np.clip(np.floor((np.minimum(y1, y2) - georef.yll) / cs) - 1, 0, georef.nrows)
+    hi = np.minimum(np.ceil((np.maximum(y1, y2) - georef.yll) / cs) + 1, georef.nrows - 1)
+    count = (hi - lo + 1).clip(0).astype(np.intp)
+    edge = np.repeat(np.arange(len(lo)), count)
+    row = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count - lo.astype(np.intp), count)
+    cy = georef.yll + (row + 0.5) * cs + eps
+    hit = (y1[edge] > cy) != (y2[edge] > cy)
+    edge, row, cy = edge[hit], row[hit], cy[hit]
+    x_at = (x2[edge] - x1[edge]) * (cy - y1[edge]) / (y2[edge] - y1[edge]) + x1[edge]
+
+    # the span table, one (footprint, row, c0, c0 + width) per crossing pair
+    order = np.lexsort((x_at, row, owner[edge]))
+    x_at, row, fp = x_at[order], row[order][0::2], owner[edge][order][0::2]
+    cx = georef.xll + (np.arange(georef.ncols) + 0.5) * cs + eps
+    c0 = np.searchsorted(cx, x_at[0::2])
+    width = np.searchsorted(cx, x_at[1::2]) - c0
+    ends = np.cumsum(width)
+    # (row from the north, first column minus the span's offset among all cells)
+    spans = np.column_stack((georef.nrows - 1 - row, c0 - (ends - width)))
+    bounds = np.searchsorted(fp, np.arange(len(footprints) + 1)).tolist()
+    offsets = np.concatenate(([0], ends))[bounds].tolist()
+    for k in range(len(footprints)):
+        s = slice(bounds[k], bounds[k + 1])
+        cells = np.repeat(spans[s], width[s], axis=0)
+        cells[:, 1] += np.arange(offsets[k], offsets[k + 1])
+        yield cells
 
 
 def rasterize_polygon(f: Footprint, georef: GridGeoref) -> np.ndarray:
-    """Cells of ``georef`` whose nudged center lies inside the footprint, as
-    an ``(n, 2)`` integer array of (row, col), rows counted from the north."""
-    xs = np.array([p[0] for p in f.ring])
-    ys = np.array([p[1] for p in f.ring])
-    cs = georef.cellsize
-
-    col_lo = max(0, int(math.floor((xs.min() - georef.xll) / cs)) - 1)
-    col_hi = min(georef.ncols - 1, int(math.ceil((xs.max() - georef.xll) / cs)) + 1)
-    row_bot = max(0, int(math.floor((ys.min() - georef.yll) / cs)) - 1)
-    row_top = min(georef.nrows - 1, int(math.ceil((ys.max() - georef.yll) / cs)) + 1)
-    if col_lo > col_hi or row_bot > row_top:
+    """The cells of ``rasterize_footprints`` for one footprint; raises
+    EmptySelectionError when it selects none."""
+    cells = next(rasterize_footprints([f], georef))
+    if len(cells) == 0:
         raise EmptySelectionError(f.id)
-
-    # rows counted from the south here; convert to north-first at the end
-    eps = 1e-9 * cs
-    cols = np.arange(col_lo, col_hi + 1)
-    rows_s = np.arange(row_bot, row_top + 1)
-    cx = georef.xll + (cols + 0.5) * cs + eps
-    cy = georef.yll + (rows_s + 0.5) * cs + eps
-    gx, gy = np.meshgrid(cx, cy)
-    inside = _points_in_ring(gx.ravel(), gy.ravel(), f.ring).reshape(gx.shape)
-
-    sel_rows_s, sel_cols = np.nonzero(inside)
-    if sel_rows_s.size == 0:
-        raise EmptySelectionError(f.id)
-    return np.column_stack((georef.nrows - 1 - rows_s[sel_rows_s], cols[sel_cols]))
+    return cells
 
 
 def nearest_rank_percentile(values: Sequence[float], percentile: float) -> float:
@@ -266,12 +289,18 @@ def zonal_height(
     f: Footprint,
     percentile: float = DEFAULT_HEIGHT_PERCENTILE,
     min_cells: int = DEFAULT_MIN_CELLS,
+    *,
+    cells: Optional[np.ndarray] = None,
 ) -> BuildingHeightRecord:
     """Building height = percentile of valid object-height cells under the
-    footprint, clamped at zero so terrain artifacts never go negative."""
+    footprint, clamped at zero so terrain artifacts never go negative.
+    ``cells``, when given, are the footprint's from ``rasterize_footprints``."""
     if min_cells < 1:
         raise ValueError(f"min_cells must be >= 1, got {min_cells}")
-    cells = rasterize_polygon(f, ndsm.georef)
+    if cells is None:
+        cells = rasterize_polygon(f, ndsm.georef)
+    elif len(cells) == 0:
+        raise EmptySelectionError(f.id)
     values = ndsm.data[cells[:, 0], cells[:, 1]]
     values = values[~np.isnan(values)].tolist()
     if len(values) < min_cells:

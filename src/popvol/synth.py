@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SceneError
-from .footprints import Footprint, rasterize_polygon
+from .errors import EmptySelectionError, SceneError
+from .footprints import Footprint, rasterize_footprints, unit_fields
+from .footprints import rasterize_polygon  # unused here; perfbench/spans.py wraps this name
 from .grid import Grid, GridGeoref
 
 LCG_MULT = 6364136223846793005
@@ -118,14 +119,16 @@ def load_scene(text: str) -> SyntheticScene:
         )
         prisms = []
         for p in doc.get("prisms", []):
+            pid = str(p["id"])
+            unit_area, override = unit_fields(
+                p.get("unit_area_m2"), p.get("units_per_floor"), f"prism {pid!r}"
+            )
             fp = Footprint(
-                id=str(p["id"]),
+                id=pid,
                 type_label=str(p.get("type_label", "building")),
                 ring=[(q[0], q[1]) for q in p["ring"]],
-                unit_area_m2=float(p["unit_area_m2"]) if "unit_area_m2" in p else None,
-                units_per_floor_override=(
-                    int(p["units_per_floor"]) if "units_per_floor" in p else None
-                ),
+                unit_area_m2=unit_area,
+                units_per_floor_override=override,
             )
             prisms.append((fp, float(p["height_m"])))
         return SyntheticScene(
@@ -182,7 +185,12 @@ def _paint_prisms(scene: SyntheticScene, terrain: np.ndarray) -> np.ndarray:
     Raises SceneError naming, in input order, a pair of prisms whose cell
     sets partially overlap. The label raster lives only inside this call.
     """
-    cells = [tuple(rasterize_polygon(fp, scene.georef).T) for fp, _ in scene.prisms]
+    footprints = [fp for fp, _ in scene.prisms]
+    cells = []
+    for fp, fp_cells in zip(footprints, rasterize_footprints(footprints, scene.georef)):
+        if len(fp_cells) == 0:
+            raise EmptySelectionError(fp.id)
+        cells.append(tuple(fp_cells.T))
 
     labels = np.full(terrain.shape, -1, dtype=np.int32)
     dsm_data = terrain.copy()

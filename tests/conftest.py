@@ -15,6 +15,8 @@ from popvol import (
     Footprint,
     Grid,
     GridGeoref,
+    SyntheticScene,
+    TerrainModel,
     aggregate,
     estimate_building,
 )
@@ -88,3 +90,30 @@ def site_society():
         rec = BuildingHeightRecord(bid, height, width * depth, 100)
         estimates.append(estimate_building(rec, fp, cfg))
     return aggregate(estimates)
+
+
+@pytest.fixture
+def site_scene():
+    """The reference site's buildings as prisms, eight to a row in 40 m
+    slots, on a ramp with 0.1 m noise."""
+    prisms = [
+        (
+            Footprint(
+                id=bid,
+                type_label=type_label,
+                ring=rectangle_ring(10.0 + 40 * (k % 8), 10.0 + 40 * (k // 8), width, depth),
+                unit_area_m2=unit_area,
+                units_per_floor_override=site_data.UNITS_PER_FLOOR,
+            ),
+            height,
+        )
+        for k, (bid, type_label, height, _, width, depth, unit_area)
+        in enumerate(site_data.BUILDINGS)
+    ]
+    return SyntheticScene(
+        georef=GridGeoref(330, 210, 0.0, 0.0, 1.0),
+        terrain=TerrainModel(50.0, 0.01, -0.005),
+        prisms=prisms,
+        noise_amplitude_m=0.1,
+        seed=7,
+    )

@@ -196,6 +196,32 @@ def test_bad_scene_prisms_are_typed_errors(tmp_path, capsys, ring, message):
     assert not (tmp_path / "dsm.asc").exists()
 
 
+@pytest.mark.parametrize(
+    "props,message",
+    [
+        ({"units_per_floor": 2.7}, "prism 'P0': units_per_floor must be a whole number, got 2.7"),
+        ({"units_per_floor": True}, "prism 'P0': unit_area_m2 and units_per_floor must be numbers"),
+        ({"units_per_floor": float("inf")},
+         "prism 'P0': units_per_floor must be a whole number, got inf"),
+        ({"unit_area_m2": True}, "prism 'P0': unit_area_m2 and units_per_floor must be numbers"),
+    ],
+    ids=["fractional_units", "boolean_units", "infinite_units", "boolean_area"],
+)
+def test_bad_scene_unit_fields_are_typed_errors(tmp_path, capsys, props, message):
+    doc = {
+        "georef": {"ncols": 40, "nrows": 30, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
+        "prisms": [{"id": "P0", "ring": [[20, 5], [30, 5], [30, 15], [20, 15]], "height_m": 4.0,
+                    **props}],
+    }
+    (tmp_path / "scene.json").write_text(json.dumps(doc))  # inf is written as Infinity
+    rc = main(["synth", "--scene", str(tmp_path / "scene.json"),
+               "--out-dsm", str(tmp_path / "dsm.asc"),
+               "--out-footprints", str(tmp_path / "fp.geojson")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+
 def test_nested_prisms_innermost_wins():
     outer = Footprint("outer", "T", rectangle_ring(10, 10, 30, 30))
     inner = Footprint("inner", "T", rectangle_ring(20, 20, 10, 10))
