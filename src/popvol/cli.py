@@ -101,7 +101,7 @@ def _write_text(path, text: str) -> None:
 def _load_json_object(path, what: str) -> dict:
     try:
         doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"invalid {what} JSON in {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")

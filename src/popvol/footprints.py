@@ -121,7 +121,7 @@ def parse_footprints(text: str) -> list[Footprint]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FootprintError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise FootprintError("expected a GeoJSON FeatureCollection")

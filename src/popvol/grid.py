@@ -79,11 +79,6 @@ class GridGeoref:
         if self.cellsize <= 0:
             raise ValueError(f"cellsize must be positive, got {self.cellsize}")
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        x = self.xll + (col + 0.5) * self.cellsize
-        y = self.yll + (self.nrows - 1 - row + 0.5) * self.cellsize
-        return x, y
-
     def col_centers(self) -> np.ndarray:
         return self.xll + (np.arange(self.ncols) + 0.5) * self.cellsize
 

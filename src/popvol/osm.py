@@ -4,6 +4,14 @@ Handles the plain .osm XML layout: <node id lat lon> with nested <tag k v>,
 <way id> with nested <nd ref> and <tag>. Ways are reduced to the arithmetic
 centroid of their member nodes; relations are ignored. Distances use the
 haversine great-circle formula on a spherical Earth.
+
+``parse_osm`` reads the text in one expat pass and builds no element tree: it
+keeps each ``node``'s id and coordinates (at any depth) and each root child's
+tag, id, ``tag`` pairs and ``nd`` refs, then resolves nodes and ways in two
+passes over those records, so a way may reference a later node. Errors wait
+for the end of the text, in this order: malformed XML; a root other than
+``<osm>``; the first bad node in document order; the first bad root child
+(way id, node reference, coordinates out of range) in document order.
 """
 
 from __future__ import annotations
@@ -51,15 +59,14 @@ class AmenityRecord:
     name: Optional[str] = None
 
 
-def _require_attr(el, name: str, elem_id) -> str:
-    value = el.get(name)
+def _require_attr(value: Optional[str], name: str, elem_id) -> str:
     if value is None:
         raise OsmParseError(f"element {elem_id}: missing attribute {name!r}")
     return value
 
 
-def _float_attr(el, name: str, elem_id) -> float:
-    raw = _require_attr(el, name, elem_id)
+def _float_attr(value: Optional[str], name: str, elem_id) -> float:
+    raw = _require_attr(value, name, elem_id)
     try:
         return float(raw)
     except ValueError:
@@ -75,6 +82,35 @@ def _int_attr(raw: str, what: str) -> int:
         raise OsmParseError(f"{what} {raw!r} is not an integer") from None
 
 
+class _Records:
+    """expat target holding the records ``parse_osm`` resolves, and no elements."""
+
+    def __init__(self):
+        self.depth = 0
+        self.root: Optional[str] = None
+        self.nodes: list[tuple[Optional[str], Optional[str], Optional[str]]] = []
+        self.children: list[tuple[str, Optional[str], dict, Optional[list]]] = []
+
+    def start(self, tag: str, attrib: dict) -> None:
+        self.depth += 1
+        if self.depth == 1:
+            self.root = tag
+            return
+        if tag == "node":
+            self.nodes.append((attrib.get("id"), attrib.get("lat"), attrib.get("lon")))
+        if self.depth == 2:
+            self.children.append((tag, attrib.get("id"), {}, [] if tag == "way" else None))
+        elif self.depth == 3:
+            _, _, tags, refs = self.children[-1]
+            if tag == "tag" and "k" in attrib and "v" in attrib:
+                tags[attrib["k"]] = attrib["v"]
+            elif tag == "nd" and refs is not None and (ref := attrib.get("ref")):
+                refs.append(ref)
+
+    def end(self, tag: str) -> None:
+        self.depth -= 1
+
+
 def parse_osm(text: str) -> list[OsmElement]:
     """Parse nodes and ways from an .osm XML document, in document order.
 
@@ -82,40 +118,39 @@ def parse_osm(text: str) -> list[OsmElement]:
     reference before averaging; ways whose references resolve to no known
     nodes are dropped with a warning.
     """
+    records = _Records()
+    parser = ET.XMLParser(target=records)
     try:
-        root = ET.fromstring(text)
+        parser.feed(text)
+        parser.close()
     except ET.ParseError as e:
         raise OsmParseError(f"malformed XML: {e}") from None
-    if root.tag != "osm":
-        raise OsmParseError(f"expected top-level <osm>, got <{root.tag}>")
+    if records.root != "osm":
+        raise OsmParseError(f"expected top-level <osm>, got <{records.root}>")
 
     nodes: dict[int, tuple[float, float]] = {}
-    for el in root.iter("node"):
-        elem_id = _int_attr(_require_attr(el, "id", "?"), "node id")
+    for raw_id, raw_lat, raw_lon in records.nodes:
+        elem_id = _int_attr(_require_attr(raw_id, "id", "?"), "node id")
         if elem_id in nodes:
             raise OsmParseError(f"node id {elem_id} appears more than once")
         nodes[elem_id] = (
-            _float_attr(el, "lat", elem_id),
-            _float_attr(el, "lon", elem_id),
+            _float_attr(raw_lat, "lat", elem_id),
+            _float_attr(raw_lon, "lon", elem_id),
         )
+    records.nodes = []  # dropped before the elements are built, to lower the peak
 
     elements: list[OsmElement] = []
     dropped_ways = 0
-    for el in root:
-        tags = {
-            t.get("k"): t.get("v")
-            for t in el.findall("tag")
-            if t.get("k") is not None and t.get("v") is not None
-        }
-        if el.tag == "node":
-            elem_id = int(_require_attr(el, "id", "?"))
+    for tag, raw_id, tags, refs in records.children:
+        if tag == "node":
+            elem_id = int(raw_id)
             lat, lon = nodes[elem_id]
             _check_coords(lat, lon, f"element {elem_id}")
             elements.append(OsmElement(elem_id, "node", lat, lon, tags))
-        elif el.tag == "way":
-            elem_id = _int_attr(_require_attr(el, "id", "?"), "way id")
+        elif tag == "way":
+            elem_id = _int_attr(_require_attr(raw_id, "id", "?"), "way id")
             what = f"way {elem_id}: node reference"
-            refs = [_int_attr(r, what) for nd in el.findall("nd") if (r := nd.get("ref"))]
+            refs = [_int_attr(r, what) for r in refs]
             if len(refs) >= 2 and refs[0] == refs[-1]:
                 refs = refs[:-1]
             coords = [nodes[r] for r in refs if r in nodes]
@@ -149,7 +184,7 @@ def load_rules(text: str) -> list[TagRule]:
     """Rules JSON: array of {category, key, value} objects."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise PipelineError(f"invalid rules JSON: {e}") from None
     if not isinstance(doc, list):
         raise PipelineError("rules JSON must be an array")

@@ -103,7 +103,7 @@ def load_scene(text: str) -> SyntheticScene:
     noise_amplitude_m, seed}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SceneError(f"invalid scene JSON: {e}") from None
     try:
         g = doc["georef"]

@@ -689,6 +689,38 @@ def test_non_utf8_input_is_typed_error(tmp_path, capsys):
     assert not (tmp_path / "dtm.asc").exists()
 
 
+_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+@pytest.mark.parametrize(
+    "argv,outputs,message",
+    [
+        (["run", "--config", "deep.json"], ["out"], "invalid config JSON in {path}: " + _DEEP),
+        (["amenities", "--osm", "site.osm", "--rules", "deep.json", "--config", "query.json",
+          "--out-records", "records.csv", "--out-summary", "summary.csv"],
+         ["records.csv", "summary.csv"], "invalid rules JSON: " + _DEEP),
+        (["synth", "--scene", "deep.json", "--out-dsm", "dsm.asc",
+          "--out-footprints", "fp.geojson"], ["dsm.asc", "fp.geojson"],
+         "invalid scene JSON: " + _DEEP),
+        (["model3d", "--footprints", "deep.json", "--heights", "h.csv", "--out", "model.obj"],
+         ["model.obj"], "invalid JSON: " + _DEEP),
+    ],
+    ids=["run", "amenities", "synth", "model3d"],
+)
+def test_deeply_nested_json_is_typed_error(tmp_path, capsys, monkeypatch, argv, outputs, message):
+    """JSON nested deeper than the decoder's recursion limit is a typed
+    error, not a ``RecursionError`` traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "site.osm").write_text(OSM_FIXTURE)
+    (tmp_path / "query.json").write_text(json.dumps(AMENITY_QUERY))
+    (tmp_path / "h.csv").write_text("id,type_label,height_m\nB1,T,6.000\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path='deep.json')}\n"
+    for name in outputs:
+        assert not (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize(
     "content,message",
     [

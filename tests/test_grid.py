@@ -241,9 +241,9 @@ def test_rejects_bad_dimensions_and_cellsize():
 
 def test_cell_center_convention():
     georef = GridGeoref(3, 2, 10.0, 20.0, 2.0)
+    assert georef.col_centers().tolist() == [11.0, 13.0, 15.0]
     # row 0 is the northernmost row
-    assert georef.cell_center(0, 0) == (11.0, 23.0)
-    assert georef.cell_center(1, 2) == (15.0, 21.0)
+    assert georef.row_centers().tolist() == [23.0, 21.0]
 
 
 def test_subtract_basic():

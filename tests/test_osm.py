@@ -1,8 +1,14 @@
+import itertools
 import json
+import logging
 import math
 import random
+import tracemalloc
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from popvol import (
     ConfigError,
@@ -16,6 +22,7 @@ from popvol import (
     parse_osm,
 )
 from popvol.cli import main
+from popvol.osm import OsmElement
 
 RULES = [
     TagRule("hospital", "amenity", "hospital"),
@@ -79,6 +86,9 @@ def test_malformed_xml():
         parse_osm("<osm><node id='1'")
     with pytest.raises(OsmParseError, match="top-level"):
         parse_osm("<xml></xml>")
+    # a repeated node id before the cut does not hide the malformed XML
+    with pytest.raises(OsmParseError, match="malformed"):
+        parse_osm(_DUPLICATE_NODE[:-3])
 
 
 def test_node_missing_coordinates():
@@ -279,3 +289,233 @@ def test_count_monotone_in_radius():
         counts, _ = count_within_radius(amenities, 23.0, 72.5, radius)
         assert counts["hospital"] >= last
         last = counts["hospital"]
+
+
+# --- the ElementTree walk that parse_osm replaced, kept as its reference ---
+
+
+def _tree_require_attr(el, name, elem_id):
+    value = el.get(name)
+    if value is None:
+        raise OsmParseError(f"element {elem_id}: missing attribute {name!r}")
+    return value
+
+
+def _tree_float_attr(el, name, elem_id):
+    raw = _tree_require_attr(el, name, elem_id)
+    try:
+        return float(raw)
+    except ValueError:
+        raise OsmParseError(
+            f"element {elem_id}: attribute {name}={raw!r} is not a number"
+        ) from None
+
+
+def _tree_int_attr(raw, what):
+    try:
+        return int(raw)
+    except ValueError:
+        raise OsmParseError(f"{what} {raw!r} is not an integer") from None
+
+
+def _tree_check_coords(lat, lon, where):
+    if not (-90 <= lat <= 90 and -180 <= lon <= 180):
+        raise OsmParseError(f"{where}: coordinates ({lat}, {lon}) out of range")
+
+
+def tree_walk_parse_osm(text):
+    """Build the whole element tree, then walk it twice: every ``node`` at
+    any depth, then each child of the root."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as e:
+        raise OsmParseError(f"malformed XML: {e}") from None
+    if root.tag != "osm":
+        raise OsmParseError(f"expected top-level <osm>, got <{root.tag}>")
+
+    nodes = {}
+    for el in root.iter("node"):
+        elem_id = _tree_int_attr(_tree_require_attr(el, "id", "?"), "node id")
+        if elem_id in nodes:
+            raise OsmParseError(f"node id {elem_id} appears more than once")
+        nodes[elem_id] = (
+            _tree_float_attr(el, "lat", elem_id),
+            _tree_float_attr(el, "lon", elem_id),
+        )
+
+    elements = []
+    dropped_ways = 0
+    for el in root:
+        tags = {
+            t.get("k"): t.get("v")
+            for t in el.findall("tag")
+            if t.get("k") is not None and t.get("v") is not None
+        }
+        if el.tag == "node":
+            elem_id = int(_tree_require_attr(el, "id", "?"))
+            lat, lon = nodes[elem_id]
+            _tree_check_coords(lat, lon, f"element {elem_id}")
+            elements.append(OsmElement(elem_id, "node", lat, lon, tags))
+        elif el.tag == "way":
+            elem_id = _tree_int_attr(_tree_require_attr(el, "id", "?"), "way id")
+            what = f"way {elem_id}: node reference"
+            refs = [_tree_int_attr(r, what) for nd in el.findall("nd") if (r := nd.get("ref"))]
+            if len(refs) >= 2 and refs[0] == refs[-1]:
+                refs = refs[:-1]
+            coords = [nodes[r] for r in refs if r in nodes]
+            if not coords:
+                dropped_ways += 1
+                continue
+            lat = sum(c[0] for c in coords) / len(coords)
+            lon = sum(c[1] for c in coords) / len(coords)
+            _tree_check_coords(lat, lon, f"element {elem_id}")
+            elements.append(OsmElement(elem_id, "way", lat, lon, tags))
+    if dropped_ways:
+        logging.getLogger("popvol.osm").warning(
+            "dropped %d ways with no resolvable member nodes", dropped_ways
+        )
+    return elements
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append((record.name, record.levelno, record.getMessage()))
+
+
+def _outcome(parse, text):
+    """The elements' reprs (which tell -0.0 from 0.0) or the
+    ``OsmParseError`` text, and the log records emitted."""
+    handler = _Collect()
+    osm_logger = logging.getLogger("popvol.osm")
+    osm_logger.addHandler(handler)
+    try:
+        result = [repr(e) for e in parse(text)]
+    except OsmParseError as e:
+        result = f"OsmParseError: {e}"
+    finally:
+        osm_logger.removeHandler(handler)
+    return result, handler.records
+
+
+def _mostly(good, bad):
+    """One of ``good``, or one time in eight one of ``bad``."""
+    return st.sampled_from(good * (7 * len(bad)) + bad * len(good))
+
+
+_FRESH = object()  # on a node, an id not used before in the document; elsewhere 7
+_ID = _mostly([_FRESH], [None, None, "", "x", " 4 ", "+3", "1_0", "\u0663", "2.0", "1", "3"])
+_ATTRS = {  # by tag; any other tag gets an id
+    "node": st.fixed_dictionaries({
+        "id": _ID,
+        "lat": _mostly(["0", "45.5", "-12.25", "89.99", " 3 ", "-0.0", "1e1"],
+                       [None, "", "x", "nan", "91", "-1e3"]),
+        "lon": _mostly(["0", "120.5", "-179.9", "180", "7", "-2.5"],
+                       [None, "", "y", "-inf", "181"]),
+    }),
+    "tag": st.fixed_dictionaries({
+        "k": _mostly(["amenity", "name", "a&amp;b", "&#x41;", ""], [None]),
+        "v": _mostly(["hospital", "school", "&lt;x&gt;", ""], [None]),
+    }),
+    "nd": st.fixed_dictionaries({
+        "ref": _mostly(["1", "2", "3", "4"], [None, "", "x", " 2", "99"]),
+    }),
+}
+_TAGS = {  # by depth below the root
+    1: ["node", "node", "way", "way", "relation", "tag", "p:node", "#comment"],
+    2: ["tag", "tag", "nd", "nd", "nd", "node", "way", "member", "p:node", "#comment"],
+    3: ["node", "way", "tag", "nd", "relation", "#comment"],
+}
+_ROOTS = _mostly(
+    [("osm", ' version="0.6" xmlns:p="urn:p"'), ("osm", ' xmlns:p="urn:p"')],
+    [("osm", ""), ("p:osm", ' xmlns:p="urn:p"'), ("osm", ' xmlns="urn:p" xmlns:p="urn:p"'),
+     ("xml", ""), ("node", ' xmlns:p="urn:p"')],
+)
+
+
+@st.composite
+def _element(draw, tags, children):
+    tag = draw(tags)
+    attrs = draw(_ATTRS.get(tag.removeprefix("p:"), st.fixed_dictionaries({"id": _ID})))
+    return tag, attrs, draw(children)
+
+
+def _elements(depth, **size):
+    """Lists of elements at ``depth`` below the root, nested down to depth 3."""
+    children = _elements(depth + 1, max_size=4) if depth < 3 else st.just([])
+    return st.lists(_element(st.sampled_from(_TAGS[depth]), children), **size)
+
+
+def _xml(element, fresh):
+    tag, attrs, children = element
+    if tag == "#comment":
+        return "<!-- c -->"
+    if attrs.get("id") is _FRESH:
+        attrs = dict(attrs, id=next(fresh) if tag == "node" else "7")
+    attributes = "".join(f' {name}="{value}"' for name, value in attrs.items() if value is not None)
+    inner = "".join(_xml(child, fresh) for child in children)
+    return f"<{tag}{attributes}>{inner}</{tag}>" if inner else f"<{tag}{attributes}/>"
+
+
+@st.composite
+def _documents(draw):
+    """Nested .osm text: missing, empty, non-numeric and repeated ids and
+    coordinates, forward and dangling references, a wrong or namespaced
+    root, and text that is cut off or has an undefined entity or a stray
+    character put in."""
+    tag, namespaces = draw(_ROOTS)
+    fresh = map(str, itertools.count(1))
+    body = "".join(_xml(e, fresh) for e in draw(_elements(1, min_size=2, max_size=8)))
+    text = draw(st.sampled_from(["", '<?xml version="1.0"?>\n', "\ufeff"]))
+    text += f"<{tag}{namespaces}>{body}</{tag}>"
+    at = draw(st.integers(0, len(text)))
+    damage = draw(_mostly([None], ["", "&bogus;", "<", "&", '"']))  # "": cut at ``at``
+    return text if damage is None else text[:at] + damage + (text[at:] if damage else "")
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_documents())
+@example('<osm><way id="1"><nd ref="2"/><nd ref="3"/><nd ref="2"/></way>'
+         '<node id="2" lat="1" lon="2"/><node id="3" lat="3" lon="4"/></osm>')
+@example('<osm><node id="1" lat="0" lon="0">'
+         '<tag k="a" v="1"/><tag k="b" v="2"/><tag k="a" v="3"/></node></osm>')
+def test_one_pass_parse_equals_the_tree_walk(text):
+    """Same elements or the same error text, and the same warning, as the
+    two passes over a whole element tree."""
+    assert _outcome(parse_osm, text) == _outcome(tree_walk_parse_osm, text)
+
+
+def _extract(nodes, ways):
+    """An .osm text shaped like a city extract: free nodes, some tagged,
+    then the member nodes and closed ways of square blocks."""
+    rng = random.Random(5)
+    out = ['<?xml version="1.0" encoding="UTF-8"?>', '<osm version="0.6">']
+    for nid in range(1, nodes + 1):
+        head = f'  <node id="{nid}" lat="{rng.uniform(22, 24):.7f}" lon="{rng.uniform(72, 73):.7f}"'
+        if nid <= nodes - 4 * ways and rng.random() < 0.1:
+            out += [head + ">", '    <tag k="amenity" v="school"/>', "  </node>"]
+        else:
+            out.append(head + "/>")
+    for k in range(ways):
+        refs = [nodes - 4 * ways + 4 * k + i for i in (1, 2, 3, 4, 1)]
+        out.append(f'  <way id="{1_000_001 + k}">')
+        out.append("    " + "".join(f'<nd ref="{r}"/>' for r in refs))
+        out += ['    <tag k="building" v="yes"/>', "  </way>"]
+    return "\n".join(out + ["</osm>"]) + "\n"
+
+
+def test_parse_holds_no_element_tree():
+    """The whole tree of an extract peaks at about 19x the text's length;
+    the one-pass records at about 10x, most of it the returned elements."""
+    text = _extract(12_000, 1_200)
+    tracemalloc.start()
+    try:
+        elements = parse_osm(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(elements) == 12_000 + 1_200
+    assert peak < 15 * len(text), f"peak {peak / len(text):.1f}x the text length"

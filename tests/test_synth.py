@@ -238,9 +238,8 @@ def test_ramp_terrain_values():
     scene = _scene(terrain=TerrainModel(100.0, grad_x=0.05, grad_y=-0.02), size=(4, 3))
     result = synthesize_dsm(scene)
     ref = scene.georef
-    for r in range(ref.nrows):
-        for c in range(ref.ncols):
-            x, y = ref.cell_center(r, c)
+    for r, y in enumerate(ref.row_centers().tolist()):
+        for c, x in enumerate(ref.col_centers().tolist()):
             expected = 100.0 + 0.05 * x + (-0.02) * y
             assert result.dsm.data[r, c] == pytest.approx(expected, abs=1e-12)
 
