@@ -66,7 +66,6 @@ from .synth import (
     TerrainModel,
     lcg_noise,
     load_scene,
-    rectangle_ring,
     synthesize_dsm,
 )
 from .validate import (

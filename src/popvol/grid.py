@@ -7,18 +7,29 @@ Header keys are case-insensitive. Cells are square; row 0 of the value array
 is the northernmost row.
 
 Internally nodata cells are held as NaN; the sentinel only appears in files.
-Values are printed with shortest round-trip precision so that
 ``read_ascii_grid(write_ascii_grid(g))`` reproduces ``g`` exactly.
+
+Values are printed by ``format_value``: an integral value below 1e15 in
+magnitude as an integer ("5", not "5.0"), any other value as ``repr``, the
+shortest decimal that reads back as it. The writer does not call it per
+cell: ``_shortest.format_cells`` prints a chunk of rows in one numpy pass,
+integers from their integer value and other positional values from a
+vectorized Ryu, and calls ``format_value`` only for the rare cells that
+``repr`` prints in exponent form. Its text equals ``format_value`` applied
+cell by cell, with the ``NODATA_value`` text for nodata.
+
+The reader accepts plain ASCII decimal numbers only. ``float`` would also
+take ``nan``, ``1_000`` and non-ASCII digits such as a full-width zero; each
+of those, in the header or the body, is an ``AsciiGridError`` with its line.
 
 Grids of 100,000 cells or more are read and written in row bands, one per
 usable CPU (see ``_bands``); each band gives one result. Within a band both
 directions work in chunks of about ``_PART_CELLS`` cells: the reader streams
 a band's tokens into float64 arrays of at most that many values, however they
 are spread over lines, and the writer formats whole rows, at least one per
-chunk, from numpy masks of a chunk's NaN and integral cells. So per-cell
-Python objects live for one chunk only. The values read and the text
-written are exactly those of ``float`` and ``format_value`` applied cell by
-cell, whatever the number of bands.
+chunk. So per-cell Python objects (the reader's floats) live for one chunk
+only. The values read and the text written are the same whatever the number
+of bands.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from itertools import chain, islice
 import numpy as np
 
 from ._bands import row_bands, run_bands
+from ._shortest import format_cells, format_value
 from .errors import AsciiGridError, GeorefMismatchError
 
 DEFAULT_NODATA = -9999.0
@@ -39,23 +51,10 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 # Origin/cellsize agreement required for grid algebra, in meters.
 GEOREF_TOLERANCE_M = 1e-6
 
-# format_value prints integral values below this magnitude as integers.
-_INT_LIMIT = 1e15
 # cells converted or formatted at a time: 16 rows of a 1000-column grid, so
 # few per-cell Python objects live at once, yet many rows of a narrow grid,
 # so numpy's fixed per-call cost is spread over them.
 _PART_CELLS = 16384
-
-
-def format_value(v: float) -> str:
-    """Shortest decimal text that parses back to exactly ``v``.
-
-    Integral values are printed without a decimal point ("5", not "5.0").
-    """
-    f = float(v)
-    if f == int(f) and abs(f) < _INT_LIMIT:
-        return str(int(f))
-    return repr(f)
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,8 @@ def _parse_header_line(line: str, line_no: int, expected_key: str) -> float:
             f"expected header key {expected_key!r}, got {key!r}", line_no
         )
     try:
+        if "_" in value:  # float reads "1_0" as 10
+            raise ValueError
         v = float(value)
     except ValueError:
         raise AsciiGridError(
@@ -156,11 +157,24 @@ def _parse_header_line(line: str, line_no: int, expected_key: str) -> float:
     return v
 
 
+def _raise_if_not_ascii(text: str) -> None:
+    """Raise for the first non-ASCII character, which ``float`` might read as
+    a digit and ``split`` as a space. ``isascii`` costs nothing on ASCII text."""
+    if text.isascii():
+        return
+    try:
+        text.encode("ascii")
+    except UnicodeEncodeError as err:
+        line_no = len(text[:err.start + 1].splitlines())
+        raise AsciiGridError(f"non-ASCII character {text[err.start]!r}", line_no) from None
+
+
 def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -> None:
     """Walk the body token by token and raise for the first bad token.
 
-    A token is bad when it is one value too many, is not a number, or is
-    infinite. The caller has already found that the body holds one.
+    A token is bad when it is one value too many, is not a number or holds
+    an underscore, or is not finite. The caller has already found that the
+    body holds one.
     """
     count = 0
     for line_no, line in enumerate(body, first_line_no):
@@ -168,10 +182,12 @@ def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -
             if count >= expected:
                 raise AsciiGridError(f"too many values: expected {expected}", line_no)
             try:
+                if "_" in token:
+                    raise ValueError
                 v = float(token)
             except ValueError:
                 raise AsciiGridError(f"non-numeric value token {token!r}", line_no) from None
-            if math.isinf(v):
+            if not math.isfinite(v):
                 raise AsciiGridError(f"non-finite value token {token!r}", line_no)
             count += 1
 
@@ -179,10 +195,11 @@ def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -
 def read_ascii_grid(text: str) -> Grid:
     """Parse an ESRI ASCII grid from a string.
 
-    Raises AsciiGridError (with the offending line number) on malformed or
-    non-finite headers, non-numeric or infinite tokens, or a wrong body value
-    count.
+    Raises AsciiGridError (with the offending line number) on a non-ASCII
+    character, malformed or non-finite headers, non-numeric (underscores
+    included) or non-finite tokens, or a wrong body value count.
     """
+    _raise_if_not_ascii(text)
     lines = text.splitlines()
     if len(lines) < len(_HEADER_KEYS):
         raise AsciiGridError("incomplete header", len(lines) or 1)
@@ -225,7 +242,10 @@ def read_ascii_grid(text: str) -> Grid:
         row_bands(len(body), expected),
         take,
     )
-    if np.isinf(values[:count]).any():
+    # float also reads "nan" and "1_000"; an underscore outside the header
+    # lines (NODATA_value has one) is in the body
+    underscores = text.count("_") > sum(line.count("_") for line in lines[:body_start])
+    if underscores or not np.isfinite(values[:count]).all():
         _raise_first_bad_token(body, body_start + 1, expected)
     if count < expected:
         raise AsciiGridError(
@@ -251,54 +271,33 @@ def _parse_lines(body: list[str], start: int, stop: int) -> list:
 
 
 def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str) -> list[str]:
-    """Body lines of rows ``start:stop``, ``format_value`` of each cell and
-    ``sentinel`` for NaN. The NaN and integral masks are taken once per chunk
-    of ``_PART_CELLS`` cells, so narrow grids pay no per-row numpy cost."""
-    ncols = data.shape[1]
-    step = max(1, _PART_CELLS // ncols)
-    lines = []
-    for top in range(start, stop, step):
-        chunk = data[top:min(top + step, stop)]
-        integral = (np.trunc(chunk) == chunk) & (np.abs(chunk) < _INT_LIMIT)
-        whole = integral.all(axis=1)
-        # all-integral rows (every ground-mask row) print straight from int64
-        ints = iter(chunk[whole].astype(np.int64).tolist())
-        mixed = chunk[~whole]
-        tokens = list(map(repr, mixed.ravel().tolist()))
-        for i in np.flatnonzero(np.isnan(mixed)).tolist():
-            tokens[i] = sentinel
-        cells = np.flatnonzero(integral[~whole])
-        for i, v in zip(cells.tolist(), mixed.ravel()[cells].astype(np.int64).tolist()):
-            tokens[i] = str(v)
-        at = 0
-        for is_whole in whole.tolist():
-            if is_whole:
-                lines.append(" ".join(map(str, next(ints))))
-            else:
-                lines.append(" ".join(tokens[at:at + ncols]))
-                at += ncols
-    return lines
+    """The text of rows ``start:stop``, each line ending in "\\n", in chunks
+    of whole rows of about ``_PART_CELLS`` cells."""
+    step = max(1, _PART_CELLS // data.shape[1])
+    return [
+        format_cells(data[top:min(top + step, stop)], sentinel)
+        for top in range(start, stop, step)
+    ]
 
 
 def write_ascii_grid(g: Grid) -> str:
     """Serialize a Grid to ESRI ASCII text (always includes NODATA_value)."""
     ref = g.georef
     sentinel = format_value(g.nodata)
-    out = [
-        f"ncols {ref.ncols}",
-        f"nrows {ref.nrows}",
-        f"xllcorner {format_value(ref.xll)}",
-        f"yllcorner {format_value(ref.yll)}",
-        f"cellsize {format_value(ref.cellsize)}",
-        f"NODATA_value {sentinel}",
+    parts = [
+        f"ncols {ref.ncols}\n"
+        f"nrows {ref.nrows}\n"
+        f"xllcorner {format_value(ref.xll)}\n"
+        f"yllcorner {format_value(ref.yll)}\n"
+        f"cellsize {format_value(ref.cellsize)}\n"
+        f"NODATA_value {sentinel}\n"
     ]
     run_bands(
         lambda start, stop: _format_rows(g.data, start, stop, sentinel),
         row_bands(ref.nrows, g.data.size),
-        out.extend,
+        parts.extend,
     )
-    out.append("")  # a final newline, without a second copy of the text
-    return "\n".join(out)
+    return "".join(parts)
 
 
 def grid_subtract(a: Grid, b: Grid) -> Grid:

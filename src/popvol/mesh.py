@@ -10,11 +10,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
+import numpy as np
+
+from ._shortest import format_cells
 from .errors import PipelineError
 from .footprints import Footprint
-from .grid import format_value
 
 logger = logging.getLogger(__name__)
 
@@ -72,10 +75,15 @@ def extrude(
 
 
 def write_obj(mesh: Mesh) -> str:
-    """Serialize to OBJ: all `v` lines, then per-building `o` + `f` lines."""
+    """Serialize to OBJ: all `v` lines, then per-building `o` + `f` lines.
+
+    Coordinates are printed as grid cells are (``grid.format_value``), all
+    vertices in one ``format_cells`` call."""
     lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {format_value(x)} {format_value(y)} {format_value(z)}")
+    if mesh.vertices:
+        coords = np.fromiter(chain.from_iterable(mesh.vertices), np.float64)
+        text = format_cells(coords.reshape(-1, 3), "nan")
+        lines.extend("v " + line for line in text.splitlines())
     face_idx = 0
     for name, count in mesh.groups:
         lines.append(f"o {name}")

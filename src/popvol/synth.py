@@ -216,8 +216,3 @@ def _contains(outer, inner, shape) -> bool:
     """Whether the ``(rows, cols)`` cells ``inner`` all lie in ``outer``."""
     return bool(np.isin(np.ravel_multi_index(inner, shape),
                         np.ravel_multi_index(outer, shape)).all())
-
-
-def rectangle_ring(x0: float, y0: float, width: float, depth: float) -> list[tuple[float, float]]:
-    """Axis-aligned rectangle, counter-clockwise from the southwest corner."""
-    return [(x0, y0), (x0 + width, y0), (x0 + width, y0 + depth), (x0, y0 + depth)]

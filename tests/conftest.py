@@ -20,9 +20,13 @@ from popvol import (
     aggregate,
     estimate_building,
 )
-from popvol.synth import rectangle_ring
 
 import site_data
+
+
+def rectangle_ring(x0: float, y0: float, width: float, depth: float) -> list[tuple[float, float]]:
+    """Axis-aligned rectangle, counter-clockwise from the southwest corner."""
+    return [(x0, y0), (x0 + width, y0), (x0 + width, y0 + depth), (x0, y0 + depth)]
 
 
 def make_grid(values, cellsize=1.0, xll=0.0, yll=0.0, nodata=-9999.0) -> Grid:

@@ -34,10 +34,9 @@ from popvol import (
 )
 from popvol.cli import main, read_estimates_csv
 from popvol.osm import TagRule, count_within_radius
-from popvol.synth import rectangle_ring
 
 import site_data
-from conftest import cell_set
+from conftest import cell_set, rectangle_ring
 
 
 def criterion(n, label):

@@ -22,9 +22,15 @@ from popvol import read_ascii_grid, write_ascii_grid
 from popvol.cli import footprints_to_geojson, main, read_estimates_csv
 from popvol.footprints import Footprint
 from popvol.grid import Grid, GridGeoref
-from popvol.synth import rectangle_ring
 
-from conftest import ExitWhenPickled, assert_no_children, in_child, make_grid, split_into
+from conftest import (
+    ExitWhenPickled,
+    assert_no_children,
+    in_child,
+    make_grid,
+    rectangle_ring,
+    split_into,
+)
 
 SCENE = {
     "georef": {"ncols": 160, "nrows": 140, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},

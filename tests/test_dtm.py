@@ -20,9 +20,8 @@ from popvol import (
     synthesize_dsm,
 )
 from popvol.dtm import _dilate, _erode, _running, window_sizes
-from popvol.synth import rectangle_ring
 
-from conftest import cell_set, make_grid
+from conftest import cell_set, make_grid, rectangle_ring
 
 
 def brute_force_opening(data: np.ndarray, window: int) -> np.ndarray:

@@ -13,9 +13,9 @@ from popvol import (
     units_per_floor,
 )
 from popvol.estimate import DEFAULT_BANDS
-from popvol.synth import rectangle_ring
 
 import site_data
+from conftest import rectangle_ring
 
 CFG = EstimationConfig()
 

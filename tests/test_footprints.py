@@ -23,9 +23,8 @@ from popvol import (
     zonal_height,
 )
 from popvol.cli import main
-from popvol.synth import rectangle_ring
 
-from conftest import cell_set, make_grid
+from conftest import cell_set, make_grid, rectangle_ring
 
 
 def feature(fid, ring, type_label="Type4", **props):

@@ -1,8 +1,12 @@
 import math
 import random
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popvol import (
     AsciiGridError,
@@ -16,7 +20,7 @@ from popvol import (
 from popvol.cli import main
 from popvol.grid import _PART_CELLS, format_value
 
-from conftest import make_grid
+from conftest import make_grid, split_into
 
 MINIMAL = (
     "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
@@ -118,6 +122,10 @@ ADVERSARIAL = [
     _mixed_rows(),
     # one column over more rows than one chunk holds
     _mixed_rows(_PART_CELLS + 1000, 1),
+    # every power of two whose repr is positional, and exact ties that round
+    # to even where the last digits go
+    [[2.0**e for e in range(-14, 54)]],
+    [[2.0**50 + 0.25, 2.0**50 + 0.75, 1e15 + 0.25, 1e15 - 0.25, 2.0**51 + 0.5, 0.5 - 2.0**-54]],
 ]
 
 
@@ -129,6 +137,71 @@ def test_write_matches_format_value_reference(values, nodata):
     text = write_ascii_grid(g)
     assert text == _write_reference(g)
     assert read_ascii_grid(text) == g
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _ulps_away(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _near(bases):
+    """A value of ``bases`` or one to three ulps from it, either sign."""
+    return st.builds(
+        lambda x, ulps, sign: sign * _ulps_away(x, ulps),
+        bases, st.integers(-3, 3), st.sampled_from([1.0, -1.0]),
+    )
+
+
+_CELLS = st.one_of(
+    # any finite bit pattern; NaNs are nodata
+    st.integers(0, 2**64 - 1).map(_from_bits).filter(lambda v: not math.isinf(v)),
+    st.sampled_from([0.0, -0.0]),
+    _near(st.integers(1, 2**52 - 1).map(_from_bits)),  # subnormals
+    # powers of two, more often those whose repr is positional
+    _near(st.one_of(st.integers(-14, 53), st.integers(-1074, 1023)).map(lambda e: 2.0**e)),
+    # where repr switches form
+    _near(st.sampled_from([1e-4, 1e15])),
+    # ordinary values, most of them printed by the vectorized path
+    st.floats(-(2.0**53), 2.0**53),
+    st.builds(lambda m, e: m * 10.0**e, st.integers(-10**9, 10**9), st.integers(-12, 6)),
+)
+
+
+@st.composite
+def _kernel_grids(draw) -> Grid:
+    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    cells = draw(st.lists(_CELLS, min_size=nrows * ncols, max_size=nrows * ncols))
+    nodata = draw(st.sampled_from([-9999.0, 1e-7, 2.0**60]))
+    data = np.array(cells, dtype=np.float64).reshape(nrows, ncols)
+    return Grid(GridGeoref(ncols, nrows, 0.0, 0.0, 1.0), data, nodata)
+
+
+@pytest.mark.parametrize("nbands", [1, 2, 3])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(g=_kernel_grids())
+def test_write_equals_format_value_on_any_double(nbands, g):
+    with split_into(nbands):
+        text = write_ascii_grid(g)
+    assert text == _write_reference(g)
+    assert read_ascii_grid(text) == g
+
+
+def test_write_peak_memory_is_about_twice_the_text():
+    """The chunk texts and their join: each chunk's arrays are freed before it."""
+    data = 68.0 + np.random.default_rng(3).random((1000, 300))
+    g = make_grid(data)
+    tracemalloc.start()
+    try:
+        text = write_ascii_grid(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * len(text)
 
 
 @pytest.mark.parametrize("values", ADVERSARIAL)
@@ -218,6 +291,16 @@ HEADER_2X1 = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         (HEADER_2X1 + "1\noops 2 3\n", 7, "non-numeric"),
         (HEADER_2X1 + "1\n2 oops\n", 7, "too many"),
         (HEADER_2X1 + "1\n2 inf\n", 7, "too many"),
+        # float() reads these, but none of them is a plain ASCII number
+        (HEADER_2X1 + "1 nan\n", 6, "non-finite"),
+        (HEADER_2X1 + "NODATA_value -9999\n1\nNaN\n", 8, "non-finite"),
+        (HEADER_2X1 + "1_000 2\n", 6, "non-numeric"),
+        (HEADER_2X1 + "NODATA_value -9_999\n1 2\n", 6, "non-numeric"),
+        (HEADER_2X1.replace("cellsize 1", "cellsize 1_0") + "1 2\n", 5, "non-numeric"),
+        (HEADER_2X1 + "1 \uff10\n", 6, "non-ASCII"),
+        (HEADER_2X1 + "1\u30002\n", 6, "non-ASCII"),
+        (HEADER_2X1.replace("ncols 2", "ncols \uff12") + "1 2\n", 1, "non-ASCII"),
+        (HEADER_2X1.replace("yllcorner 0", "yllcorner 0\u2028") + "1 2\n", 4, "non-ASCII"),
     ],
 )
 def test_non_finite_and_bad_tokens_are_typed_errors(tmp_path, capsys, text, bad_line, message):

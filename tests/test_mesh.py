@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from popvol import Footprint, PipelineError, extrude, write_obj
-from popvol.synth import rectangle_ring
+
+from conftest import rectangle_ring
 
 
 def unit_square(fid="B1"):

@@ -23,9 +23,8 @@ from popvol import (
 )
 from popvol.cli import estimate_buildings
 from popvol.footprints import rasterize_footprints
-from popvol.synth import rectangle_ring
 
-from conftest import make_grid
+from conftest import make_grid, rectangle_ring
 
 
 def _points_in_ring(xs, ys, ring):

@@ -24,10 +24,9 @@ from popvol.synth import (
     LCG_MULT,
     lcg_noise,
     load_scene,
-    rectangle_ring,
 )
 
-from conftest import cell_set
+from conftest import cell_set, rectangle_ring
 
 
 def _scene(prisms=(), noise=0.0, seed=0, terrain=TerrainModel(50.0), size=(60, 50)):
