@@ -42,7 +42,13 @@ from .estimate import (
     estimate_building,
     excluded_estimate,
 )
-from .footprints import Footprint, parse_footprints, rasterize_footprints, zonal_height
+from .footprints import (
+    Footprint,
+    footprints_to_geojson,
+    parse_footprints,
+    rasterize_footprints,
+    zonal_height,
+)
 from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
 from .mesh import Mesh, extrude, write_obj
 from .osm import check_center, count_within_radius, filter_amenities, load_rules, parse_osm
@@ -474,22 +480,6 @@ def cmd_synth(args) -> int:
         f"{len(scene.prisms)} prisms, seed {scene.seed}"
     )
     return 0
-
-
-def footprints_to_geojson(footprints: Sequence[Footprint]) -> str:
-    features = []
-    for fp in footprints:
-        props = {"id": fp.id, "type_label": fp.type_label}
-        if fp.unit_area_m2 is not None:
-            props["unit_area_m2"] = fp.unit_area_m2
-        if fp.units_per_floor_override is not None:
-            props["units_per_floor"] = fp.units_per_floor_override
-        ring = [[x, y] for x, y in fp.ring] + [[fp.ring[0][0], fp.ring[0][1]]]
-        features.append(
-            {"type": "Feature", "properties": props,
-             "geometry": {"type": "Polygon", "coordinates": [ring]}}
-        )
-    return json.dumps({"type": "FeatureCollection", "features": features}, indent=2) + "\n"
 
 
 def cmd_run(args) -> int:

@@ -1,4 +1,4 @@
-"""Building footprints: GeoJSON parsing, rasterization, zonal height extraction.
+"""Building footprints: GeoJSON parsing and writing, rasterization, zonal height.
 
 Footprints are single exterior rings in the same projected CRS as the rasters
 (meters). Rasterization uses the cell-center even-odd rule with a fixed
@@ -8,9 +8,11 @@ centers deterministically without exact predicates.
 One scanline pass rasterizes a batch of footprints. A ring edge crosses the
 row of nudged center ``cy`` when ``(y1 > cy) != (y2 > cy)``, at ``x_at = (x2 -
 x1) * (cy - y1) / (y2 - y1) + x1``. Sorted per (footprint, row), crossings 2j
-and 2j+1 bound a span of the span table (footprint, row, col_lo, col_hi): the
-cells with an odd number of crossings at or left of their nudged center. Each
-footprint's cells are expanded from its own spans, one footprint at a time.
+and 2j+1 bound a span of the span table (footprint, row, col_lo, width): the
+cells with an odd number of crossings at or left of their nudged center. The
+table feeds two expansions: ``rasterize_footprints`` expands one footprint's
+spans at a time, so a caller holds one footprint's cells at once, and the
+synthetic-scene painter expands every span in one ``np.repeat``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -115,9 +119,9 @@ class BuildingHeightRecord:
 def parse_footprints(text: str) -> list[Footprint]:
     """Read a GeoJSON FeatureCollection of Polygon features.
 
-    Each feature needs properties ``id`` and ``type_label``; ``unit_area_m2``
-    and ``units_per_floor`` are optional. Holes, non-Polygon geometries and
-    duplicate ids are rejected.
+    Each feature needs an ``id`` property; ``type_label`` (``""`` when
+    absent), ``unit_area_m2`` and ``units_per_floor`` are optional. Holes,
+    non-Polygon geometries and duplicate ids are rejected.
     """
     try:
         doc = json.loads(text)
@@ -138,10 +142,9 @@ def parse_footprints(text: str) -> list[Footprint]:
         props = feature.get("properties") or {}
         if not isinstance(props, dict):
             raise FootprintError(f"feature #{i}: 'properties' is not a JSON object")
-        fid = props.get("id")
-        if fid is None:
+        if "id" not in props:
             raise FootprintError(f"feature #{i}: missing 'id' property")
-        fid = str(fid)
+        fid = text_property(props["id"], "id", f"feature #{i}")
         geom = feature.get("geometry") or {}
         if not isinstance(geom, dict):
             raise FootprintError(f"feature {fid!r}: 'geometry' is not a JSON object")
@@ -167,13 +170,30 @@ def parse_footprints(text: str) -> list[Footprint]:
         footprints.append(
             Footprint(
                 id=fid,
-                type_label=str(props.get("type_label", "")),
+                type_label=text_property(props.get("type_label", ""), "type_label",
+                                         f"feature {fid!r}"),
                 ring=[_position(p, fid, k) for k, p in enumerate(rings[0])],
                 unit_area_m2=unit_area,
                 units_per_floor_override=override,
             )
         )
     return footprints
+
+
+_JSON_KINDS = {type(None): "null", bool: "a boolean", dict: "an object", list: "an array"}
+
+
+def text_property(value, name: str, label: str) -> str:
+    """A footprint's ``id`` or ``type_label`` as text: a JSON string as it
+    is, a number as ``str`` gives it. Null, a boolean, an object or an array
+    is a FootprintError."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise FootprintError(
+        f"{label}: {name!r} must be a string or a number, got {_JSON_KINDS[type(value)]}"
+    )
 
 
 def unit_fields(unit_area, units_per_floor, label: str) -> tuple[Optional[float], Optional[int]]:
@@ -208,25 +228,76 @@ def _position(p, fid: str, k: int) -> tuple[float, float]:
     return p[0], p[1]
 
 
+# json.dumps(collection, indent=2) of one feature; a vertex is a number pair
+_FEATURE = """\
+    {
+      "type": "Feature",
+      "properties": {
+        "id": %s,
+        "type_label": %s%s
+      },
+      "geometry": {
+        "type": "Polygon",
+        "coordinates": [
+          [
+%s
+          ]
+        ]
+      }
+    }"""
+_VERTEX = "            [\n              %r,\n              %r\n            ]"
+
+
+def footprints_to_geojson(footprints: Sequence[Footprint]) -> str:
+    """The FeatureCollection of ``footprints``, each ring closed, as the text
+    ``json.dumps(doc, indent=2) + "\\n"`` gives, written from the per-feature
+    template ``_FEATURE``: strings through ``json``'s own ASCII escaper, numbers
+    by the ``int``/``float`` ``__repr__`` that ``json`` uses."""
+    features = []
+    for fp in footprints:
+        extra = ""
+        if fp.unit_area_m2 is not None:
+            extra += ',\n        "unit_area_m2": ' + _number(fp.unit_area_m2)
+        if fp.units_per_floor_override is not None:
+            extra += ',\n        "units_per_floor": ' + _number(fp.units_per_floor_override)
+        ring = ",\n".join([_VERTEX % p for p in fp.ring + fp.ring[:1]])
+        features.append(_FEATURE % (
+            encode_basestring_ascii(fp.id), encode_basestring_ascii(fp.type_label), extra, ring
+        ))
+    body = "[\n" + ",\n".join(features) + "\n  ]" if features else "[]"
+    return '{\n  "type": "FeatureCollection",\n  "features": ' + body + "\n}\n"
+
+
+def _number(v) -> str:
+    return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
+
+
 def footprint_area(f: Footprint) -> float:
     """Planimetric (shoelace) area of the footprint in square meters."""
     return abs(_signed_area(f.ring))
 
 
-def rasterize_footprints(
+def span_table(
     footprints: Sequence[Footprint], georef: GridGeoref
-) -> Iterator[np.ndarray]:
-    """Cells of ``georef`` whose nudged center lies inside each footprint: one
-    ``(n, 2)`` integer array of (row, col) per footprint, in input order, rows
-    counted from the north and listed south to north, columns ascending. A
-    footprint that selects no cell gets an empty array."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The spans of the cells of ``georef`` whose nudged center lies inside
+    each footprint, as four integer arrays (footprint, row, col_lo, width):
+    span k covers columns ``col_lo[k]`` to ``col_lo[k] + width[k] - 1`` of row
+    ``row[k]``, counted from the north. Spans are ordered by footprint index,
+    then rows south to north, then columns; a span may be empty."""
     cs = georef.cellsize
     eps = 1e-9 * cs
-    # every ring edge as (footprint index, x1, y1, x2, y2)
-    owner, x1, y1, x2, y2 = np.array([
-        (k, *p, *q) for k, f in enumerate(footprints)
-        for p, q in zip(f.ring, f.ring[1:] + f.ring[:1])
-    ]).reshape(-1, 5).T
+    # every ring edge as (footprint index, x1, y1, x2, y2): vertex k to vertex
+    # k + 1, and a ring's last vertex back to its first
+    sizes = np.array([len(f.ring) for f in footprints], np.intp)
+    xy = np.fromiter(
+        chain.from_iterable(chain.from_iterable(f.ring for f in footprints)),
+        np.float64, 2 * sizes.sum(),
+    ).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(footprints)), sizes)
+    after = np.arange(1, len(xy) + 1)
+    after[np.cumsum(sizes) - 1] -= sizes
+    (x1, y1), (x2, y2) = xy.T, xy[after].T
 
     # candidate rows, counted from the south: each edge's y-range widened by a row
     lo = np.clip(np.floor((np.minimum(y1, y2) - georef.yll) / cs) - 1, 0, georef.nrows)
@@ -239,15 +310,31 @@ def rasterize_footprints(
     edge, row, cy = edge[hit], row[hit], cy[hit]
     x_at = (x2[edge] - x1[edge]) * (cy - y1[edge]) / (y2[edge] - y1[edge]) + x1[edge]
 
-    # the span table, one (footprint, row, c0, c0 + width) per crossing pair
+    # one span per crossing pair
     order = np.lexsort((x_at, row, owner[edge]))
-    x_at, row, fp = x_at[order], row[order][0::2], owner[edge][order][0::2]
+    x_at = x_at[order]
     cx = georef.xll + (np.arange(georef.ncols) + 0.5) * cs + eps
     c0 = np.searchsorted(cx, x_at[0::2])
-    width = np.searchsorted(cx, x_at[1::2]) - c0
+    return (
+        owner[edge][order][0::2],
+        georef.nrows - 1 - row[order][0::2],
+        c0,
+        np.searchsorted(cx, x_at[1::2]) - c0,
+    )
+
+
+def rasterize_footprints(
+    footprints: Sequence[Footprint], georef: GridGeoref
+) -> Iterator[np.ndarray]:
+    """Cells of ``georef`` whose nudged center lies inside each footprint: one
+    ``(n, 2)`` integer array of (row, col) per footprint, in input order, rows
+    counted from the north and listed south to north, columns ascending. A
+    footprint that selects no cell gets an empty array. Each footprint's cells
+    are expanded from the span table when the iterator reaches it."""
+    fp, row, c0, width = span_table(footprints, georef)
     ends = np.cumsum(width)
-    # (row from the north, first column minus the span's offset among all cells)
-    spans = np.column_stack((georef.nrows - 1 - row, c0 - (ends - width)))
+    # (row, first column minus the span's offset among all cells)
+    spans = np.column_stack((row, c0 - (ends - width)))
     bounds = np.searchsorted(fp, np.arange(len(footprints) + 1)).tolist()
     offsets = np.concatenate(([0], ends))[bounds].tolist()
     for k in range(len(footprints)):

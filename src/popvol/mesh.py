@@ -78,21 +78,24 @@ def write_obj(mesh: Mesh) -> str:
     """Serialize to OBJ: all `v` lines, then per-building `o` + `f` lines.
 
     Coordinates are printed as grid cells are (``grid.format_value``), all
-    vertices in one ``format_cells`` call."""
+    vertices in one ``format_cells`` call; face indices are printed by one
+    ``%d`` format over all of them."""
     lines = []
     if mesh.vertices:
         coords = np.fromiter(chain.from_iterable(mesh.vertices), np.float64)
         text = format_cells(coords.reshape(-1, 3), "nan")
         lines.extend("v " + line for line in text.splitlines())
+    face_lines = []
+    if mesh.faces:
+        face_text = "\n".join(["f" + " %d" * len(face) for face in mesh.faces])
+        face_lines = (face_text % tuple(chain.from_iterable(mesh.faces))).split("\n")
     face_idx = 0
     for name, count in mesh.groups:
         lines.append(f"o {name}")
-        for face in mesh.faces[face_idx : face_idx + count]:
-            lines.append("f " + " ".join(str(i) for i in face))
+        lines.extend(face_lines[face_idx : face_idx + count])
         face_idx += count
     # faces not covered by any group (hand-built meshes)
-    for face in mesh.faces[face_idx:]:
-        lines.append("f " + " ".join(str(i) for i in face))
+    lines.extend(face_lines[face_idx:])
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

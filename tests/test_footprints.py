@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from popvol import (
     EmptySelectionError,
@@ -23,6 +25,7 @@ from popvol import (
     zonal_height,
 )
 from popvol.cli import main
+from popvol.footprints import footprints_to_geojson
 
 from conftest import cell_set, make_grid, rectangle_ring
 
@@ -148,6 +151,22 @@ def _with(f, **changes):
          "feature 'B11': unit_area_m2 and units_per_floor must be numbers"),
         (collection(feature("B12", SQUARE, units_per_floor="four")),
          "feature 'B12': unit_area_m2 and units_per_floor must be numbers"),
+        (collection(feature(None, SQUARE)),
+         "feature #0: 'id' must be a string or a number, got null"),
+        (collection(feature("B1", SQUARE), feature(True, SQUARE)),
+         "feature #1: 'id' must be a string or a number, got a boolean"),
+        (collection(feature({"x": 1}, SQUARE)),
+         "feature #0: 'id' must be a string or a number, got an object"),
+        (collection(feature(["B1"], SQUARE)),
+         "feature #0: 'id' must be a string or a number, got an array"),
+        (collection(feature("B13", SQUARE, type_label=None)),
+         "feature 'B13': 'type_label' must be a string or a number, got null"),
+        (collection(feature("B14", SQUARE, type_label=False)),
+         "feature 'B14': 'type_label' must be a string or a number, got a boolean"),
+        (collection(feature("B15", SQUARE, type_label={"x": 1})),
+         "feature 'B15': 'type_label' must be a string or a number, got an object"),
+        (collection(feature("B16", SQUARE, type_label=["Type4"])),
+         "feature 'B16': 'type_label' must be a string or a number, got an array"),
     ],
 )
 def test_malformed_features_are_typed_errors(tmp_path, capsys, text, message):
@@ -206,6 +225,64 @@ def test_bad_unit_fields_are_typed_errors(tmp_path, capsys, props, message):
 def test_whole_float_units_per_floor_is_an_integer():
     fp = parse_footprints(collection(feature("B1", SQUARE, units_per_floor=3.0)))[0]
     assert fp.units_per_floor_override == 3 and type(fp.units_per_floor_override) is int
+
+
+def test_ids_and_labels_are_strings_or_numbers_as_text():
+    fps = parse_footprints(collection(
+        feature(7, SQUARE, type_label=3), feature("B2", SQUARE, type_label="Type4"),
+        {"type": "Feature", "properties": {"id": "B3"},
+         "geometry": {"type": "Polygon", "coordinates": [SQUARE]}},
+    ))
+    assert [(fp.id, fp.type_label) for fp in fps] == [("7", "3"), ("B2", "Type4"), ("B3", "")]
+
+
+def _geojson_oracle(footprints):
+    """``footprints_to_geojson`` by ``json.dumps``."""
+    features = []
+    for fp in footprints:
+        props = {"id": fp.id, "type_label": fp.type_label}
+        if fp.unit_area_m2 is not None:
+            props["unit_area_m2"] = fp.unit_area_m2
+        if fp.units_per_floor_override is not None:
+            props["units_per_floor"] = fp.units_per_floor_override
+        ring = [[x, y] for x, y in fp.ring] + [[fp.ring[0][0], fp.ring[0][1]]]
+        features.append(
+            {"type": "Feature", "properties": props,
+             "geometry": {"type": "Polygon", "coordinates": [ring]}}
+        )
+    return json.dumps({"type": "FeatureCollection", "features": features}, indent=2) + "\n"
+
+
+# any code point, with quotes, backslashes, control characters, non-ASCII
+# and lone surrogates drawn often
+_ANY_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff')
+)
+_COORDS = st.sampled_from([-0.0, 1e-7, 1e22]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _any_footprint(draw):
+    ring = [(draw(_COORDS), draw(_COORDS)) for _ in range(draw(st.integers(3, 5)))]
+    try:
+        return Footprint(
+            draw(_ANY_TEXT), draw(_ANY_TEXT), ring,
+            unit_area_m2=draw(st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False)),
+            units_per_floor_override=draw(st.none() | st.integers(1, 10**20)),
+        )
+    except FootprintError:
+        assume(False)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(_any_footprint(), max_size=4))
+def test_geojson_template_matches_json_dumps(footprints):
+    assert footprints_to_geojson(footprints) == _geojson_oracle(footprints)
+
+
+def test_geojson_of_no_footprints():
+    assert footprints_to_geojson([]) == _geojson_oracle([])
+    assert parse_footprints(footprints_to_geojson([])) == []
 
 
 def test_three_dimensional_positions_keep_x_and_y():

@@ -10,6 +10,7 @@ from popvol import (
     EmptySelectionError,
     Footprint,
     GridGeoref,
+    PipelineError,
     SceneError,
     SyntheticScene,
     TerrainModel,
@@ -17,6 +18,7 @@ from popvol import (
     synthesize_dsm,
 )
 from popvol.cli import main
+from popvol.footprints import rasterize_footprints
 from popvol.synth import (
     _LCG_BLOCK,
     LCG_INC,
@@ -90,16 +92,21 @@ def test_overlap_error_names_the_partially_overlapping_pair():
         synthesize_dsm(_scene([(inner, 9.0), (outer, 5.0), (c, 7.0)]))
 
 
-def _pairwise_reference(scene):
-    """The DSM without noise by the pairwise subset check and a per-cell
-    paint; raises SceneError naming the first overlapping (i, j)."""
+def _terrain(scene):
     ref = scene.georef
     gx, gy = np.meshgrid(ref.col_centers(), ref.row_centers())
-    terrain = (
+    return (
         scene.terrain.origin_elev
         + scene.terrain.grad_x * (gx - ref.xll)
         + scene.terrain.grad_y * (gy - ref.yll)
     )
+
+
+def _pairwise_reference(scene):
+    """The DSM without noise by the pairwise subset check and a per-cell
+    paint; raises SceneError naming the first overlapping (i, j)."""
+    ref = scene.georef
+    terrain = _terrain(scene)
     cell_sets = [(fp, h, cell_set(rasterize_polygon(fp, ref))) for fp, h in scene.prisms]
     for i in range(len(cell_sets)):
         for j in range(i + 1, len(cell_sets)):
@@ -111,6 +118,46 @@ def _pairwise_reference(scene):
         for r, c in cells:
             dsm[r, c] = terrain[r, c] + h
     return dsm
+
+
+def _label_loop_oracle(scene):
+    """The DSM without noise by a per-prism label loop: prisms are painted
+    largest cell count first (stable in input order) onto a label raster,
+    and a prism whose cells carry more than one label partially overlaps the
+    first prism under it, in index order, that does not contain it. Raises
+    what ``synthesize_dsm`` must raise, with the same message."""
+    footprints = [fp for fp, _ in scene.prisms]
+    cells = []
+    for fp, fp_cells in zip(footprints, rasterize_footprints(footprints, scene.georef)):
+        if len(fp_cells) == 0:
+            raise EmptySelectionError(fp.id)
+        cells.append(tuple(fp_cells.T))
+    terrain = _terrain(scene)
+    labels = np.full(terrain.shape, -1, dtype=np.int32)
+    dsm = terrain.copy()
+    for i in sorted(range(len(cells)), key=lambda k: -len(cells[k][0])):
+        idx = cells[i]
+        under = labels[idx]
+        if (under != under[0]).any():
+            flat = np.ravel_multi_index(idx, terrain.shape)
+            j = next(
+                j for j in np.unique(under).tolist()
+                if j >= 0 and not np.isin(flat, np.ravel_multi_index(cells[j], terrain.shape)).all()
+            )
+            a, b = sorted((i, j))
+            raise SceneError(f"prisms {footprints[a].id!r} and {footprints[b].id!r} overlap")
+        labels[idx] = i
+        dsm[idx] = terrain[idx] + scene.prisms[i][1]
+    return dsm
+
+
+def _outcome(fn, scene):
+    """The DSM bytes ``fn`` gives for ``scene``, or the type and text of the
+    PipelineError it raises."""
+    try:
+        return fn(scene).tobytes()
+    except PipelineError as e:
+        return type(e), str(e)
 
 
 def _halves(lo, hi):
@@ -151,6 +198,10 @@ def _rectangle_scenes(draw):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(_rectangle_scenes())
 def test_label_raster_matches_pairwise_reference(scene):
+    # the same DSM, or the same error type and message, as the label loop
+    assert _outcome(lambda s: synthesize_dsm(s).dsm.data, scene) == _outcome(
+        _label_loop_oracle, scene
+    )
     try:
         expected = _pairwise_reference(scene)
     except (SceneError, EmptySelectionError) as e:
@@ -203,8 +254,19 @@ def test_bad_scene_prisms_are_typed_errors(tmp_path, capsys, ring, message):
         ({"units_per_floor": float("inf")},
          "prism 'P0': units_per_floor must be a whole number, got inf"),
         ({"unit_area_m2": True}, "prism 'P0': unit_area_m2 and units_per_floor must be numbers"),
+        ({"id": None}, "prism #0: 'id' must be a string or a number, got null"),
+        ({"id": False}, "prism #0: 'id' must be a string or a number, got a boolean"),
+        ({"id": {"x": 1}}, "prism #0: 'id' must be a string or a number, got an object"),
+        ({"id": ["P0"]}, "prism #0: 'id' must be a string or a number, got an array"),
+        ({"type_label": None}, "prism 'P0': 'type_label' must be a string or a number, got null"),
+        ({"type_label": True},
+         "prism 'P0': 'type_label' must be a string or a number, got a boolean"),
+        ({"type_label": {}}, "prism 'P0': 'type_label' must be a string or a number, got an object"),
+        ({"type_label": []}, "prism 'P0': 'type_label' must be a string or a number, got an array"),
     ],
-    ids=["fractional_units", "boolean_units", "infinite_units", "boolean_area"],
+    ids=["fractional_units", "boolean_units", "infinite_units", "boolean_area", "null_id",
+         "boolean_id", "object_id", "array_id", "null_label", "boolean_label", "object_label",
+         "array_label"],
 )
 def test_bad_scene_unit_fields_are_typed_errors(tmp_path, capsys, props, message):
     doc = {
@@ -219,6 +281,19 @@ def test_bad_scene_unit_fields_are_typed_errors(tmp_path, capsys, props, message
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+
+def test_scene_ids_and_labels_are_strings_or_numbers_as_text():
+    doc = {
+        "georef": {"ncols": 40, "nrows": 30, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
+        "prisms": [
+            {"id": 7, "type_label": 3, "ring": [[20, 5], [30, 5], [30, 15], [20, 15]],
+             "height_m": 4.0},
+            {"id": "P1", "ring": [[5, 5], [15, 5], [15, 15], [5, 15]], "height_m": 6.0},
+        ],
+    }
+    scene = load_scene(json.dumps(doc))
+    assert [(fp.id, fp.type_label) for fp, _ in scene.prisms] == [("7", "3"), ("P1", "building")]
 
 
 def test_nested_prisms_innermost_wins():
