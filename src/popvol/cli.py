@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, _bands
 from .dtm import DtmFilterParams, progressive_morphological_filter
-from .errors import ConfigError, FootprintError, PipelineError
+from .errors import ConfigError, FootprintError, PipelineError, json_number
 from .estimate import (
     BuildingEstimate,
     EstimationConfig,
@@ -96,12 +96,15 @@ def _read_text(path) -> str:
 def _write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8 with ``\\n`` line ends, whatever the platform."""
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    # in slices: encoding a whole grid's text at once holds a second copy of
-    # it, and that copy set the peak RSS of `run` on a 1000x1000 grid
-    with p.open("w", encoding="utf-8", newline="\n") as f:
-        for i in range(0, len(text), _WRITE_SLICE):
-            f.write(text[i:i + _WRITE_SLICE])
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with p.open("w", encoding="utf-8", newline="\n") as f:
+            # in slices: encoding a whole grid's text at once holds a second copy
+            # of it, and that copy set the peak RSS of `run` on a 1000x1000 grid
+            for i in range(0, len(text), _WRITE_SLICE):
+                f.write(text[i:i + _WRITE_SLICE])
+    except ValueError as e:  # a NUL in the path, or a lone surrogate from a JSON "\ud800" escape
+        raise PipelineError(f"cannot write {p}: {e}") from None
 
 
 def _load_json_object(path, what: str) -> dict:
@@ -144,19 +147,10 @@ def _load_published_reference(path) -> dict:
 
 def _finite_numbers(obj: dict, keys: Sequence[str], where: str) -> dict:
     """The values of ``keys`` set in ``obj``, each a finite JSON number."""
-    found = {}
-    for k in keys:
-        v = obj.get(k)
-        if v is None:
-            continue
-        try:
-            finite = not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ConfigError(f"{where} {k!r} must be a finite number, got {v!r}")
-        found[k] = v
-    return found
+    return {
+        k: json_number(obj[k], f"{where} {k!r}", ConfigError)
+        for k in keys if obj.get(k) is not None
+    }
 
 
 def build_estimation_config(cfg: dict) -> EstimationConfig:
@@ -521,7 +515,6 @@ def cmd_run(args) -> int:
         params.validate(dsm.georef.cellsize)
 
         out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
-        out.mkdir(parents=True, exist_ok=True)
         stages: dict = {}
         summary: dict = {"stages": stages, "footnotes": []}
 
@@ -640,7 +633,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, OSError, ValueError) as e:
+    except (PipelineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -76,21 +76,23 @@ def _running(data: np.ndarray, window: int, pick) -> np.ndarray:
     square around each cell, edge cells repeated. Along each axis, ``pick`` of
     slices shifted by 1, 2, 4, ... spans k, the largest power of two <=
     ``window``; two spans at offsets 0 and ``window - k`` cover the window.
+    With edge cells repeated, a window of 2n - 1 already covers an axis of n
+    cells from every cell, so a wider one is clipped to that along the axis.
     Both axes are padded at once, so two buffers take turns as input and
     output; the result is a view into one of them."""
-    half = window // 2
-    p = np.pad(data, half, mode="edge")
+    windows = [min(window, 2 * n - 1) for n in data.shape]
+    p = np.pad(data, [(w // 2, w // 2) for w in windows], mode="edge")
     q = np.empty_like(p)
-    for axis in (0, 1):
+    for axis, w in enumerate(windows):
         n = data.shape[axis]
         p, q = np.moveaxis(p, axis, 0), np.moveaxis(q, axis, 0)
         size, k = len(p), 1
-        while 2 * k <= window:
+        while 2 * k <= w:
             pick(p[:size - k], p[k:size], out=q[:size - k])
             p, q = q, p
             size -= k
             k *= 2
-        pick(p[:n], p[window - k:window - k + n], out=q[:n])
+        pick(p[:n], p[w - k:w - k + n], out=q[:n])
         p, q = np.moveaxis(q[:n], 0, axis), np.moveaxis(p[:n], 0, axis)
     return p
 

@@ -1,8 +1,13 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the one rule for a JSON number.
 
 Every error raised by the library derives from PipelineError so the CLI can
 turn any module failure into a one-line diagnostic and a nonzero exit code.
 """
+
+import math
+
+# The types ``json`` gives a number; ``bool`` is a type of its own.
+JSON_NUMBERS = (int, float)
 
 
 class PipelineError(Exception):
@@ -62,3 +67,15 @@ class SceneError(PipelineError):
 
 class ReportMismatchError(PipelineError):
     """Estimated and ground-truth type labels do not line up."""
+
+
+def json_number(value, where: str, error: type, whole: bool = False):
+    """``value`` if it is a finite JSON number, as an ``int`` when ``whole``;
+    anything else (a boolean, a string, a fraction when ``whole``) raises ``error``."""
+    if type(value) in JSON_NUMBERS:
+        try:
+            if math.isfinite(value) and (not whole or float(value).is_integer()):
+                return int(value) if whole else value
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise error(f"{where} must be a {'whole' if whole else 'finite'} number, got {value!r}")

@@ -132,50 +132,37 @@ class SocietyEstimate:
 
 def floors_from_height(height_m: float, cfg: EstimationConfig) -> Optional[int]:
     """Number of floors, or None when the building is below the minimum height."""
-    if height_m < 0:
-        raise ValueError(f"height must be >= 0, got {height_m}")
     if height_m < cfg.min_building_height_m:
         return None
     return max(1, math.ceil(height_m / cfg.floor_height_m))
 
 
 def units_per_floor(
-    footprint_area_m2: Optional[float],
-    unit_area_m2: Optional[float],
-    cfg: EstimationConfig,
+    footprint_area_m2: float, unit_area_m2: float, cfg: EstimationConfig,
     override: Optional[int] = None,
-    building_id: str = "?",
 ) -> int:
     """Dwelling units on one floor; an explicit override wins."""
     if override is not None:
         return override
-    if unit_area_m2 is None or footprint_area_m2 is None:
-        raise ConfigError(
-            f"building {building_id!r}: needs either units_per_floor or unit_area_m2"
-        )
-    if footprint_area_m2 <= 0 or unit_area_m2 <= 0:
-        raise ConfigError(f"building {building_id!r}: areas must be positive")
     return max(1, math.floor(footprint_area_m2 * cfg.efficiency / unit_area_m2))
 
 
-def persons_per_unit(unit_area_m2: float, bands: Sequence[PersonsBand]) -> float:
-    """Band lookup with inclusive bounds.
+def persons_per_unit(unit_area_m2: float, cfg: EstimationConfig) -> float:
+    """Band lookup in ``cfg.bands`` with inclusive bounds.
 
     Areas falling between bands take the band with the nearest midpoint
     (ties go to the smaller band); areas outside the table take the nearest
     extreme band.
     """
-    if not bands:
-        raise ConfigError("band table must not be empty")
-    ordered = sorted(bands, key=lambda b: b.min_area_m2)
-    for band in ordered:
+    bands = cfg.bands
+    for band in bands:
         if band.min_area_m2 <= unit_area_m2 <= band.max_area_m2:
             return band.persons
-    if unit_area_m2 < ordered[0].min_area_m2:
-        return ordered[0].persons
-    if unit_area_m2 > ordered[-1].max_area_m2:
-        return ordered[-1].persons
-    best = min(ordered, key=lambda b: (abs(unit_area_m2 - b.midpoint), b.midpoint))
+    if unit_area_m2 < bands[0].min_area_m2:
+        return bands[0].persons
+    if unit_area_m2 > bands[-1].max_area_m2:
+        return bands[-1].persons
+    best = min(bands, key=lambda b: (abs(unit_area_m2 - b.midpoint), b.midpoint))
     return best.persons
 
 
@@ -194,19 +181,15 @@ def estimate_building(
     floors = floors_from_height(rec.height_m, cfg)
     if floors is None:
         return excluded_estimate(fp, rec.height_m, "below minimum height")
-    upf = units_per_floor(
-        rec.footprint_area_m2,
-        fp.unit_area_m2,
-        cfg,
-        override=fp.units_per_floor_override,
-        building_id=rec.id,
-    )
     if fp.unit_area_m2 is None:
         raise ConfigError(
             f"building {rec.id!r}: unit_area_m2 is required to assign persons per unit"
         )
+    upf = units_per_floor(
+        rec.footprint_area_m2, fp.unit_area_m2, cfg, override=fp.units_per_floor_override
+    )
     units = floors * upf
-    persons = units * persons_per_unit(fp.unit_area_m2, cfg.bands) * cfg.occupancy_rate
+    persons = units * persons_per_unit(fp.unit_area_m2, cfg) * cfg.occupancy_rate
     return BuildingEstimate(
         id=rec.id,
         type_label=fp.type_label,

@@ -26,7 +26,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySelectionError, FootprintError, InsufficientCoverageError
+from .errors import JSON_NUMBERS, ConfigError, FootprintError, json_number
+from .errors import EmptySelectionError, InsufficientCoverageError
 from .grid import Grid, GridGeoref
 
 DEFAULT_HEIGHT_PERCENTILE = 90.0
@@ -172,7 +173,7 @@ def parse_footprints(text: str) -> list[Footprint]:
                 id=fid,
                 type_label=text_property(props.get("type_label", ""), "type_label",
                                          f"feature {fid!r}"),
-                ring=[_position(p, fid, k) for k, p in enumerate(rings[0])],
+                ring=ring_positions(rings[0], f"feature {fid!r}"),
                 unit_area_m2=unit_area,
                 units_per_floor_override=override,
             )
@@ -189,7 +190,7 @@ def text_property(value, name: str, label: str) -> str:
     is a FootprintError."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if type(value) in JSON_NUMBERS:
         return str(value)
     raise FootprintError(
         f"{label}: {name!r} must be a string or a number, got {_JSON_KINDS[type(value)]}"
@@ -198,34 +199,27 @@ def text_property(value, name: str, label: str) -> str:
 
 def unit_fields(unit_area, units_per_floor, label: str) -> tuple[Optional[float], Optional[int]]:
     """A footprint's optional ``unit_area_m2`` and ``units_per_floor`` as a
-    float and an int, None where absent. A boolean, a value that is not a
-    number and a fractional or non-finite ``units_per_floor`` are a
-    FootprintError; ``Footprint`` checks the ranges."""
-    not_numbers = f"{label}: unit_area_m2 and units_per_floor must be numbers"
-    if isinstance(unit_area, bool) or isinstance(units_per_floor, bool):
-        raise FootprintError(not_numbers)
-    if isinstance(units_per_floor, float) and not units_per_floor.is_integer():
-        raise FootprintError(
-            f"{label}: units_per_floor must be a whole number, got {units_per_floor!r}"
-        )
-    try:
-        return (
-            None if unit_area is None else float(unit_area),
-            None if units_per_floor is None else int(units_per_floor),
-        )
-    except (TypeError, ValueError):
-        raise FootprintError(not_numbers) from None
+    finite float and a whole int (``json_number``), None where absent; any
+    other value is a FootprintError. ``Footprint`` checks the ranges."""
+    return (
+        None if unit_area is None
+        else float(json_number(unit_area, f"{label}: unit_area_m2", FootprintError)),
+        None if units_per_floor is None
+        else json_number(units_per_floor, f"{label}: units_per_floor", FootprintError, whole=True),
+    )
 
 
-def _position(p, fid: str, k: int) -> tuple[float, float]:
-    """The x, y of a GeoJSON position: two or more JSON numbers."""
-    if not (
-        isinstance(p, list)
-        and len(p) >= 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p[:2])
-    ):
-        raise FootprintError(f"feature {fid!r}: vertex #{k} is not an [x, y] pair of numbers")
-    return p[0], p[1]
+def ring_positions(points, label: str) -> list[tuple[float, float]]:
+    """The x, y of each GeoJSON position in ``points``: two or more JSON
+    numbers, the first two x and y. ``Footprint`` checks that they are finite."""
+    ring = []
+    for k, p in enumerate(points):
+        # an inline type test: a helper call per vertex is a cost on dense scenes
+        if not (isinstance(p, list) and len(p) >= 2
+                and type(p[0]) in JSON_NUMBERS and type(p[1]) in JSON_NUMBERS):
+            raise FootprintError(f"{label}: vertex #{k} is not an [x, y] pair of numbers")
+        ring.append((p[0], p[1]))
+    return ring
 
 
 # json.dumps(collection, indent=2) of one feature; a vertex is a number pair
@@ -354,17 +348,16 @@ def rasterize_polygon(f: Footprint, georef: GridGeoref) -> np.ndarray:
 
 
 def nearest_rank_percentile(values: Sequence[float], percentile: float) -> float:
-    """Nearest-rank percentile: rank = ceil(p/100 * n) over the sorted values.
+    """Nearest-rank percentile: rank = ceil(p/100 * n) over the sorted values,
+    of which there is at least one.
 
     Uses integer arithmetic for the rank so that e.g. p=90, n=10 always picks
     rank 9 regardless of float rounding.
     """
     if not 0 <= percentile <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {percentile}")
+        raise ConfigError(f"percentile must be in [0, 100], got {percentile}")
     ordered = sorted(values)
     n = len(ordered)
-    if n == 0:
-        raise ValueError("cannot take a percentile of no values")
     p_micro = round(percentile * 1_000_000)
     rank = -(-p_micro * n // 100_000_000)  # ceil division
     rank = min(max(rank, 1), n)
@@ -383,7 +376,7 @@ def zonal_height(
     footprint, clamped at zero so terrain artifacts never go negative.
     ``cells``, when given, are the footprint's from ``rasterize_footprints``."""
     if min_cells < 1:
-        raise ValueError(f"min_cells must be >= 1, got {min_cells}")
+        raise ConfigError(f"min_cells must be >= 1, got {min_cells}")
     if cells is None:
         cells = rasterize_polygon(f, ndsm.georef)
     elif len(cells) == 0:

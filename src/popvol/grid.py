@@ -42,7 +42,7 @@ import numpy as np
 
 from ._bands import row_bands, run_bands
 from ._shortest import format_cells, format_value
-from .errors import AsciiGridError, GeorefMismatchError
+from .errors import AsciiGridError, GeorefMismatchError, PipelineError
 
 DEFAULT_NODATA = -9999.0
 
@@ -74,9 +74,9 @@ class GridGeoref:
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
+            raise PipelineError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
         if self.cellsize <= 0:
-            raise ValueError(f"cellsize must be positive, got {self.cellsize}")
+            raise PipelineError(f"cellsize must be positive, got {self.cellsize}")
 
     def col_centers(self) -> np.ndarray:
         return self.xll + (np.arange(self.ncols) + 0.5) * self.cellsize
@@ -106,12 +106,12 @@ class Grid:
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.shape != (self.georef.nrows, self.georef.ncols):
-            raise ValueError(
+            raise PipelineError(
                 f"data shape {arr.shape} does not match georef "
                 f"({self.georef.nrows}, {self.georef.ncols})"
             )
         if np.isinf(arr).any():
-            raise ValueError("grid values must be finite or nodata")
+            raise PipelineError("grid values must be finite or nodata")
         # Sentinel-valued cells are nodata by definition; canonicalize to NaN.
         arr = arr.copy()
         arr[arr == self.nodata] = np.nan
@@ -142,19 +142,25 @@ def _parse_header_line(line: str, line_no: int, expected_key: str) -> float:
         raise AsciiGridError(
             f"expected header key {expected_key!r}, got {key!r}", line_no
         )
-    try:
-        if "_" in value:  # float reads "1_0" as 10
-            raise ValueError
-        v = float(value)
-    except ValueError:
+    v = _decimal(value)
+    if v is None:
         raise AsciiGridError(
             f"non-numeric value {value!r} for header key {expected_key!r}", line_no
-        ) from None
+        )
     if not math.isfinite(v):
         raise AsciiGridError(
             f"non-finite value {value!r} for header key {expected_key!r}", line_no
         )
     return v
+
+
+def _decimal(token: str):
+    """``float(token)``, or None where ``float`` refuses it or it holds an
+    underscore, which ``float`` reads as a digit group ("1_0" is 10)."""
+    try:
+        return None if "_" in token else float(token)
+    except ValueError:
+        return None
 
 
 def _raise_if_not_ascii(text: str) -> None:
@@ -181,12 +187,9 @@ def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -
         for token in line.split():
             if count >= expected:
                 raise AsciiGridError(f"too many values: expected {expected}", line_no)
-            try:
-                if "_" in token:
-                    raise ValueError
-                v = float(token)
-            except ValueError:
-                raise AsciiGridError(f"non-numeric value token {token!r}", line_no) from None
+            v = _decimal(token)
+            if v is None:
+                raise AsciiGridError(f"non-numeric value token {token!r}", line_no)
             if not math.isfinite(v):
                 raise AsciiGridError(f"non-finite value token {token!r}", line_no)
             count += 1
@@ -225,6 +228,13 @@ def read_ascii_grid(text: str) -> Grid:
             body_start += 1
 
     expected = ncols * nrows
+    # each value takes a character and a separator: a header that claims more
+    # values than the text can hold allocates nothing
+    if expected > (len(text) + 1) // 2:
+        raise AsciiGridError(
+            f"too few values: expected {expected}, the text holds at most {(len(text) + 1) // 2}",
+            len(lines),
+        )
     values = np.empty(expected, dtype=np.float64)
     count = 0
     body = lines[body_start:]
@@ -306,5 +316,6 @@ def grid_subtract(a: Grid, b: Grid) -> Grid:
         raise GeorefMismatchError(
             f"grid georefs differ: {a.georef} vs {b.georef}"
         )
-    return Grid(a.georef, a.data - b.data, a.nodata)
+    with np.errstate(over="ignore"):  # an overflow is inf, which Grid refuses
+        return Grid(a.georef, a.data - b.data, a.nodata)
 

@@ -11,7 +11,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -32,16 +32,14 @@ class Mesh:
     groups: list[tuple[str, int]] = field(default_factory=list)  # (id, face count)
 
 
-def extrude(
-    buildings: Iterable[tuple[Footprint, float]],
-    base_elevation_m: Union[float, Mapping[str, float]] = 0.0,
-) -> Mesh:
-    """Extrude footprints to their heights above a constant or per-building base.
+def extrude(buildings: Iterable[tuple[Footprint, float]], base_elevation_m: float = 0.0) -> Mesh:
+    """Extrude footprints to their heights above a constant base.
 
     Zero-height buildings are skipped with a warning; negative or non-finite
-    heights and non-finite bases are rejected.
+    heights and a non-finite base are rejected.
     """
     mesh = Mesh()
+    base = float(base_elevation_m)
     for fp, height in buildings:
         if not math.isfinite(height):
             raise PipelineError(f"building {fp.id!r}: extrusion height {height} is not finite")
@@ -50,10 +48,6 @@ def extrude(
         if height == 0:
             logger.warning("building %r has zero height, skipped", fp.id)
             continue
-        if isinstance(base_elevation_m, Mapping):
-            base = float(base_elevation_m.get(fp.id, 0.0))
-        else:
-            base = float(base_elevation_m)
         if not math.isfinite(base):
             raise PipelineError(f"building {fp.id!r}: base elevation {base} is not finite")
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySelectionError, SceneError
-from .footprints import Footprint, span_table, text_property, unit_fields
+from .errors import EmptySelectionError, SceneError, json_number
+from .footprints import Footprint, ring_positions, span_table, text_property, unit_fields
 from .footprints import rasterize_polygon  # unused here; perfbench/spans.py wraps this name
 from .grid import Grid, GridGeoref
 
@@ -58,7 +58,6 @@ class SyntheticScene:
 class SynthResult:
     dsm: Grid
     truth_dtm: Grid
-    true_heights: dict[str, float]
 
 
 def _lcg_states(seed: int, count: int) -> list[int]:
@@ -108,43 +107,47 @@ def load_scene(text: str) -> SyntheticScene:
     try:
         g = doc["georef"]
         georef = GridGeoref(
-            int(g["ncols"]), int(g["nrows"]),
-            float(g["xll"]), float(g["yll"]), float(g["cellsize"]),
+            *(_number(g, k, "scene georef", whole=True) for k in ("ncols", "nrows")),
+            *(_number(g, k, "scene georef") for k in ("xll", "yll", "cellsize")),
         )
-        t = doc.get("terrain", {})
+        t = {"origin_elev": 0.0, "grad_x": 0.0, "grad_y": 0.0, **doc.get("terrain", {})}
         terrain = TerrainModel(
-            float(t.get("origin_elev", 0.0)),
-            float(t.get("grad_x", 0.0)),
-            float(t.get("grad_y", 0.0)),
+            *(_number(t, k, "scene terrain") for k in ("origin_elev", "grad_x", "grad_y"))
         )
         prisms = []
         for k, p in enumerate(doc.get("prisms", [])):
             pid = text_property(p["id"], "id", f"prism #{k}")
+            label = f"prism {pid!r}"
             unit_area, override = unit_fields(
-                p.get("unit_area_m2"), p.get("units_per_floor"), f"prism {pid!r}"
+                p.get("unit_area_m2"), p.get("units_per_floor"), label
             )
             fp = Footprint(
                 id=pid,
-                type_label=text_property(p.get("type_label", "building"), "type_label",
-                                         f"prism {pid!r}"),
-                ring=[(q[0], q[1]) for q in p["ring"]],
+                type_label=text_property(p.get("type_label", "building"), "type_label", label),
+                ring=ring_positions(p["ring"], label),
                 unit_area_m2=unit_area,
                 units_per_floor_override=override,
             )
-            prisms.append((fp, float(p["height_m"])))
+            prisms.append((fp, _number(p, "height_m", f"{label}:")))
+        top = {"noise_amplitude_m": 0.0, "seed": 0, **doc}
         return SyntheticScene(
             georef=georef,
             terrain=terrain,
             prisms=prisms,
-            noise_amplitude_m=float(doc.get("noise_amplitude_m", 0.0)),
-            seed=int(doc.get("seed", 0)),
+            noise_amplitude_m=_number(top, "noise_amplitude_m", "scene"),
+            seed=_number(top, "seed", "scene", whole=True),
         )
-    except (LookupError, TypeError, ValueError) as e:
+    except (LookupError, TypeError) as e:
         raise SceneError(f"invalid scene definition: {e}") from None
 
 
+def _number(obj: dict, key: str, where: str, whole: bool = False):
+    """``obj[key]`` as a scene number (``json_number``)."""
+    return json_number(obj[key], f"{where} {key!r}", SceneError, whole)
+
+
 def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
-    """Build the surface model, the exact bare-earth grid, and true heights.
+    """Build the surface model and the exact bare-earth grid.
 
     Prisms sit on the terrain (cell value = terrain + prism height + noise).
     Nested prisms are allowed, innermost winning; partially overlapping
@@ -162,25 +165,22 @@ def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
     gives its height. That is O(cells log cells) instead of O(prisms^2).
     """
     ref = scene.georef
-    xs = ref.col_centers()
-    ys = ref.row_centers()
-    gx, gy = np.meshgrid(xs, ys)
-    terrain = (
-        scene.terrain.origin_elev
-        + scene.terrain.grad_x * (gx - ref.xll)
-        + scene.terrain.grad_y * (gy - ref.yll)
-    )
-    dsm_data = _paint_prisms(scene, terrain)
-
-    if scene.noise_amplitude_m > 0:
-        noise = lcg_noise(scene.seed, ref.nrows * ref.ncols, scene.noise_amplitude_m)
-        dsm_data = dsm_data + noise.reshape(ref.nrows, ref.ncols)
-
-    return SynthResult(
-        dsm=Grid(ref, dsm_data),
-        truth_dtm=Grid(ref, terrain),
-        true_heights={fp.id: h for fp, h in scene.prisms},
-    )
+    # an overflow would give inf, or NaN from inf - inf, which reads as nodata
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            gx, gy = np.meshgrid(ref.col_centers(), ref.row_centers())
+            terrain = (
+                scene.terrain.origin_elev
+                + scene.terrain.grad_x * (gx - ref.xll)
+                + scene.terrain.grad_y * (gy - ref.yll)
+            )
+            dsm_data = _paint_prisms(scene, terrain)
+            if scene.noise_amplitude_m > 0:
+                noise = lcg_noise(scene.seed, ref.nrows * ref.ncols, scene.noise_amplitude_m)
+                dsm_data = dsm_data + noise.reshape(ref.nrows, ref.ncols)
+    except FloatingPointError as e:
+        raise SceneError(f"scene values overflow the float range ({e})") from None
+    return SynthResult(dsm=Grid(ref, dsm_data), truth_dtm=Grid(ref, terrain))
 
 
 def _paint_prisms(scene: SyntheticScene, terrain: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ class GroundTruthRow:
 
     def __post_init__(self):
         if self.units < 0:
-            raise ValueError(f"ground-truth units must be >= 0, got {self.units}")
+            raise PipelineError(f"ground-truth units must be >= 0, got {self.units}")
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,11 @@ class ValidationRow:
 
 
 def csv_field(rec: dict, column: str, kind: str, line: int, convert=float, expected="a number"):
-    """``convert(rec[column])``; a ValueError becomes a PipelineError that
-    names the ``kind`` of CSV, the line, the column and the value."""
+    """``convert(rec[column])``; a ValueError or PipelineError from it becomes a
+    PipelineError naming the ``kind`` of CSV, the line, the column and the value."""
     try:
         return convert(rec[column])
-    except ValueError:
+    except (ValueError, PipelineError):
         raise PipelineError(
             f"{kind} CSV line {line}, column {column!r}: expected {expected}, got {rec[column]!r}"
         ) from None
@@ -52,20 +52,24 @@ def csv_records(
 ) -> Iterator[tuple[int, dict]]:
     """(line, record) for each row of a CSV whose header holds the
     comma-separated ``columns``; fields missing from a short row read "". A
-    value of the ``unique`` column seen twice is a PipelineError that names
-    the ``kind`` of CSV, the line and the value."""
+    value of the ``unique`` column seen twice, and a record the ``csv`` module
+    cannot read, is a PipelineError that names the ``kind`` of CSV and the
+    line."""
     reader = csv.DictReader(io.StringIO(text), restval="")
-    if reader.fieldnames is None or not set(columns.split(",")) <= set(reader.fieldnames):
-        raise PipelineError(f"{kind} CSV needs columns: {columns}")
-    seen = set()
-    for rec in reader:
-        if unique is not None:
-            if rec[unique] in seen:
-                raise PipelineError(
-                    f"{kind} CSV line {reader.line_num}: duplicate {unique} {rec[unique]!r}"
-                )
-            seen.add(rec[unique])
-        yield reader.line_num, rec
+    try:
+        if reader.fieldnames is None or not set(columns.split(",")) <= set(reader.fieldnames):
+            raise PipelineError(f"{kind} CSV needs columns: {columns}")
+        seen = set()
+        for rec in reader:
+            if unique is not None:
+                if rec[unique] in seen:
+                    raise PipelineError(
+                        f"{kind} CSV line {reader.line_num}: duplicate {unique} {rec[unique]!r}"
+                    )
+                seen.add(rec[unique])
+            yield reader.line_num, rec
+    except csv.Error as e:  # DictReader.line_num is the last good record's
+        raise PipelineError(f"{kind} CSV line {reader.reader.line_num}: {e}") from None
 
 
 def read_ground_truth(text: str) -> list[GroundTruthRow]:

@@ -108,6 +108,21 @@ def test_dtm_prism_fixture_flags_nonground(tmp_path):
     assert (mask.data[110:120, 20:40] == 0.0).all()
 
 
+@pytest.mark.parametrize(
+    "config", [{"max_window_m": 1e7}, {"initial_window": 1000001, "max_window_m": 1e7}]
+)
+def test_dtm_window_wider_than_the_grid(tmp_path, capsys, config):
+    """A window is clipped to the grid, so its size costs no memory."""
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main([
+        "dtm", "--dsm", str(DEMO / "out" / "dsm.asc"), "--config", str(tmp_path / "config.json"),
+        "--out-dtm", str(tmp_path / "dtm.asc"),
+    ]) == 0
+    assert capsys.readouterr().err == ""
+    dtm = read_ascii_grid((tmp_path / "dtm.asc").read_text())
+    assert dtm.georef == read_ascii_grid((DEMO / "out" / "dsm.asc").read_text()).georef
+
+
 def test_missing_input_path_fails_with_message(tmp_path, capsys):
     rc = main([
         "dtm", "--dsm", str(tmp_path / "nope.asc"),
@@ -436,8 +451,8 @@ def test_excluded_rows_keep_height_when_only_the_estimate_fails(tmp_path):
     (b1_height,) = [row.split(",")[2] for row in (tmp_path / "h.csv").read_text().splitlines()[1:]]
     lines = (tmp_path / "e.csv").read_text().splitlines()
     assert lines[1:] == [
-        f"B1,TypeA,{b1_height},0,0,0,,0.000,error: building 'B1': needs either "
-        "units_per_floor or unit_area_m2",
+        f"B1,TypeA,{b1_height},0,0,0,,0.000,error: building 'B1': unit_area_m2 is required "
+        "to assign persons per unit",
         "OFF,TypeA,,0,0,0,,0.000,error: footprint 'OFF' selects no raster cells",
     ]
 
@@ -682,6 +697,21 @@ def test_files_are_utf8_with_lf_whatever_the_locale(tmp_path):
     assert b"\r" not in obj
 
 
+def test_text_utf8_cannot_hold_is_typed_error(tmp_path, capsys):
+    """JSON may escape a lone surrogate, which no UTF-8 output can hold."""
+    (tmp_path / "scene.json").write_text(json.dumps({**TINY_SCENE, "prisms": [
+        {**TINY_SCENE["prisms"][0], "id": "B\ud800"}
+    ]}))
+    assert main([
+        "synth", "--scene", str(tmp_path / "scene.json"), "--out-dsm", str(tmp_path / "dsm.asc"),
+        "--out-heights", str(tmp_path / "h.csv"),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'h.csv'}: 'utf-8' codec can't encode character "
+        "'\\ud800' in position 24: surrogates not allowed\n"
+    )
+
+
 def test_non_utf8_input_is_typed_error(tmp_path, capsys):
     text = write_ascii_grid(make_grid([[1.0, 2.0], [3.0, 4.0]])).encode("utf-8")
     at = text.index(b"\n1") + 1
@@ -910,8 +940,8 @@ _json_values = st.recursive(
 _non_strings = _json_values.filter(lambda v: not isinstance(v, str))
 # strings stay relative names inside the site directory: the inputs, their
 # cross-wirings, and names that do not exist
-_input_paths = st.sampled_from(INPUT_NAMES) | st.text(alphabet="ab.", max_size=6) | _non_strings
-_out_dirs = st.text(alphabet="ab", min_size=1, max_size=3) | _non_strings
+_input_paths = st.sampled_from(INPUT_NAMES) | st.text(alphabet="ab.\0", max_size=6) | _non_strings
+_out_dirs = st.text(alphabet="ab\0", min_size=1, max_size=3) | _non_strings
 _numbers = st.floats(-200, 200) | st.integers(-200, 200) | _json_values
 _tables = _json_values | st.dictionaries(
     st.sampled_from(["TypeA", "TypeB", "TOTAL"]), _numbers, min_size=1, max_size=3
@@ -986,4 +1016,55 @@ def test_bad_validate_csvs_are_typed_errors(tmp_path, capsys, estimates, ground_
         "validate", "--estimates", str(tmp_path / "e.csv"),
         "--ground-truth", str(tmp_path / "gt.csv"), "--out", str(tmp_path / "report.csv"),
     ]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# over the csv module's field limit of 131,072 characters
+_LONG_ROW = "B9," + "x" * 140_000 + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,name,old,new,message",
+    [
+        (["dtm", "--dsm", "out/dsm.asc", "--out-dtm", "new.asc"],
+         "out/dsm.asc", "ncols 180\nnrows 150", "ncols 100000\nnrows 100000",
+         "line 156: too few values: expected 10000000000, the text holds at most 245460"),
+        (["estimate", "--dsm", "out/dsm.asc", "--dtm", "out/dtm.asc",
+          "--footprints", "out/footprints.geojson", "--out-heights", "h.csv",
+          "--out-estimates", "e.csv"],
+         "out/footprints.geojson", '"unit_area_m2": 150.0', '"unit_area_m2": "150"',
+         "feature 'A1': unit_area_m2 must be a finite number, got '150'"),
+        (["validate", "--estimates", "out/estimates.csv", "--ground-truth", "ground_truth.csv",
+          "--out", "v.csv"],
+         "out/estimates.csv", None, _LONG_ROW,
+         "estimates CSV line 8: field larger than field limit (131072)"),
+        (["amenities", "--osm", "site.osm", "--rules", "rules.json", "--config", "config.json",
+          "--out-records", "a.csv", "--out-summary", "s.csv"],
+         "config.json", '"radius_m": 2000.0', '"radius_m": "2000"',
+         "config key 'radius_m' must be a finite number, got '2000'"),
+        (["model3d", "--footprints", "out/footprints.geojson", "--heights", "out/heights.csv",
+          "--out", "m.obj"],
+         "out/heights.csv", None, _LONG_ROW,
+         "heights CSV line 8: field larger than field limit (131072)"),
+        (["synth", "--scene", "scene.json", "--out-dsm", "s.asc"],
+         "scene.json", '"seed": 7', '"seed": 7.5', "scene 'seed' must be a whole number, got 7.5"),
+        (["run", "--config", "config.json", "--out-dir", "run_out"],
+         "ground_truth.csv", None, _LONG_ROW,
+         "ground-truth CSV line 5: field larger than field limit (131072)"),
+    ],
+    ids=["dtm", "estimate", "validate", "amenities", "model3d", "synth", "run"],
+)
+def test_each_subcommand_reports_bad_input_in_one_line(
+    tmp_path, capsys, monkeypatch, argv, name, old, new, message
+):
+    """One input per subcommand that once got past the error boundary: a
+    traceback, a silently accepted value or a MemoryError. The demo file
+    ``name`` has ``old`` replaced by ``new``, or ``new`` appended."""
+    shutil.copytree(DEMO, tmp_path / "demo")
+    monkeypatch.chdir(tmp_path / "demo")
+    path = Path(name)
+    text = path.read_text()
+    assert old is None or old in text
+    path.write_text(text + new if old is None else text.replace(old, new, 1))
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -88,7 +88,8 @@ _filter_settings = settings(derandomize=True, database=None, max_examples=300, d
 def _filter_grids(draw, pool):
     """A grid of 1 to 30 rows and columns, a quarter of its cells random
     floats and the rest drawn from ``pool``, and an odd window up to 81
-    cells, so often wider than the grid."""
+    cells, so often wider than the grid, or up to 2001 cells, so wider than
+    twice the grid, where ``_running`` clips it."""
     nrows, ncols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = np.where(
@@ -96,7 +97,7 @@ def _filter_grids(draw, pool):
         rng.normal(0.0, 100.0, (nrows, ncols)),
         rng.choice(np.array(pool), (nrows, ncols)),
     )
-    return data, 2 * draw(st.integers(0, 40)) + 1
+    return data, 2 * draw(st.integers(0, 40) | st.integers(41, 1000)) + 1
 
 
 @_filter_settings
@@ -104,6 +105,7 @@ def _filter_grids(draw, pool):
 @example(case=(np.array([[0.0, -0.0, np.inf, -0.0, 0.0, -np.inf, 2.5]]), 3))
 @example(case=(np.array([[-0.0], [0.0], [-np.inf], [0.0], [np.inf], [-0.0]]), 5))
 @example(case=(np.array([[0.0, -0.0], [-0.0, 0.0]]), 9))
+@example(case=(np.arange(12.0).reshape(3, 4) % 5, 1000001))
 def test_running_equals_scipy_bit_for_bit(case):
     """Same bytes as scipy with ``mode="nearest"``, so ties between 0.0 and
     -0.0 resolve alike; 1-row and 1-column grids and windows wider than the grid."""

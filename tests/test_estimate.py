@@ -12,7 +12,6 @@ from popvol import (
     persons_per_unit,
     units_per_floor,
 )
-from popvol.estimate import DEFAULT_BANDS
 
 import site_data
 from conftest import rectangle_ring
@@ -31,11 +30,7 @@ def test_floors_from_height(height, floors):
 def test_floors_below_minimum_excluded():
     assert floors_from_height(1.0, CFG) is None
     assert floors_from_height(0.0, CFG) is None
-
-
-def test_floors_rejects_negative_height():
-    with pytest.raises(ValueError):
-        floors_from_height(-0.5, CFG)
+    assert floors_from_height(-0.5, CFG) is None
 
 
 def test_floors_monotone_in_height():
@@ -60,9 +55,13 @@ def test_units_per_floor_at_least_one():
     assert units_per_floor(20.0, 100.0, CFG) == 1
 
 
-def test_units_per_floor_requires_some_input():
-    with pytest.raises(ConfigError, match="B42"):
-        units_per_floor(915.0, None, CFG, building_id="B42")
+@pytest.mark.parametrize("override", [None, 4])
+def test_estimate_building_requires_unit_area(override):
+    rec = BuildingHeightRecord("B42", 10.0, 915.0, 200)
+    fp = Footprint("B42", "T", rectangle_ring(0, 0, 30, 30.5), units_per_floor_override=override)
+    message = "^building 'B42': unit_area_m2 is required to assign persons per unit$"
+    with pytest.raises(ConfigError, match=message):
+        estimate_building(rec, fp, CFG)
 
 
 @pytest.mark.parametrize(
@@ -80,18 +79,13 @@ def test_units_per_floor_requires_some_input():
     ],
 )
 def test_persons_per_unit(area, persons):
-    assert persons_per_unit(area, DEFAULT_BANDS) == persons
-
-
-def test_persons_per_unit_empty_table():
-    with pytest.raises(ConfigError):
-        persons_per_unit(50.0, [])
+    assert persons_per_unit(area, CFG) == persons
 
 
 def test_persons_gap_tie_takes_smaller_band():
     bands = (PersonsBand(0.0, 10.0, 1.0), PersonsBand(30.0, 40.0, 2.0))
     # 20 is equidistant from midpoints 5 and 35
-    assert persons_per_unit(20.0, bands) == 1.0
+    assert persons_per_unit(20.0, EstimationConfig(bands=bands)) == 1.0
 
 
 def test_band_validation():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from popvol import (
+    ConfigError,
     EmptySelectionError,
     Footprint,
     FootprintError,
@@ -148,9 +149,9 @@ def _with(f, **changes):
         (collection(feature("B10", [[0, 0], [10, 0], [10, float("inf")], [0, 10]])),
          "footprint 'B10': vertex #2 is not finite"),
         (collection(feature("B11", SQUARE, unit_area_m2=[43.1])),
-         "feature 'B11': unit_area_m2 and units_per_floor must be numbers"),
+         "feature 'B11': unit_area_m2 must be a finite number, got [43.1]"),
         (collection(feature("B12", SQUARE, units_per_floor="four")),
-         "feature 'B12': unit_area_m2 and units_per_floor must be numbers"),
+         "feature 'B12': units_per_floor must be a whole number, got 'four'"),
         (collection(feature(None, SQUARE)),
          "feature #0: 'id' must be a string or a number, got null"),
         (collection(feature("B1", SQUARE), feature(True, SQUARE)),
@@ -184,7 +185,6 @@ def test_malformed_features_are_typed_errors(tmp_path, capsys, text, message):
     assert message in err
 
 
-_NOT_NUMBERS = "feature 'B1': unit_area_m2 and units_per_floor must be numbers"
 _BAD_AREA = "footprint 'B1': unit_area_m2 must be finite and > 0"
 
 
@@ -194,14 +194,16 @@ _BAD_AREA = "footprint 'B1': unit_area_m2 must be finite and > 0"
         ({"units_per_floor": 2.7}, "feature 'B1': units_per_floor must be a whole number, got 2.7"),
         ({"units_per_floor": float("nan")},
          "feature 'B1': units_per_floor must be a whole number, got nan"),
-        ({"units_per_floor": True}, _NOT_NUMBERS),
-        ({"unit_area_m2": False}, _NOT_NUMBERS),
-        ({"unit_area_m2": float("nan")}, _BAD_AREA),
-        ({"unit_area_m2": float("inf")}, _BAD_AREA),
-        ({"unit_area_m2": float("-inf")}, _BAD_AREA),
+        ({"units_per_floor": True}, "feature 'B1': units_per_floor must be a whole number, got True"),
+        ({"unit_area_m2": False}, "feature 'B1': unit_area_m2 must be a finite number, got False"),
+        ({"unit_area_m2": "50"}, "feature 'B1': unit_area_m2 must be a finite number, got '50'"),
+        ({"unit_area_m2": float("nan")}, "feature 'B1': unit_area_m2 must be a finite number, got nan"),
+        ({"unit_area_m2": float("inf")}, "feature 'B1': unit_area_m2 must be a finite number, got inf"),
+        ({"unit_area_m2": float("-inf")},
+         "feature 'B1': unit_area_m2 must be a finite number, got -inf"),
         ({"unit_area_m2": 0}, _BAD_AREA),
     ],
-    ids=["fractional_units", "nan_units", "boolean_units", "boolean_area",
+    ids=["fractional_units", "nan_units", "boolean_units", "boolean_area", "string_area",
          "nan_area", "inf_area", "minus_inf_area", "zero_area"],
 )
 def test_bad_unit_fields_are_typed_errors(tmp_path, capsys, props, message):
@@ -371,9 +373,7 @@ def test_nearest_rank_percentile():
     assert nearest_rank_percentile(values, 0) == 1.0
     assert nearest_rank_percentile([5.0], 50) == 5.0
     assert nearest_rank_percentile(values, 50) == 5.0
-    with pytest.raises(ValueError):
-        nearest_rank_percentile([], 90)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^percentile must be in \[0, 100\], got 101$"):
         nearest_rank_percentile(values, 101)
 
 
@@ -384,6 +384,8 @@ def test_zonal_height_constant_field():
     assert rec.height_m == pytest.approx(19.8)
     assert rec.valid_cells == 100
     assert rec.footprint_area_m2 == pytest.approx(100.0)
+    with pytest.raises(ConfigError, match="^min_cells must be >= 1, got 0$"):
+        zonal_height(ndsm, fp, min_cells=0)
 
 
 def test_zonal_height_over_nodata_raises():

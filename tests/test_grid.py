@@ -13,6 +13,7 @@ from popvol import (
     GeorefMismatchError,
     Grid,
     GridGeoref,
+    PipelineError,
     grid_subtract,
     read_ascii_grid,
     write_ascii_grid,
@@ -301,6 +302,11 @@ HEADER_2X1 = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
         (HEADER_2X1 + "1\u30002\n", 6, "non-ASCII"),
         (HEADER_2X1.replace("ncols 2", "ncols \uff12") + "1 2\n", 1, "non-ASCII"),
         (HEADER_2X1.replace("yllcorner 0", "yllcorner 0\u2028") + "1 2\n", 4, "non-ASCII"),
+        # a header that claims more values than the text can hold allocates nothing
+        (HEADER_2X1.replace("ncols 2", "ncols 100000").replace("nrows 1", "nrows 100000")
+         + "1 2\n", 6, "too few values: expected 10000000000, the text holds at most 33"),
+        (HEADER_2X1.replace("ncols 2", "ncols 1e15").replace("nrows 1", "nrows 1e15")
+         + "1 2\n", 6, "too few values: expected 10" + "0" * 29),
     ],
 )
 def test_non_finite_and_bad_tokens_are_typed_errors(tmp_path, capsys, text, bad_line, message):
@@ -320,6 +326,26 @@ def test_rejects_bad_dimensions_and_cellsize():
         read_ascii_grid("ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0\n1\n")
     with pytest.raises(AsciiGridError):
         read_ascii_grid("ncols 1.5\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1\n")
+
+
+def test_bad_georef_and_grid_values_are_typed_errors(tmp_path, capsys):
+    with pytest.raises(PipelineError, match="^grid must be at least 1x1, got 0x1$"):
+        GridGeoref(0, 1, 0.0, 0.0, 1.0)
+    with pytest.raises(PipelineError, match="^cellsize must be positive, got -1.0$"):
+        GridGeoref(1, 1, 0.0, 0.0, -1.0)
+    with pytest.raises(PipelineError, match="does not match georef"):
+        Grid(GridGeoref(2, 1, 0.0, 0.0, 1.0), np.zeros((2, 1)))
+    # a height above ground beyond the float range is inf
+    for name, value in (("dsm.asc", 1e308), ("dtm.asc", -1e308)):
+        (tmp_path / name).write_text(write_ascii_grid(make_grid(np.full((3, 4), value))))
+    (tmp_path / "fp.geojson").write_text('{"type": "FeatureCollection", "features": []}')
+    rc = main([
+        "estimate", "--dsm", str(tmp_path / "dsm.asc"), "--dtm", str(tmp_path / "dtm.asc"),
+        "--footprints", str(tmp_path / "fp.geojson"),
+        "--out-heights", str(tmp_path / "h.csv"), "--out-estimates", str(tmp_path / "e.csv"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: grid values must be finite or nodata\n"
 
 
 def test_cell_center_convention():

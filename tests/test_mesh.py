@@ -71,7 +71,7 @@ def test_negative_height_rejected():
         extrude([(unit_square(), -1.0)])
 
 
-@pytest.mark.parametrize("base", [float("inf"), float("nan"), {"B1": float("-inf")}])
+@pytest.mark.parametrize("base", [float("inf"), float("nan"), float("-inf")])
 def test_non_finite_base_rejected(base):
     message = r"^building 'B1': base elevation -?(inf|nan) is not finite$"
     with pytest.raises(PipelineError, match=message):
@@ -85,16 +85,6 @@ def test_bounding_box_matches_dimensions():
     spans = arr.max(axis=0) - arr.min(axis=0)
     assert spans == pytest.approx([30.0, 30.5, 19.8])
     assert arr[:, 2].min() == 50.0
-
-
-def test_per_building_base_elevation():
-    mesh = extrude(
-        [(unit_square("A"), 1.0), (Footprint("B", "T", rectangle_ring(5, 5, 1, 1)), 1.0)],
-        base_elevation_m={"A": 10.0, "B": 20.0},
-    )
-    arr = np.array(mesh.vertices)
-    assert arr[:8, 2].min() == 10.0
-    assert arr[8:, 2].min() == 20.0
 
 
 def test_write_obj_unit_cube_line_counts():

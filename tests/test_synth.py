@@ -58,7 +58,6 @@ def test_prism_indicator_exact_without_noise():
                 assert diff[r, c] == pytest.approx(19.8, abs=1e-9)
             else:
                 assert diff[r, c] == 0.0
-    assert result.true_heights == {"P": 19.8}
 
 
 def test_same_seed_bit_identical():
@@ -226,7 +225,9 @@ def test_label_raster_matches_pairwise_reference(scene):
     [
         ([[5, 5], [15, float("nan")], [15, 15], [5, 15]], "footprint 'P1': vertex #1 is not finite"),
         ([[5, 5], [15, 5], [float("-inf"), 15], [5, 15]], "footprint 'P1': vertex #2 is not finite"),
-        ([[5, 5], [15], [15, 15], [5, 15]], "invalid scene definition: list index out of range"),
+        ([[5, 5], [15], [15, 15], [5, 15]], "prism 'P1': vertex #1 is not an [x, y] pair of numbers"),
+        ([[5, 5], [15, True], [15, 15], [5, 15]],
+         "prism 'P1': vertex #1 is not an [x, y] pair of numbers"),
         ([[5, 5], [15, 5], [30, 15], [5, 15]], "prisms 'P0' and 'P1' overlap"),
     ],
 )
@@ -250,10 +251,10 @@ def test_bad_scene_prisms_are_typed_errors(tmp_path, capsys, ring, message):
     "props,message",
     [
         ({"units_per_floor": 2.7}, "prism 'P0': units_per_floor must be a whole number, got 2.7"),
-        ({"units_per_floor": True}, "prism 'P0': unit_area_m2 and units_per_floor must be numbers"),
+        ({"units_per_floor": True}, "prism 'P0': units_per_floor must be a whole number, got True"),
         ({"units_per_floor": float("inf")},
          "prism 'P0': units_per_floor must be a whole number, got inf"),
-        ({"unit_area_m2": True}, "prism 'P0': unit_area_m2 and units_per_floor must be numbers"),
+        ({"unit_area_m2": True}, "prism 'P0': unit_area_m2 must be a finite number, got True"),
         ({"id": None}, "prism #0: 'id' must be a string or a number, got null"),
         ({"id": False}, "prism #0: 'id' must be a string or a number, got a boolean"),
         ({"id": {"x": 1}}, "prism #0: 'id' must be a string or a number, got an object"),
@@ -281,6 +282,68 @@ def test_bad_scene_unit_fields_are_typed_errors(tmp_path, capsys, props, message
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "scene.json"]
+
+
+def _tiny_scene(**changes):
+    """A one-prism scene with ``changes`` applied: a key path joined by "."
+    to its new value."""
+    doc = {
+        "georef": {"ncols": 40, "nrows": 30, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
+        "terrain": {"origin_elev": 50.0, "grad_x": 0.0, "grad_y": 0.0},
+        "prisms": [{"id": "P0", "ring": [[20, 5], [30, 5], [30, 15], [20, 15]], "height_m": 4.0}],
+        "noise_amplitude_m": 0.1,
+        "seed": 3,
+    }
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        obj = doc
+        for k in parents:
+            obj = obj[int(k) if k.isdigit() else k]
+        obj[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"prisms.0.height_m": float("nan")}, "prism 'P0': 'height_m' must be a finite number, got nan"),
+        ({"prisms.0.height_m": "12"}, "prism 'P0': 'height_m' must be a finite number, got '12'"),
+        ({"prisms.0.height_m": True}, "prism 'P0': 'height_m' must be a finite number, got True"),
+        ({"noise_amplitude_m": float("nan")},
+         "scene 'noise_amplitude_m' must be a finite number, got nan"),
+        ({"terrain.origin_elev": float("nan")},
+         "scene terrain 'origin_elev' must be a finite number, got nan"),
+        ({"terrain.grad_y": None}, "scene terrain 'grad_y' must be a finite number, got None"),
+        ({"terrain": None}, "invalid scene definition: 'NoneType' object is not a mapping"),
+        ({"seed": 3.7}, "scene 'seed' must be a whole number, got 3.7"),
+        ({"georef.ncols": 40.9}, "scene georef 'ncols' must be a whole number, got 40.9"),
+        ({"georef.nrows": "30"}, "scene georef 'nrows' must be a whole number, got '30'"),
+        ({"georef.cellsize": float("nan")},
+         "scene georef 'cellsize' must be a finite number, got nan"),
+        ({"georef.xll": float("inf")}, "scene georef 'xll' must be a finite number, got inf"),
+        ({"georef.cellsize": 0}, "cellsize must be positive, got 0"),
+        ({"georef.ncols": 0}, "grid must be at least 1x1, got 0x30"),
+        ({"terrain.grad_x": 1e308},
+         "scene values overflow the float range (overflow encountered in multiply)"),
+        # inf - inf would be a NaN cell, written as nodata
+        ({"georef.ncols": 1, "georef.nrows": 1, "georef.cellsize": 4, "prisms": [],
+          "terrain.grad_x": 1e308, "terrain.grad_y": -1e308},
+         "scene values overflow the float range (overflow encountered in multiply)"),
+    ],
+)
+def test_bad_scene_numbers_are_typed_errors(tmp_path, capsys, changes, message):
+    (tmp_path / "scene.json").write_text(json.dumps(_tiny_scene(**changes)))
+    rc = main(["synth", "--scene", str(tmp_path / "scene.json"),
+               "--out-dsm", str(tmp_path / "dsm.asc")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "dsm.asc").exists()
+
+
+def test_whole_float_scene_numbers_are_integers():
+    scene = load_scene(json.dumps(_tiny_scene(**{"georef.ncols": 40.0, "seed": 3.0})))
+    assert (scene.georef.ncols, scene.seed) == (40, 3)
+    assert type(scene.georef.ncols) is int and type(scene.seed) is int
 
 
 def test_scene_ids_and_labels_are_strings_or_numbers_as_text():
