@@ -54,6 +54,7 @@ from .osm import (
     AmenityRecord,
     OsmElement,
     TagRule,
+    amenities,
     count_within_radius,
     filter_amenities,
     haversine_m,

@@ -51,7 +51,8 @@ from .footprints import (
 )
 from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
 from .mesh import Mesh, extrude, write_obj
-from .osm import check_center, count_within_radius, filter_amenities, load_rules, parse_osm
+from .osm import amenities, check_center, count_within_radius, load_rules
+from .osm import filter_amenities, parse_osm  # unused here; perfbench/spans.py wraps these names
 from .synth import load_scene, synthesize_dsm
 from .validate import (
     csv_field,
@@ -353,7 +354,7 @@ def amenity_texts(osm_path, rules_path, center_lat, center_lon, radius_m) -> tup
     """The records and summary CSV texts of the amenities within ``radius_m``
     of the center, and the counts by category."""
     counts, matched = count_within_radius(
-        filter_amenities(parse_osm(_read_text(osm_path)), load_rules(_read_text(rules_path))),
+        amenities(_read_text(osm_path), load_rules(_read_text(rules_path))),
         center_lat, center_lon, radius_m,
     )
     records = _csv_text(
@@ -509,7 +510,7 @@ def cmd_run(args) -> int:
         amenity_job = _bands.background(functools.partial(
             amenity_texts, resolve(cfg["osm"]), resolve(cfg["rules"]), *query
         ))
-    with amenity_job as amenities:
+    with amenity_job as amenity_result:
         # the filter keys are checked against the DSM's cell size before any output
         dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
         params.validate(dsm.georef.cellsize)
@@ -548,9 +549,9 @@ def cmd_run(args) -> int:
             footprints, heights, base_elevation_m, out / "model.obj"
         )
 
-        if amenities:
+        if amenity_result:
             stages["amenities"] = amenities_stage(
-                amenities(), out / "amenities.csv", out / "amenities_summary.csv"
+                amenity_result(), out / "amenities.csv", out / "amenities_summary.csv"
             )
         else:
             stages["amenities"] = {"status": "skipped"}

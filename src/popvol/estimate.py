@@ -134,7 +134,12 @@ def floors_from_height(height_m: float, cfg: EstimationConfig) -> Optional[int]:
     """Number of floors, or None when the building is below the minimum height."""
     if height_m < cfg.min_building_height_m:
         return None
-    return max(1, math.ceil(height_m / cfg.floor_height_m))
+    floors = height_m / cfg.floor_height_m
+    if not math.isfinite(floors):
+        raise ConfigError(
+            f"height {height_m} m over floor_height_m {cfg.floor_height_m} gives {floors} floors"
+        )
+    return max(1, math.ceil(floors))
 
 
 def units_per_floor(
@@ -144,7 +149,13 @@ def units_per_floor(
     """Dwelling units on one floor; an explicit override wins."""
     if override is not None:
         return override
-    return max(1, math.floor(footprint_area_m2 * cfg.efficiency / unit_area_m2))
+    units = footprint_area_m2 * cfg.efficiency / unit_area_m2
+    if not math.isfinite(units):
+        raise ConfigError(
+            f"footprint area {footprint_area_m2} m2 at efficiency {cfg.efficiency} over "
+            f"unit_area_m2 {unit_area_m2} gives {units} units per floor"
+        )
+    return max(1, math.floor(units))
 
 
 def persons_per_unit(unit_area_m2: float, cfg: EstimationConfig) -> float:
@@ -177,19 +188,28 @@ def excluded_estimate(fp: Footprint, height_m: float, reason: str) -> BuildingEs
 def estimate_building(
     rec: BuildingHeightRecord, fp: Footprint, cfg: EstimationConfig
 ) -> BuildingEstimate:
-    """Full per-building estimate; short buildings come back excluded."""
-    floors = floors_from_height(rec.height_m, cfg)
-    if floors is None:
-        return excluded_estimate(fp, rec.height_m, "below minimum height")
-    if fp.unit_area_m2 is None:
-        raise ConfigError(
-            f"building {rec.id!r}: unit_area_m2 is required to assign persons per unit"
+    """Full per-building estimate; short buildings come back excluded.
+
+    Raises ConfigError, naming the building, when its unit area is missing
+    or its floors, units per floor or persons are not finite.
+    """
+    try:
+        floors = floors_from_height(rec.height_m, cfg)
+        if floors is None:
+            return excluded_estimate(fp, rec.height_m, "below minimum height")
+        if fp.unit_area_m2 is None:
+            raise ConfigError("unit_area_m2 is required to assign persons per unit")
+        upf = units_per_floor(
+            rec.footprint_area_m2, fp.unit_area_m2, cfg, override=fp.units_per_floor_override
         )
-    upf = units_per_floor(
-        rec.footprint_area_m2, fp.unit_area_m2, cfg, override=fp.units_per_floor_override
-    )
+        per_unit = persons_per_unit(fp.unit_area_m2, cfg)
+        full = float(floors) * upf * per_unit  # persons at full occupancy, without OverflowError
+        if not math.isfinite(full):
+            raise ConfigError(f"floors, units per floor and persons per unit give {full} persons")
+    except ConfigError as e:
+        raise ConfigError(f"building {rec.id!r}: {e}") from None
     units = floors * upf
-    persons = units * persons_per_unit(fp.unit_area_m2, cfg) * cfg.occupancy_rate
+    persons = units * per_unit * cfg.occupancy_rate
     return BuildingEstimate(
         id=rec.id,
         type_label=fp.type_label,
@@ -203,7 +223,8 @@ def estimate_building(
 
 
 def aggregate(estimates: Sequence[BuildingEstimate]) -> SocietyEstimate:
-    """Sum units and persons per type over non-excluded buildings."""
+    """Sum units and persons per type over non-excluded buildings. Raises
+    ConfigError when the persons total is not finite."""
     per_type: dict[str, TypeTotal] = {}
     for est in estimates:
         if est.excluded:
@@ -212,8 +233,11 @@ def aggregate(estimates: Sequence[BuildingEstimate]) -> SocietyEstimate:
         tot.units += est.units
         tot.persons += est.persons
     per_type = dict(sorted(per_type.items()))
+    total_persons = sum(t.persons for t in per_type.values())
+    if not math.isfinite(total_persons):
+        raise ConfigError(f"the buildings' persons sum to {total_persons}")
     return SocietyEstimate(
         per_type=per_type,
         total_units=sum(t.units for t in per_type.values()),
-        total_persons=sum(t.persons for t in per_type.values()),
+        total_persons=total_persons,
     )

@@ -5,13 +5,22 @@ Handles the plain .osm XML layout: <node id lat lon> with nested <tag k v>,
 centroid of their member nodes; relations are ignored. Distances use the
 haversine great-circle formula on a spherical Earth.
 
-``parse_osm`` reads the text in one expat pass and builds no element tree: it
-keeps each ``node``'s id and coordinates (at any depth) and each root child's
-tag, id, ``tag`` pairs and ``nd`` refs, then resolves nodes and ways in two
-passes over those records, so a way may reference a later node. Errors wait
-for the end of the text, in this order: malformed XML; a root other than
-``<osm>``; the first bad node in document order; the first bad root child
-(way id, node reference, coordinates out of range) in document order.
+``amenities`` reads the text in one expat pass and builds no element tree:
+the parser's target keeps the raw id and coordinates of each ``node`` (at any
+depth) and each root child's tag and id, with its ``tag`` pairs and ``nd``
+refs only where it has some. Node ids and coordinates are then converted in
+bulk; a node-by-node walk runs only to name the first bad one. The root's
+children are resolved in document order, so a way may reference a later
+node, and an ``AmenityRecord`` is built only for a node or way a rule
+matches. Errors wait for the end of the text, in this order: malformed XML;
+a root other than ``<osm>``; the first bad node in document order; the first
+bad root child (way id, node reference, coordinates out of range) in
+document order.
+
+``parse_osm`` runs the same pass and returns an ``OsmElement`` for every node
+and way; ``filter_amenities`` keeps the rule hits among them. The pipeline
+uses neither; they stay as public API and as the reference ``amenities`` is
+tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ import logging
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Iterator, Optional, Sequence
 
 from .errors import ConfigError, OsmParseError, PipelineError
 
@@ -82,33 +92,124 @@ def _int_attr(raw: str, what: str) -> int:
         raise OsmParseError(f"{what} {raw!r} is not an integer") from None
 
 
-class _Records:
-    """expat target holding the records ``parse_osm`` resolves, and no elements."""
+def _collect(text: str):
+    """Feed ``text`` to expat and keep only what the checks and records need.
 
-    def __init__(self):
-        self.depth = 0
-        self.root: Optional[str] = None
-        self.nodes: list[tuple[Optional[str], Optional[str], Optional[str]]] = []
-        self.children: list[tuple[str, Optional[str], dict, Optional[list]]] = []
+    Returns the raw ``id``, ``lat`` and ``lon`` of every ``node`` at any depth
+    (three lists of strings or ``None``), and per child of the root its tag and
+    its node's position in those lists, or for any other tag its raw ``id``.
+    ``tag`` pairs and ``nd`` refs come keyed by the child's position, only for
+    the children that have them.
+    """
+    ids: list[Optional[str]] = []
+    lats: list[Optional[str]] = []
+    lons: list[Optional[str]] = []
+    kinds: list[str] = []
+    where: list = []
+    tagged: dict[int, dict[str, str]] = {}
+    refs: dict[int, list[str]] = {}
+    root = None
+    depth = 0
 
-    def start(self, tag: str, attrib: dict) -> None:
-        self.depth += 1
-        if self.depth == 1:
-            self.root = tag
+    def start(tag: str, attrib: dict) -> None:
+        nonlocal depth, root
+        depth += 1
+        if depth == 2:
+            kinds.append(tag)
+            if tag == "node":
+                where.append(len(ids))
+            else:
+                where.append(attrib.get("id"))
+                if tag == "way":
+                    refs[len(where) - 1] = []
+        elif depth == 3:
+            if tag == "tag":
+                if "k" in attrib and "v" in attrib:
+                    tags = tagged.get(len(where) - 1)
+                    if tags is None:
+                        tags = tagged[len(where) - 1] = {}
+                    tags[attrib["k"]] = attrib["v"]
+            elif tag == "nd" and (ref := attrib.get("ref")):
+                way = refs.get(len(where) - 1)
+                if way is not None:
+                    way.append(ref)
+        elif depth == 1:
+            root = tag
             return
         if tag == "node":
-            self.nodes.append((attrib.get("id"), attrib.get("lat"), attrib.get("lon")))
-        if self.depth == 2:
-            self.children.append((tag, attrib.get("id"), {}, [] if tag == "way" else None))
-        elif self.depth == 3:
-            _, _, tags, refs = self.children[-1]
-            if tag == "tag" and "k" in attrib and "v" in attrib:
-                tags[attrib["k"]] = attrib["v"]
-            elif tag == "nd" and refs is not None and (ref := attrib.get("ref")):
-                refs.append(ref)
+            ids.append(attrib.get("id"))
+            lats.append(attrib.get("lat"))
+            lons.append(attrib.get("lon"))
 
-    def end(self, tag: str) -> None:
-        self.depth -= 1
+    def end(tag: str) -> None:
+        nonlocal depth
+        depth -= 1
+
+    parser = ET.XMLParser(target=SimpleNamespace(start=start, end=end))
+    try:
+        parser.feed(text)
+        parser.close()
+    except ET.ParseError as e:
+        raise OsmParseError(f"malformed XML: {e}") from None
+    if root != "osm":
+        raise OsmParseError(f"expected top-level <osm>, got <{root}>")
+    return (ids, lats, lons), (kinds, where, tagged, refs)
+
+
+def _raise_first_bad_node(ids, lats, lons) -> None:
+    """Walk the nodes one by one and raise for the first whose id is missing,
+    not an integer or repeated, or whose lat or lon is missing or not a
+    number. The caller has already found that one is."""
+    seen = set()
+    for raw_id, raw_lat, raw_lon in zip(ids, lats, lons):
+        elem_id = _int_attr(_require_attr(raw_id, "id", "?"), "node id")
+        if elem_id in seen:
+            raise OsmParseError(f"node id {elem_id} appears more than once")
+        seen.add(elem_id)
+        _float_attr(raw_lat, "lat", elem_id)
+        _float_attr(raw_lon, "lon", elem_id)
+
+
+def _elements(text: str) -> Iterator[tuple[str, int, float, float, Optional[dict]]]:
+    """``(kind, id, lat, lon, tags or None)`` of each node and resolvable way
+    child of the root, in document order, each checked before it is yielded."""
+    (raw_ids, raw_lats, raw_lons), (kinds, where, tagged, refs) = _collect(text)
+    try:
+        ids = list(map(int, raw_ids))
+        lats = list(map(float, raw_lats))
+        lons = list(map(float, raw_lons))
+        position = dict(zip(ids, range(len(ids))))
+    except (TypeError, ValueError):
+        position = None
+    if position is None or len(position) < len(raw_ids):
+        _raise_first_bad_node(raw_ids, raw_lats, raw_lons)
+    del raw_ids, raw_lats, raw_lons  # dropped before the elements are resolved, to lower the peak
+
+    dropped_ways = 0
+    for i, (kind, at) in enumerate(zip(kinds, where)):
+        if kind == "node":
+            elem_id, lat, lon = ids[at], lats[at], lons[at]
+        elif kind == "way":
+            elem_id = _int_attr(_require_attr(at, "id", "?"), "way id")
+            try:
+                members = list(map(int, refs[i]))
+            except ValueError:
+                members = [_int_attr(r, f"way {elem_id}: node reference") for r in refs[i]]
+            if len(members) >= 2 and members[0] == members[-1]:
+                members.pop()
+            found = [position[r] for r in members if r in position]
+            if not found:
+                dropped_ways += 1
+                continue
+            lat = sum(lats[p] for p in found) / len(found)
+            lon = sum(lons[p] for p in found) / len(found)
+        else:
+            continue  # relations and anything else: ignored
+        if not (-90 <= lat <= 90 and -180 <= lon <= 180):  # the message only for a failure
+            _check_coords(lat, lon, f"element {elem_id}")
+        yield kind, elem_id, lat, lon, tagged.get(i)
+    if dropped_ways:
+        logger.warning("dropped %d ways with no resolvable member nodes", dropped_ways)
 
 
 def parse_osm(text: str) -> list[OsmElement]:
@@ -118,53 +219,24 @@ def parse_osm(text: str) -> list[OsmElement]:
     reference before averaging; ways whose references resolve to no known
     nodes are dropped with a warning.
     """
-    records = _Records()
-    parser = ET.XMLParser(target=records)
-    try:
-        parser.feed(text)
-        parser.close()
-    except ET.ParseError as e:
-        raise OsmParseError(f"malformed XML: {e}") from None
-    if records.root != "osm":
-        raise OsmParseError(f"expected top-level <osm>, got <{records.root}>")
+    return [
+        OsmElement(elem_id, kind, lat, lon, {} if tags is None else tags)
+        for kind, elem_id, lat, lon, tags in _elements(text)
+    ]
 
-    nodes: dict[int, tuple[float, float]] = {}
-    for raw_id, raw_lat, raw_lon in records.nodes:
-        elem_id = _int_attr(_require_attr(raw_id, "id", "?"), "node id")
-        if elem_id in nodes:
-            raise OsmParseError(f"node id {elem_id} appears more than once")
-        nodes[elem_id] = (
-            _float_attr(raw_lat, "lat", elem_id),
-            _float_attr(raw_lon, "lon", elem_id),
-        )
-    records.nodes = []  # dropped before the elements are built, to lower the peak
 
-    elements: list[OsmElement] = []
-    dropped_ways = 0
-    for tag, raw_id, tags, refs in records.children:
-        if tag == "node":
-            elem_id = int(raw_id)
-            lat, lon = nodes[elem_id]
-            _check_coords(lat, lon, f"element {elem_id}")
-            elements.append(OsmElement(elem_id, "node", lat, lon, tags))
-        elif tag == "way":
-            elem_id = _int_attr(_require_attr(raw_id, "id", "?"), "way id")
-            what = f"way {elem_id}: node reference"
-            refs = [_int_attr(r, what) for r in refs]
-            if len(refs) >= 2 and refs[0] == refs[-1]:
-                refs = refs[:-1]
-            coords = [nodes[r] for r in refs if r in nodes]
-            if not coords:
-                dropped_ways += 1
-                continue
-            lat = sum(c[0] for c in coords) / len(coords)
-            lon = sum(c[1] for c in coords) / len(coords)
-            _check_coords(lat, lon, f"element {elem_id}")
-            elements.append(OsmElement(elem_id, "way", lat, lon, tags))
-        # relations and anything else: ignored
-    if dropped_ways:
-        logger.warning("dropped %d ways with no resolvable member nodes", dropped_ways)
-    return elements
+def amenities(text: str, rules: Sequence[TagRule]) -> list[AmenityRecord]:
+    """``filter_amenities(parse_osm(text), rules)`` with no element per node:
+    the same checks, and a record only for an element a rule matches."""
+    keyed = [(rule.key, rule.value, rule.category) for rule in rules]
+    records = []
+    for _, elem_id, lat, lon, tags in _elements(text):
+        if tags:
+            for key, value, category in keyed:
+                if tags.get(key) == value:
+                    records.append(AmenityRecord(category, elem_id, lat, lon, tags.get("name")))
+                    break
+    return records
 
 
 def _check_coords(lat: float, lon: float, where: str) -> None:

@@ -457,6 +457,46 @@ def test_excluded_rows_keep_height_when_only_the_estimate_fails(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "config,footprint,excluded",
+    [
+        ({"floor_height_m": 1e-320}, {},
+         {fid: "over floor_height_m 1e-320 gives inf floors" for fid in ("A1", "B1", "C2")}),
+        ({}, {"unit_area_m2": 5e-324, "units_per_floor": None},
+         {"A1": "over unit_area_m2 5e-324 gives inf units per floor"}),
+    ],
+    ids=["floor_height", "unit_area"],
+)
+def test_run_excludes_a_building_whose_floors_or_units_overflow(
+    tmp_path, capsys, config, footprint, excluded
+):
+    """Once an OverflowError traceback; now an excluded row and a warning
+    per building, and exit 0. Without ground truth, because a run whose every
+    building is excluded stops at validation."""
+    site = tmp_path / "demo"
+    shutil.copytree(DEMO, site)
+    doc = json.loads((site / "out" / "footprints.geojson").read_text())
+    properties = doc["features"][0]["properties"]  # A1's
+    for key, value in footprint.items():
+        if value is None:
+            del properties[key]
+        else:
+            properties[key] = value
+    (site / "fp.geojson").write_text(json.dumps(doc))
+    cfg = json.loads((site / "config.json").read_text())
+    del cfg["ground_truth"]
+    (site / "config.json").write_text(json.dumps({**cfg, **config, "footprints": "fp.geojson"}))
+    argv = ["run", "--config", str(site / "config.json"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    estimates = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
+    rows = {line.split(",")[0]: line for line in estimates}
+    warnings = json.loads((tmp_path / "out" / "summary.json").read_text())["warnings"]
+    for fid, message in excluded.items():
+        assert f",error: building '{fid}': " in rows[fid] and rows[fid].endswith(message), rows[fid]
+        assert any(w.startswith(f"building '{fid}': ") and w.endswith(message) for w in warnings)
+
+
 def test_run_matches_standalone_stages(tmp_path):
     # `run` must produce the same bytes as driving each stage by hand with
     # the run's config, because the CSVs are the inter-stage contract

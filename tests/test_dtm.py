@@ -173,12 +173,51 @@ def test_ramp_without_objects_untouched():
     assert ground.all()
 
 
-def test_dtm_never_above_dsm():
-    scene, _ = _prism_scene(noise=0.1, seed=9)
-    dsm = synthesize_dsm(scene).dsm
-    dtm, _ = progressive_morphological_filter(dsm)
+@st.composite
+def _pmf_cases(draw):
+    """A surface of 1 to 40 rows and columns: a ramp with seeded noise, up to
+    four raised blocks and a random share of nodata cells; and filter
+    parameters with an odd first window, a window limit from that window up
+    to 20 times it, any slope and nested thresholds."""
+    nrows, ncols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    cellsize = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = np.mgrid[0:nrows, 0:ncols] * cellsize
+    grad_x, grad_y = draw(st.floats(-1, 1)), draw(st.floats(-1, 1))
+    data = 50.0 + grad_x * cols + grad_y * rows
+    data += rng.uniform(-1, 1, data.shape) * draw(st.sampled_from([0.0, 0.1, 2.0]))
+    for _ in range(draw(st.integers(0, 4))):
+        r, c = rng.integers(0, nrows), rng.integers(0, ncols)
+        data[r:r + rng.integers(1, 12), c:c + rng.integers(1, 12)] += rng.uniform(3, 30)
+    data[rng.random(data.shape) < draw(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]))] = np.nan
+    window = draw(st.sampled_from([3, 5, 7]))
+    threshold = draw(st.floats(0.05, 3))
+    params = DtmFilterParams(
+        initial_window=window,
+        max_window_m=window * cellsize * draw(st.floats(1, 20)),
+        slope=draw(st.floats(0, 2)),
+        initial_threshold_m=threshold,
+        max_threshold_m=threshold + draw(st.floats(0, 5)),
+    )
+    return make_grid(data, cellsize=cellsize), params
+
+
+_PRISM_CASES = [
+    (synthesize_dsm(_prism_scene(noise=0.1, seed=seed)[0]).dsm, DtmFilterParams())
+    for seed in (9, 5)
+]
+_pmf_settings = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@_pmf_settings
+@given(case=_pmf_cases())
+@example(case=_PRISM_CASES[0])
+def test_dtm_never_above_dsm(case):
+    dsm, params = case
+    dtm, _ = progressive_morphological_filter(dsm, params)
     valid = dsm.valid_mask
     assert (dtm.data[valid] <= dsm.data[valid]).all()
+    assert np.isnan(dtm.data[~valid]).all()
 
 
 def test_filter_idempotent_on_prism_scene():
@@ -189,12 +228,15 @@ def test_filter_idempotent_on_prism_scene():
     assert np.nanmax(np.abs(dtm2.data - dtm1.data)) <= 1e-9
 
 
-def test_ground_mask_means_unchanged():
-    scene, _ = _prism_scene(noise=0.1, seed=5)
-    dsm = synthesize_dsm(scene).dsm
-    dtm, ground = progressive_morphological_filter(dsm)
-    keep = ground & dsm.valid_mask
-    assert np.array_equal(dtm.data[keep], dsm.data[keep])
+@_pmf_settings
+@given(case=_pmf_cases())
+@example(case=_PRISM_CASES[1])
+def test_ground_mask_means_unchanged(case):
+    """Ground cells, nodata ones among them, keep the surface's bytes."""
+    dsm, params = case
+    dtm, ground = progressive_morphological_filter(dsm, params)
+    assert ground[~dsm.valid_mask].all()
+    assert dtm.data[ground].tobytes() == dsm.data[ground].tobytes()
 
 
 def test_nodata_cells_stay_nodata_and_unflagged():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from popvol import (
@@ -149,6 +151,39 @@ def test_estimate_building_requires_unit_area_for_persons():
     rec = BuildingHeightRecord("B1", 10.0, 900.0, 900)
     with pytest.raises(ConfigError, match="unit_area_m2"):
         estimate_building(rec, _fp(None), CFG)
+
+
+@pytest.mark.parametrize(
+    "cfg,fp,message",
+    [
+        (EstimationConfig(floor_height_m=1e-320), _fp(150.0),
+         "height 10.0 m over floor_height_m 1e-320 gives inf floors"),
+        (CFG, _fp(5e-324, override=None),
+         "footprint area 900.0 m2 at efficiency 0.7 over unit_area_m2 5e-324 gives inf units "
+         "per floor"),
+        (EstimationConfig(floor_height_m=1e-10), _fp(150.0, override=10**300),
+         "floors, units per floor and persons per unit give inf persons"),
+    ],
+    ids=["floors", "units_per_floor", "persons"],
+)
+def test_non_finite_building_quantities_are_config_errors_naming_the_building(cfg, fp, message):
+    """A quotient beyond the float range once ended in an OverflowError from
+    math.ceil/math.floor, which no caller catches."""
+    rec = BuildingHeightRecord("B1", 10.0, 900.0, 900)
+    with pytest.raises(ConfigError) as caught:
+        estimate_building(rec, fp, cfg)
+    assert str(caught.value) == f"building 'B1': {message}"
+
+
+def test_aggregate_rejects_persons_that_sum_beyond_the_float_range():
+    cfg = EstimationConfig(floor_height_m=1e-306)
+    estimates = [
+        estimate_building(BuildingHeightRecord(f"B{i}", 10.0, 900.0, 900), _fp(43.1), cfg)
+        for i in range(2)
+    ]
+    assert all(math.isfinite(e.persons) for e in estimates)
+    with pytest.raises(ConfigError, match="^the buildings' persons sum to inf$"):
+        aggregate(estimates)
 
 
 def test_estimate_invariants():

@@ -1,8 +1,10 @@
+import html
 import itertools
 import json
 import logging
 import math
 import random
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -15,6 +17,7 @@ from popvol import (
     OsmParseError,
     PipelineError,
     TagRule,
+    amenities,
     count_within_radius,
     filter_amenities,
     haversine_m,
@@ -387,7 +390,7 @@ class _Collect(logging.Handler):
 
 
 def _outcome(parse, text):
-    """The elements' reprs (which tell -0.0 from 0.0) or the
+    """The elements' or records' reprs (which tell -0.0 from 0.0) or the
     ``OsmParseError`` text, and the log records emitted."""
     handler = _Collect()
     osm_logger = logging.getLogger("popvol.osm")
@@ -443,10 +446,11 @@ def _element(draw, tags, children):
     return tag, attrs, draw(children)
 
 
-def _elements(depth, **size):
-    """Lists of elements at ``depth`` below the root, nested down to depth 3."""
-    children = _elements(depth + 1, max_size=4) if depth < 3 else st.just([])
-    return st.lists(_element(st.sampled_from(_TAGS[depth]), children), **size)
+def _elements(depth, tags=_TAGS, **size):
+    """Lists of elements at ``depth`` below the root, nested down to depth 3,
+    with ``tags`` by depth."""
+    children = _elements(depth + 1, tags, max_size=4) if depth < 3 else st.just([])
+    return st.lists(_element(st.sampled_from(tags[depth]), children), **size)
 
 
 def _xml(element, fresh):
@@ -461,14 +465,14 @@ def _xml(element, fresh):
 
 
 @st.composite
-def _documents(draw):
+def _documents(draw, tags=_TAGS):
     """Nested .osm text: missing, empty, non-numeric and repeated ids and
     coordinates, forward and dangling references, a wrong or namespaced
     root, and text that is cut off or has an undefined entity or a stray
     character put in."""
     tag, namespaces = draw(_ROOTS)
     fresh = map(str, itertools.count(1))
-    body = "".join(_xml(e, fresh) for e in draw(_elements(1, min_size=2, max_size=8)))
+    body = "".join(_xml(e, fresh) for e in draw(_elements(1, tags, min_size=2, max_size=8)))
     text = draw(st.sampled_from(["", '<?xml version="1.0"?>\n', "\ufeff"]))
     text += f"<{tag}{namespaces}>{body}</{tag}>"
     at = draw(st.integers(0, len(text)))
@@ -486,6 +490,39 @@ def test_one_pass_parse_equals_the_tree_walk(text):
     """Same elements or the same error text, and the same warning, as the
     two passes over a whole element tree."""
     assert _outcome(parse_osm, text) == _outcome(tree_walk_parse_osm, text)
+
+
+@st.composite
+def _documents_and_rules(draw):
+    """A ``_documents()`` text with more nodes and ways holding more ``tag``
+    children, and one to three rules on the ``tag`` keys and values the text
+    holds."""
+    tags = {**_TAGS, 1: ["node", "way"] * 3 + _TAGS[1], 2: ["tag"] * 6 + _TAGS[2]}
+    text = draw(_documents(tags))
+
+    def held(name):
+        found = {html.unescape(v) for v in re.findall(f' {name}="([^"]*)"', text)} - {""}
+        return st.sampled_from(sorted(found) or ["amenity"])
+
+    rule = st.builds(TagRule, st.sampled_from(["h", "s"]), held("k"), held("v"))
+    return text, draw(st.lists(rule, min_size=1, max_size=3))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_documents_and_rules())
+@example(('<osm><node id="1" lat="0" lon="0">'
+          '<tag k="amenity" v="school"/><tag k="amenity" v="hospital"/></node></osm>', RULES))
+@example((OSM_WAY, RULES))
+@example(('<osm><node id="1" lat="0" lon="0"><tag k="amenity" v="hospital"/></node>'
+          '<node id="2" lat="x" lon="0"/></osm>', RULES))
+@example(('<osm><node id="1" lat="0" lon="0"/><node id="2" lat="x" lon="y"/></osm>', RULES))
+def test_amenity_pass_equals_filtering_the_tree_walk(case):
+    """Same records or the same error text, and the same warning, as keeping
+    the rule hits among the elements of the whole element tree."""
+    text, rules = case
+    assert _outcome(lambda t: amenities(t, rules), text) == _outcome(
+        lambda t: filter_amenities(tree_walk_parse_osm(t), rules), text
+    )
 
 
 def _extract(nodes, ways):
@@ -509,7 +546,7 @@ def _extract(nodes, ways):
 
 def test_parse_holds_no_element_tree():
     """The whole tree of an extract peaks at about 19x the text's length;
-    the one-pass records at about 10x, most of it the returned elements."""
+    the one-pass records at about 8x."""
     text = _extract(12_000, 1_200)
     tracemalloc.start()
     try:
@@ -519,3 +556,19 @@ def test_parse_holds_no_element_tree():
         tracemalloc.stop()
     assert len(elements) == 12_000 + 1_200
     assert peak < 15 * len(text), f"peak {peak / len(text):.1f}x the text length"
+
+
+def test_amenity_pass_holds_only_the_node_columns():
+    """``amenities`` peaks at 7.8x the text's length on this extract (Python
+    3.11), where the element per node it replaced peaked at 10.5x: the node
+    columns, raw and converted, are the peak, and a record is built only for
+    a school."""
+    text = _extract(12_000, 1_200)
+    tracemalloc.start()
+    try:
+        records = amenities(text, RULES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == sum(1 for line in text.splitlines() if 'v="school"' in line)
+    assert peak < 9 * len(text), f"peak {peak / len(text):.1f}x the text length"
