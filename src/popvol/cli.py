@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import difflib
 import functools
-import io
 import json
 import math
 import sys
@@ -32,7 +30,7 @@ import numpy as np
 
 from . import __version__, _bands
 from .dtm import DtmFilterParams, progressive_morphological_filter
-from .errors import ConfigError, FootprintError, PipelineError, json_number
+from .errors import ConfigError, FootprintError, PipelineError, json_document, json_number
 from .estimate import (
     BuildingEstimate,
     EstimationConfig,
@@ -57,6 +55,7 @@ from .synth import load_scene, synthesize_dsm
 from .validate import (
     csv_field,
     csv_records,
+    csv_text,
     diff_footnotes,
     person_total_footnotes,
     read_ground_truth,
@@ -109,10 +108,7 @@ def _write_text(path, text: str) -> None:
 
 
 def _load_json_object(path, what: str) -> dict:
-    try:
-        doc = json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ConfigError(f"invalid {what} JSON in {path}: {e}") from None
+    doc = json_document(_read_text(path), ConfigError, f"{what} JSON in {path}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")
     return doc
@@ -197,17 +193,9 @@ def _fmt_real(v: Optional[float], decimals: int = 3) -> str:
     return f"{v:.{decimals}f}"
 
 
-def _csv_text(header: str, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header.split(","))
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def render_heights_csv(rows) -> str:
     """rows: (Footprint, BuildingHeightRecord) pairs."""
-    return _csv_text(
+    return csv_text(
         HEIGHTS_HEADER,
         (
             (rec.id, fp.type_label, _fmt_real(rec.height_m),
@@ -218,7 +206,7 @@ def render_heights_csv(rows) -> str:
 
 
 def render_estimates_csv(estimates: Sequence[BuildingEstimate]) -> str:
-    return _csv_text(
+    return csv_text(
         ESTIMATES_HEADER,
         (
             (e.id, e.type_label, _fmt_real(e.height_m), e.floors,
@@ -357,7 +345,7 @@ def amenity_texts(osm_path, rules_path, center_lat, center_lon, radius_m) -> tup
         amenities(_read_text(osm_path), load_rules(_read_text(rules_path))),
         center_lat, center_lon, radius_m,
     )
-    records = _csv_text(
+    records = csv_text(
         "category,element_id,name,lat,lon,distance_m",
         (
             (rec.category, rec.element_id, rec.name or "",
@@ -366,7 +354,7 @@ def amenity_texts(osm_path, rules_path, center_lat, center_lon, radius_m) -> tup
         ),
     )
     counts = {c: counts[c] for c in sorted(counts)}
-    return records, _csv_text("category,count", counts.items()), counts
+    return records, csv_text("category,count", counts.items()), counts
 
 
 def amenities_stage(texts, out_records, out_summary) -> dict:
@@ -463,7 +451,7 @@ def cmd_synth(args) -> int:
     if args.out_heights:
         _write_text(
             args.out_heights,
-            _csv_text(
+            csv_text(
                 "id,type_label,height_m",
                 ((fp.id, fp.type_label, _fmt_real(h)) for fp, h in scene.prisms),
             ),

@@ -124,6 +124,8 @@ class SocietyEstimate:
     per_type: dict[str, TypeTotal] = field(default_factory=dict)
     total_units: int = 0
     total_persons: float = 0.0
+    # the types whose every building is excluded, so not in per_type
+    excluded_types: tuple[str, ...] = ()
 
     @property
     def total_persons_rounded(self) -> int:
@@ -223,11 +225,14 @@ def estimate_building(
 
 
 def aggregate(estimates: Sequence[BuildingEstimate]) -> SocietyEstimate:
-    """Sum units and persons per type over non-excluded buildings. Raises
-    ConfigError when the persons total is not finite."""
+    """Sum units and persons per type over non-excluded buildings, and note
+    the types whose every building is excluded. Raises ConfigError when the
+    persons total is not finite."""
     per_type: dict[str, TypeTotal] = {}
+    excluded = set()
     for est in estimates:
         if est.excluded:
+            excluded.add(est.type_label)
             continue
         tot = per_type.setdefault(est.type_label, TypeTotal())
         tot.units += est.units
@@ -240,4 +245,5 @@ def aggregate(estimates: Sequence[BuildingEstimate]) -> SocietyEstimate:
         per_type=per_type,
         total_units=sum(t.units for t in per_type.values()),
         total_persons=total_persons,
+        excluded_types=tuple(sorted(excluded - per_type.keys())),
     )

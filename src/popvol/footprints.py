@@ -1,9 +1,11 @@
 """Building footprints: GeoJSON parsing and writing, rasterization, zonal height.
 
 Footprints are single exterior rings in the same projected CRS as the rasters
-(meters). Rasterization uses the cell-center even-odd rule with a fixed
-+1e-9 * cellsize nudge on the test point, which resolves boundary-grazing
-centers deterministically without exact predicates.
+(meters). ``footprint_record`` reads a GeoJSON feature's record (id, optional
+properties, ring) into a ``Footprint``, and a synthetic scene's prism alike.
+Rasterization uses the cell-center even-odd rule with a fixed +1e-9 *
+cellsize nudge on the test point, which resolves boundary-grazing centers
+deterministically without exact predicates.
 
 One scanline pass rasterizes a batch of footprints. A ring edge crosses the
 row of nudged center ``cy`` when ``(y1 > cy) != (y2 > cy)``, at ``x_at = (x2 -
@@ -17,7 +19,6 @@ synthetic-scene painter expands every span in one ``np.repeat``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -26,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import JSON_NUMBERS, ConfigError, FootprintError, json_number
+from .errors import JSON_NUMBERS, ConfigError, FootprintError, json_document, json_number
 from .errors import EmptySelectionError, InsufficientCoverageError
 from .grid import Grid, GridGeoref
 
@@ -124,10 +125,7 @@ def parse_footprints(text: str) -> list[Footprint]:
     absent), ``unit_area_m2`` and ``units_per_floor`` are optional. Holes,
     non-Polygon geometries and duplicate ids are rejected.
     """
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise FootprintError(f"invalid JSON: {e}") from None
+    doc = json_document(text, FootprintError, "JSON")
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise FootprintError("expected a GeoJSON FeatureCollection")
 
@@ -165,19 +163,7 @@ def parse_footprints(text: str) -> list[Footprint]:
             raise FootprintError(f"duplicate footprint id {fid!r}")
         seen.add(fid)
 
-        unit_area, override = unit_fields(
-            props.get("unit_area_m2"), props.get("units_per_floor"), f"feature {fid!r}"
-        )
-        footprints.append(
-            Footprint(
-                id=fid,
-                type_label=text_property(props.get("type_label", ""), "type_label",
-                                         f"feature {fid!r}"),
-                ring=ring_positions(rings[0], f"feature {fid!r}"),
-                unit_area_m2=unit_area,
-                units_per_floor_override=override,
-            )
-        )
+        footprints.append(footprint_record(fid, props, rings[0], f"feature {fid!r}"))
     return footprints
 
 
@@ -197,21 +183,23 @@ def text_property(value, name: str, label: str) -> str:
     )
 
 
-def unit_fields(unit_area, units_per_floor, label: str) -> tuple[Optional[float], Optional[int]]:
-    """A footprint's optional ``unit_area_m2`` and ``units_per_floor`` as a
-    finite float and a whole int (``json_number``), None where absent; any
-    other value is a FootprintError. ``Footprint`` checks the ranges."""
-    return (
-        None if unit_area is None
-        else float(json_number(unit_area, f"{label}: unit_area_m2", FootprintError)),
-        None if units_per_floor is None
-        else json_number(units_per_floor, f"{label}: units_per_floor", FootprintError, whole=True),
-    )
-
-
-def ring_positions(points, label: str) -> list[tuple[float, float]]:
-    """The x, y of each GeoJSON position in ``points``: two or more JSON
-    numbers, the first two x and y. ``Footprint`` checks that they are finite."""
+def footprint_record(
+    fid: str, props: dict, points, label: str, default_type: str = ""
+) -> Footprint:
+    """The Footprint ``fid`` of a GeoJSON feature or a scene prism; errors
+    start with ``label``. ``props`` may hold a ``type_label`` (``text_property``,
+    ``default_type`` where absent), a ``unit_area_m2`` and a ``units_per_floor``
+    (a finite and a whole ``json_number``). ``points`` are GeoJSON positions:
+    two or more JSON numbers, the first two x and y. Any other value is a
+    FootprintError; ``Footprint`` checks the ranges and that x and y are finite."""
+    unit_area, units_per_floor = props.get("unit_area_m2"), props.get("units_per_floor")
+    if unit_area is not None:
+        unit_area = float(json_number(unit_area, f"{label}: unit_area_m2", FootprintError))
+    if units_per_floor is not None:
+        units_per_floor = json_number(
+            units_per_floor, f"{label}: units_per_floor", FootprintError, whole=True
+        )
+    type_label = text_property(props.get("type_label", default_type), "type_label", label)
     ring = []
     for k, p in enumerate(points):
         # an inline type test: a helper call per vertex is a cost on dense scenes
@@ -219,7 +207,7 @@ def ring_positions(points, label: str) -> list[tuple[float, float]]:
                 and type(p[0]) in JSON_NUMBERS and type(p[1]) in JSON_NUMBERS):
             raise FootprintError(f"{label}: vertex #{k} is not an [x, y] pair of numbers")
         ring.append((p[0], p[1]))
-    return ring
+    return Footprint(fid, type_label, ring, unit_area, units_per_floor)
 
 
 # json.dumps(collection, indent=2) of one feature; a vertex is a number pair

@@ -42,7 +42,7 @@ import numpy as np
 
 from ._bands import row_bands, run_bands
 from ._shortest import format_cells, format_value
-from .errors import AsciiGridError, GeorefMismatchError, PipelineError
+from .errors import AsciiGridError, GeorefMismatchError, PipelineError, decimal
 
 DEFAULT_NODATA = -9999.0
 
@@ -142,7 +142,7 @@ def _parse_header_line(line: str, line_no: int, expected_key: str) -> float:
         raise AsciiGridError(
             f"expected header key {expected_key!r}, got {key!r}", line_no
         )
-    v = _decimal(value)
+    v = decimal(value)
     if v is None:
         raise AsciiGridError(
             f"non-numeric value {value!r} for header key {expected_key!r}", line_no
@@ -152,15 +152,6 @@ def _parse_header_line(line: str, line_no: int, expected_key: str) -> float:
             f"non-finite value {value!r} for header key {expected_key!r}", line_no
         )
     return v
-
-
-def _decimal(token: str):
-    """``float(token)``, or None where ``float`` refuses it or it holds an
-    underscore, which ``float`` reads as a digit group ("1_0" is 10)."""
-    try:
-        return None if "_" in token else float(token)
-    except ValueError:
-        return None
 
 
 def _raise_if_not_ascii(text: str) -> None:
@@ -187,7 +178,7 @@ def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -
         for token in line.split():
             if count >= expected:
                 raise AsciiGridError(f"too many values: expected {expected}", line_no)
-            v = _decimal(token)
+            v = decimal(token)
             if v is None:
                 raise AsciiGridError(f"non-numeric value token {token!r}", line_no)
             if not math.isfinite(v):

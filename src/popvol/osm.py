@@ -20,12 +20,12 @@ document order.
 ``parse_osm`` runs the same pass and returns an ``OsmElement`` for every node
 and way; ``filter_amenities`` keeps the rule hits among them. The pipeline
 uses neither; they stay as public API and as the reference ``amenities`` is
-tested against.
+tested against. Both matchers apply the one rule of ``_category``: the first
+rule, in rule order, whose key has exactly its value names the category.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import xml.etree.ElementTree as ET
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
-from .errors import ConfigError, OsmParseError, PipelineError
+from .errors import ConfigError, OsmParseError, PipelineError, json_document
 
 logger = logging.getLogger(__name__)
 
@@ -228,15 +228,19 @@ def parse_osm(text: str) -> list[OsmElement]:
 def amenities(text: str, rules: Sequence[TagRule]) -> list[AmenityRecord]:
     """``filter_amenities(parse_osm(text), rules)`` with no element per node:
     the same checks, and a record only for an element a rule matches."""
-    keyed = [(rule.key, rule.value, rule.category) for rule in rules]
-    records = []
-    for _, elem_id, lat, lon, tags in _elements(text):
-        if tags:
-            for key, value, category in keyed:
-                if tags.get(key) == value:
-                    records.append(AmenityRecord(category, elem_id, lat, lon, tags.get("name")))
-                    break
-    return records
+    return [
+        AmenityRecord(category, elem_id, lat, lon, tags.get("name"))
+        for _, elem_id, lat, lon, tags in _elements(text)
+        if tags and (category := _category(tags, rules))
+    ]
+
+
+def _category(tags: dict[str, str], rules: Sequence[TagRule]) -> Optional[str]:
+    """The category of the first rule whose key has exactly its value in ``tags``, or None."""
+    for rule in rules:
+        if tags.get(rule.key) == rule.value:
+            return rule.category
+    return None
 
 
 def _check_coords(lat: float, lon: float, where: str) -> None:
@@ -254,10 +258,7 @@ def check_center(center_lat: float, center_lon: float, radius_m: float) -> None:
 
 def load_rules(text: str) -> list[TagRule]:
     """Rules JSON: array of {category, key, value} objects."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise PipelineError(f"invalid rules JSON: {e}") from None
+    doc = json_document(text, PipelineError, "rules JSON")
     if not isinstance(doc, list):
         raise PipelineError("rules JSON must be an array")
     for i, r in enumerate(doc):
@@ -271,19 +272,12 @@ def load_rules(text: str) -> list[TagRule]:
 def filter_amenities(
     elements: Sequence[OsmElement], rules: Sequence[TagRule]
 ) -> list[AmenityRecord]:
-    """Keep elements matching a rule exactly (tags[key] == value); the first
-    matching rule in rule order assigns the category."""
-    records = []
-    for el in elements:
-        for rule in rules:
-            if el.tags.get(rule.key) == rule.value:
-                records.append(
-                    AmenityRecord(
-                        rule.category, el.element_id, el.lat, el.lon, el.tags.get("name")
-                    )
-                )
-                break
-    return records
+    """Keep the elements a rule matches (``_category``)."""
+    return [
+        AmenityRecord(category, el.element_id, el.lat, el.lon, el.tags.get("name"))
+        for el in elements
+        if (category := _category(el.tags, rules))
+    ]
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -11,13 +11,13 @@ recurrence one state at a time.
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySelectionError, SceneError, json_number
-from .footprints import Footprint, ring_positions, span_table, text_property, unit_fields
+from .errors import EmptySelectionError, SceneError, json_document, json_number
+from .footprints import Footprint, footprint_record, span_table, text_property
 from .footprints import rasterize_polygon  # unused here; perfbench/spans.py wraps this name
 from .grid import Grid, GridGeoref
 
@@ -100,10 +100,7 @@ def lcg_noise(seed: int, count: int, amplitude: float) -> np.ndarray:
 def load_scene(text: str) -> SyntheticScene:
     """Scene JSON: {georef, terrain, prisms: [{id, ring, height_m, ...}],
     noise_amplitude_m, seed}."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise SceneError(f"invalid scene JSON: {e}") from None
+    doc = json_document(text, SceneError, "scene JSON")
     try:
         g = doc["georef"]
         georef = GridGeoref(
@@ -117,18 +114,8 @@ def load_scene(text: str) -> SyntheticScene:
         prisms = []
         for k, p in enumerate(doc.get("prisms", [])):
             pid = text_property(p["id"], "id", f"prism #{k}")
-            label = f"prism {pid!r}"
-            unit_area, override = unit_fields(
-                p.get("unit_area_m2"), p.get("units_per_floor"), label
-            )
-            fp = Footprint(
-                id=pid,
-                type_label=text_property(p.get("type_label", "building"), "type_label", label),
-                ring=ring_positions(p["ring"], label),
-                unit_area_m2=unit_area,
-                units_per_floor_override=override,
-            )
-            prisms.append((fp, _number(p, "height_m", f"{label}:")))
+            fp = footprint_record(pid, p, p["ring"], f"prism {pid!r}", "building")
+            prisms.append((fp, _number(p, "height_m", f"prism {pid!r}:")))
         top = {"noise_amplitude_m": 0.0, "seed": 0, **doc}
         return SyntheticScene(
             georef=georef,
@@ -151,7 +138,8 @@ def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
 
     Prisms sit on the terrain (cell value = terrain + prism height + noise).
     Nested prisms are allowed, innermost winning; partially overlapping
-    prisms are rejected.
+    prisms are rejected, and so is a grid larger than physical memory,
+    before anything is allocated.
 
     Prisms are painted largest cell count first (stable in input order).
     Every prism painted before the current one has at least as many cells, so
@@ -165,6 +153,12 @@ def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
     gives its height. That is O(cells log cells) instead of O(prisms^2).
     """
     ref = scene.georef
+    layer = 8 * ref.nrows * ref.ncols  # bytes of one float64 grid
+    if hasattr(os, "sysconf") and layer > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise SceneError(
+            f"scene grid of {ref.nrows}x{ref.ncols} cells takes {layer / 2**30:.1f} GiB "
+            "per layer, more than physical memory"
+        )
     # an overflow would give inf, or NaN from inf - inf, which reads as nodata
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .errors import PipelineError, ReportMismatchError
+from .errors import PipelineError, ReportMismatchError, decimal
 from .estimate import SocietyEstimate
 
 TOTAL_LABEL = "TOTAL"
@@ -37,14 +37,23 @@ class ValidationRow:
 
 
 def csv_field(rec: dict, column: str, kind: str, line: int, convert=float, expected="a number"):
-    """``convert(rec[column])``; a ValueError or PipelineError from it becomes a
-    PipelineError naming the ``kind`` of CSV, the line, the column and the value."""
-    try:
-        return convert(rec[column])
-    except (ValueError, PipelineError):
+    """``decimal(rec[column], convert)``; text it refuses is a PipelineError
+    naming the ``kind`` of CSV, the line, the column and the value."""
+    value = decimal(rec[column], convert)
+    if value is None:
         raise PipelineError(
             f"{kind} CSV line {line}, column {column!r}: expected {expected}, got {rec[column]!r}"
-        ) from None
+        )
+    return value
+
+
+def csv_text(header: str, rows) -> str:
+    """The CSV text of the comma-separated ``header`` and ``rows``, ``\\n`` line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def csv_records(
@@ -97,18 +106,23 @@ def percent_diff(estimated: int, ground: int) -> float:
 def validate_report(
     est: SocietyEstimate, gt: Sequence[GroundTruthRow]
 ) -> list[ValidationRow]:
-    """One row per type plus a TOTAL row; both sides must list the same types."""
+    """One row per type plus a TOTAL row; both sides must list the same types.
+    A mismatch names on their own the ground-truth types whose buildings
+    were all excluded."""
     gt_by_type = {row.type_label: row.units for row in gt}
     est_types = set(est.per_type)
     gt_types = set(gt_by_type)
     if est_types != gt_types:
-        only_est = sorted(est_types - gt_types)
-        only_gt = sorted(gt_types - est_types)
-        parts = []
-        if only_est:
-            parts.append(f"only estimated: {', '.join(only_est)}")
-        if only_gt:
-            parts.append(f"only ground truth: {', '.join(only_gt)}")
+        only_gt = gt_types - est_types
+        parts = [
+            f"{what}: {', '.join(sorted(labels))}"
+            for what, labels in (
+                ("only estimated", est_types - gt_types),
+                ("only ground truth", only_gt - set(est.excluded_types)),
+                ("all buildings excluded", only_gt & set(est.excluded_types)),
+            )
+            if labels
+        ]
         raise ReportMismatchError("type labels do not match (" + "; ".join(parts) + ")")
 
     rows = [
@@ -128,14 +142,10 @@ def validate_report(
 
 
 def render_report_csv(rows: Sequence[ValidationRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["type_label", "estimated_units", "ground_units", "diff_pct"])
-    for row in rows:
-        writer.writerow(
-            [row.type_label, row.estimated_units, row.ground_units, f"{row.diff_pct:.2f}"]
-        )
-    return buf.getvalue()
+    return csv_text(
+        "type_label,estimated_units,ground_units,diff_pct",
+        ((r.type_label, r.estimated_units, r.ground_units, f"{r.diff_pct:.2f}") for r in rows),
+    )
 
 
 def diff_footnotes(

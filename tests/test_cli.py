@@ -497,6 +497,25 @@ def test_run_excludes_a_building_whose_floors_or_units_overflow(
         assert any(w.startswith(f"building '{fid}': ") and w.endswith(message) for w in warnings)
 
 
+def test_run_and_validate_name_the_types_whose_buildings_are_all_excluded(tmp_path, capsys):
+    """Every demo building gets inf floors, so is excluded: the ground-truth
+    types have no estimate, and both commands say why in the same words."""
+    site = tmp_path / "demo"
+    shutil.copytree(DEMO, site)
+    cfg = json.loads((site / "config.json").read_text())
+    (site / "config.json").write_text(json.dumps({**cfg, "floor_height_m": 1e-320}))
+    message = (
+        "error: type labels do not match (all buildings excluded: TypeA, TypeB, TypeC)\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(site / "config.json"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not (out / "summary.json").exists()
+    assert main(["validate", "--estimates", str(out / "estimates.csv"), "--ground-truth",
+                 str(site / "ground_truth.csv"), "--out", str(tmp_path / "report.csv")]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_run_matches_standalone_stages(tmp_path):
     # `run` must produce the same bytes as driving each stage by hand with
     # the run's config, because the CSVs are the inter-stage contract
@@ -937,10 +956,12 @@ def test_parser_has_no_value_flags():
     "rows,message",
     [
         ("B1,T,tall\n", "heights CSV line 2, column 'height_m': expected a number, got 'tall'"),
+        # float reads it as 12.5; a grid cell refuses it
+        ("B1,T,1_2.5\n", "heights CSV line 2, column 'height_m': expected a number, got '1_2.5'"),
         # a second row would otherwise set B1's extrusion height
         ("B1,T,6.000\nB2,T,9.000\nB1,T,40.000\n", "heights CSV line 4: duplicate id 'B1'"),
     ],
-    ids=["bad_value", "repeated_id"],
+    ids=["bad_value", "digit_group", "repeated_id"],
 )
 def test_bad_heights_csv_value_is_typed_error(tmp_path, capsys, rows, message):
     fps = [Footprint("B1", "T", rectangle_ring(0, 0, 10, 12))]
@@ -1037,6 +1058,13 @@ def test_run_config_values_exit_0_or_one_line_exit_2(tiny_site, overrides, publi
          "ground-truth CSV line 2, column 'units': expected an integer >= 0, got ''"),
         (None, "type_label,units\nTypeA,12\nTypeB,-3\n",
          "ground-truth CSV line 3, column 'units': expected an integer >= 0, got '-3'"),
+        # int reads these as 10 and 5; a grid cell refuses them
+        (None, "type_label,units\nTypeA,1_0\n",
+         "ground-truth CSV line 2, column 'units': expected an integer >= 0, got '1_0'"),
+        (None, "type_label,units\nTypeA,12\nTypeB,\u0665\n",
+         "ground-truth CSV line 3, column 'units': expected an integer >= 0, got '\u0665'"),
+        (popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA,9.000,3,4,12,150.000,\uff14\uff18,\n", None,
+         "estimates CSV line 2, column 'persons': expected a number, got '\uff14\uff18'"),
         ("x\n1\n", None, "estimates CSV needs columns: " + popvol.cli.ESTIMATES_HEADER),
         (popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA\n", None,
          "estimates CSV line 2, column 'floors': expected an integer, got ''"),

@@ -27,6 +27,7 @@ from popvol import (
 )
 from popvol.cli import main
 from popvol.footprints import footprints_to_geojson
+from popvol.synth import load_scene
 
 from conftest import cell_set, make_grid, rectangle_ring
 
@@ -285,6 +286,45 @@ def test_geojson_template_matches_json_dumps(footprints):
 def test_geojson_of_no_footprints():
     assert footprints_to_geojson([]) == _geojson_oracle([])
     assert parse_footprints(footprints_to_geojson([])) == []
+
+
+# JSON values a footprint property or a position can hold, good and bad
+_JSON_VALUE = (
+    st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from([0.5, 1e16, 1e309, 150.0])
+    | st.text("AB1 ", max_size=2) | st.lists(st.integers(0, 9), max_size=2)
+)
+# an id or a type_label: text or a number, else null, a boolean, an array or an object
+_LABEL = st.text("AB1 ", max_size=2) | st.integers(0, 9) | st.sampled_from([None, False, [1], {}])
+_POSITION = st.lists(st.integers(-1, 11) | st.floats(-1, 11), min_size=2, max_size=3)
+_RECTANGLE = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 5)).map(
+    lambda t: [[t[0], t[1]], [t[0] + t[2], t[1]], [t[0] + t[2], t[1] + t[2]], [t[0], t[1] + t[2]]]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    fid=_LABEL,
+    props=st.fixed_dictionaries({"type_label": _LABEL}, optional={
+        "unit_area_m2": _JSON_VALUE, "units_per_floor": _JSON_VALUE,
+    }),
+    ring=_RECTANGLE | st.lists(_POSITION | _JSON_VALUE, max_size=5),
+)
+def test_features_and_prisms_share_one_record_reader(fid, props, ring):
+    """The same record read as a GeoJSON feature and as a scene prism gives
+    an equal Footprint, or errors that differ only in "feature" and "prism".
+    ``type_label`` is always given: its default differs by design."""
+
+    def read(parse):
+        try:
+            return parse()
+        except FootprintError as e:
+            return re.sub(r"^(feature|prism) ", "", str(e))
+
+    from_feature = read(lambda: parse_footprints(collection(feature(fid, ring, **props)))[0])
+    scene = {"georef": {"ncols": 20, "nrows": 20, "xll": 0, "yll": 0, "cellsize": 1},
+             "prisms": [{"id": fid, "ring": ring, "height_m": 3.0, **props}]}
+    from_prism = read(lambda: load_scene(json.dumps(scene)).prisms[0][0])
+    assert from_feature == from_prism
 
 
 def test_three_dimensional_positions_keep_x_and_y():

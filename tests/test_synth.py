@@ -323,6 +323,9 @@ def _tiny_scene(**changes):
         ({"georef.xll": float("inf")}, "scene georef 'xll' must be a finite number, got inf"),
         ({"georef.cellsize": 0}, "cellsize must be positive, got 0"),
         ({"georef.ncols": 0}, "grid must be at least 1x1, got 0x30"),
+        # refused before numpy is asked for 218 TiB
+        ({"georef.ncols": 1e12}, "scene grid of 30x1000000000000 cells takes 223517.4 GiB "
+                                 "per layer, more than physical memory"),
         ({"terrain.grad_x": 1e308},
          "scene values overflow the float range (overflow encountered in multiply)"),
         # inf - inf would be a NaN cell, written as nodata
@@ -338,6 +341,19 @@ def test_bad_scene_numbers_are_typed_errors(tmp_path, capsys, changes, message):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "dsm.asc").exists()
+
+
+@pytest.mark.parametrize("memory,refused", [(8 * 40 * 30 - 1, True), (8 * 40 * 30, False)])
+def test_scene_grid_is_bounded_by_physical_memory(monkeypatch, memory, refused):
+    """One float64 layer of the scene's 40x30 grid must fit in physical
+    memory, here made ``memory`` bytes."""
+    monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.__getitem__)
+    scene = load_scene(json.dumps(_tiny_scene()))
+    if refused:
+        with pytest.raises(SceneError, match="^scene grid of 30x40 cells takes 0.0 GiB per layer"):
+            synthesize_dsm(scene)
+    else:
+        synthesize_dsm(scene)
 
 
 def test_whole_float_scene_numbers_are_integers():

@@ -83,6 +83,18 @@ def test_validate_report_label_mismatch():
         validate_report(society, gt)
 
 
+def test_validate_report_mismatch_names_each_kind_of_missing_type():
+    society = _society({"A": 4, "E": 2})
+    society.excluded_types = ("C",)
+    gt = [GroundTruthRow(t, 1) for t in ("A", "B", "C", "D")]
+    with pytest.raises(ReportMismatchError) as err:
+        validate_report(society, gt)
+    assert str(err.value) == (
+        "type labels do not match (only estimated: E; only ground truth: B, D; "
+        "all buildings excluded: C)"
+    )
+
+
 def test_report_totals_are_column_sums():
     society = _society({"A": 12, "B": 7, "C": 31})
     gt = [GroundTruthRow("A", 10), GroundTruthRow("B", 9), GroundTruthRow("C", 30)]
