@@ -499,9 +499,7 @@ def cmd_run(args) -> int:
             amenity_texts, resolve(cfg["osm"]), resolve(cfg["rules"]), *query
         ))
     with amenity_job as amenity_result:
-        # the filter keys are checked against the DSM's cell size before any output
         dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
-        params.validate(dsm.georef.cellsize)
 
         out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
         stages: dict = {}

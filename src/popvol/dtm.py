@@ -6,8 +6,8 @@ At each step, cells where the surface sits more than a slope-linked threshold
 above the opened surface are classified non-ground and lowered onto the
 opened surface; ground cells keep their original elevation, so the terrain
 model equals the surface model wherever nothing was removed (Zhang et al.
-2003, IEEE TGRS 41(4)). Erosion and dilation are numpy running min/max
-filters (van Herk 1992; Gil & Werman 1993).
+2003, IEEE TGRS 41(4)). An opening is a numpy running min then max filter
+(van Herk 1992; Gil & Werman 1993), with nodata filled once per opening.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class DtmFilterParams:
     initial_threshold_m: float = 0.5
     max_threshold_m: float = 3.0
 
-    def validate(self, cellsize: float) -> None:
+    def __post_init__(self):
         if (
             not float(self.initial_window).is_integer()
             or self.initial_window < 3
@@ -52,15 +52,15 @@ class DtmFilterParams:
             raise ConfigError(f"initial_threshold_m must be > 0, got {self.initial_threshold_m}")
         if self.max_threshold_m < self.initial_threshold_m:
             raise ConfigError("max_threshold_m must be >= initial_threshold_m")
-        if self.max_window_m < self.initial_window * cellsize:
-            raise ConfigError(
-                f"max_window_m ({self.max_window_m}) smaller than the initial "
-                f"window ({self.initial_window} cells x {cellsize} m)"
-            )
 
 
 def window_sizes(params: DtmFilterParams, cellsize: float) -> list[int]:
     """Window progression w, 2w-1, ... up to the first window >= max_window_m."""
+    if params.max_window_m < params.initial_window * cellsize:
+        raise ConfigError(
+            f"max_window_m ({params.max_window_m}) smaller than the initial "
+            f"window ({params.initial_window} cells x {cellsize} m)"
+        )
     sizes = []
     w = int(params.initial_window)
     while True:
@@ -97,17 +97,14 @@ def _running(data: np.ndarray, window: int, pick) -> np.ndarray:
     return p
 
 
-def _erode(data: np.ndarray, window: int) -> np.ndarray:
-    # Nodata (NaN) is absent from the kernel: +inf never wins a minimum, and a
-    # window of nothing but +inf marks an all-nodata neighborhood.
-    out = _running(np.where(np.isnan(data), np.inf, data), window, np.minimum)
-    out[np.isinf(out)] = np.nan
-    return out
-
-
-def _dilate(data: np.ndarray, window: int) -> np.ndarray:
-    out = _running(np.where(np.isnan(data), -np.inf, data), window, np.maximum)
-    out[np.isinf(out)] = np.nan
+def _open(data: np.ndarray, window: int) -> np.ndarray:
+    """Erosion then dilation of finite ``data``, nodata (NaN) absent from the
+    kernel: filled with +inf for the minimum, whose +inf (an all-nodata
+    neighborhood) is -inf for the maximum, whose -inf is NaN again."""
+    eroded = _running(np.where(np.isnan(data), np.inf, data), window, np.minimum)
+    eroded[eroded == np.inf] = -np.inf
+    out = _running(eroded, window, np.maximum)
+    out[out == -np.inf] = np.nan
     return out
 
 
@@ -130,7 +127,6 @@ def progressive_morphological_filter(
     if params is None:
         params = DtmFilterParams()
     cellsize = dsm.georef.cellsize
-    params.validate(cellsize)
     windows = window_sizes(params, cellsize)
     halo = sum(w - 1 for w in windows)
 
@@ -159,7 +155,7 @@ def _filter(
     flagged = np.zeros(surface.shape, dtype=bool)
     prev_w = None
     for w in windows:
-        opened = _dilate(_erode(surface, w), w)
+        opened = _open(surface, w)
         if prev_w is None:
             dh = params.initial_threshold_m
         else:

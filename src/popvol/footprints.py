@@ -60,8 +60,8 @@ def normalize_ring(ring, label="ring") -> list[tuple[float, float]]:
     """Validate a vertex sequence and return it open and counter-clockwise.
 
     Drops a repeated closing vertex, requires finite coordinates, at least 3
-    distinct vertices, positive area, and no self-intersection (checked
-    pairwise).
+    distinct vertices, a positive area within the float range, and no
+    self-intersection (checked pairwise).
     """
     pts = [(float(x), float(y)) for x, y in ring]
     for k, (x, y) in enumerate(pts):
@@ -72,6 +72,8 @@ def normalize_ring(ring, label="ring") -> list[tuple[float, float]]:
     if len(pts) < 3:
         raise FootprintError(f"{label}: ring needs at least 3 vertices, got {len(pts)}")
     area = _signed_area(pts)
+    if not math.isfinite(area):
+        raise FootprintError(f"{label}: ring area overflows the float range")
     if area == 0:
         raise FootprintError(f"{label}: ring has zero area")
     if area < 0:
@@ -295,7 +297,7 @@ def span_table(
     # one span per crossing pair
     order = np.lexsort((x_at, row, owner[edge]))
     x_at = x_at[order]
-    cx = georef.xll + (np.arange(georef.ncols) + 0.5) * cs + eps
+    cx = georef.col_centers() + eps
     c0 = np.searchsorted(cx, x_at[0::2])
     return (
         owner[edge][order][0::2],

@@ -23,13 +23,12 @@ take ``nan``, ``1_000`` and non-ASCII digits such as a full-width zero; each
 of those, in the header or the body, is an ``AsciiGridError`` with its line.
 
 Grids of 100,000 cells or more are read and written in row bands, one per
-usable CPU (see ``_bands``); each band gives one result. Within a band both
-directions work in chunks of about ``_PART_CELLS`` cells: the reader streams
-a band's tokens into float64 arrays of at most that many values, however they
-are spread over lines, and the writer formats whole rows, at least one per
-chunk. So per-cell Python objects (the reader's floats) live for one chunk
-only. The values read and the text written are the same whatever the number
-of bands.
+usable CPU (see ``_bands``); each band gives one result. The reader turns a
+band's tokens into one float64 array, one ``float`` at a time however they are
+spread over lines, so no per-cell Python object outlives its token. The writer
+formats whole rows in chunks of about ``_PART_CELLS`` cells, at least one row
+per chunk, so one chunk's text is built at a time. The values read and the
+text written are the same whatever the number of bands.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 # Origin/cellsize agreement required for grid algebra, in meters.
 GEOREF_TOLERANCE_M = 1e-6
 
-# cells converted or formatted at a time: 16 rows of a 1000-column grid, so
-# few per-cell Python objects live at once, yet many rows of a narrow grid,
-# so numpy's fixed per-call cost is spread over them.
+# cells the writer formats at a time: 16 rows of a 1000-column grid, so few
+# temporaries live at once, yet many rows of a narrow grid, so numpy's fixed
+# per-call cost is spread over them.
 _PART_CELLS = 16384
 
 
@@ -230,13 +229,12 @@ def read_ascii_grid(text: str) -> Grid:
     count = 0
     body = lines[body_start:]
 
-    def take(chunks):
+    def take(band):
         nonlocal count
-        for chunk in chunks:
-            if chunk is None or count + len(chunk) > expected:
-                _raise_first_bad_token(body, body_start + 1, expected)
-            values[count:count + len(chunk)] = chunk
-            count += len(chunk)
+        if band is None or count + len(band) > expected:
+            _raise_first_bad_token(body, body_start + 1, expected)
+        values[count:count + len(band)] = band
+        count += len(band)
 
     run_bands(
         lambda start, stop: _parse_lines(body, start, stop),
@@ -257,18 +255,15 @@ def read_ascii_grid(text: str) -> Grid:
     return Grid(georef, values.reshape(nrows, ncols), nodata)
 
 
-def _parse_lines(body: list[str], start: int, stop: int) -> list:
-    """The values of ``body[start:stop]`` in float64 arrays of at most
-    ``_PART_CELLS`` values (``np.fromiter`` applies ``float`` to each token),
-    ending in None at a chunk with a non-numeric token."""
+def _parse_lines(body: list[str], start: int, stop: int) -> np.ndarray | None:
+    """The values of ``body[start:stop]`` as one float64 array (``np.fromiter``
+    applies ``float`` to one token at a time), or None at a token ``float``
+    refuses."""
     tokens = chain.from_iterable(map(str.split, islice(body, start, stop)))
-    chunks = []
     try:
-        while len(chunk := np.fromiter(islice(tokens, _PART_CELLS), np.float64)):
-            chunks.append(chunk)
+        return np.fromiter(tokens, np.float64)
     except ValueError:
-        chunks.append(None)
-    return chunks
+        return None
 
 
 def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str) -> list[str]:

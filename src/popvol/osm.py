@@ -8,14 +8,15 @@ haversine great-circle formula on a spherical Earth.
 ``amenities`` reads the text in one expat pass and builds no element tree:
 the parser's target keeps the raw id and coordinates of each ``node`` (at any
 depth) and each root child's tag and id, with its ``tag`` pairs and ``nd``
-refs only where it has some. Node ids and coordinates are then converted in
-bulk; a node-by-node walk runs only to name the first bad one. The root's
-children are resolved in document order, so a way may reference a later
-node, and an ``AmenityRecord`` is built only for a node or way a rule
-matches. Errors wait for the end of the text, in this order: malformed XML;
-a root other than ``<osm>``; the first bad node in document order; the first
-bad root child (way id, node reference, coordinates out of range) in
-document order.
+refs only where it has some. Node ids and coordinates follow ``decimal``'s
+rule, as the grid and CSV readers do: each column, and each way's node
+references, is checked once, joined, then converted in bulk; a node-by-node
+walk runs only to name the first bad one. The root's children are resolved
+in document order, so a way may reference a later node, and an
+``AmenityRecord`` is built only for a node or way a rule matches. Errors wait
+for the end of the text, in this order: malformed XML; a root other than
+``<osm>``; the first bad node in document order; the first bad root child
+(way id, node reference, coordinates out of range) in document order.
 
 ``parse_osm`` runs the same pass and returns an ``OsmElement`` for every node
 and way; ``filter_amenities`` keeps the rule hits among them. The pipeline
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
-from .errors import ConfigError, OsmParseError, PipelineError, json_document
+from .errors import ConfigError, OsmParseError, PipelineError, decimal, json_document
 
 logger = logging.getLogger(__name__)
 
@@ -77,19 +78,25 @@ def _require_attr(value: Optional[str], name: str, elem_id) -> str:
 
 def _float_attr(value: Optional[str], name: str, elem_id) -> float:
     raw = _require_attr(value, name, elem_id)
-    try:
-        return float(raw)
-    except ValueError:
-        raise OsmParseError(
-            f"element {elem_id}: attribute {name}={raw!r} is not a number"
-        ) from None
+    v = decimal(raw)
+    if v is None:
+        raise OsmParseError(f"element {elem_id}: attribute {name}={raw!r} is not a number")
+    return v
 
 
 def _int_attr(raw: str, what: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise OsmParseError(f"{what} {raw!r} is not an integer") from None
+    v = decimal(raw, int)
+    if v is None:
+        raise OsmParseError(f"{what} {raw!r} is not an integer")
+    return v
+
+
+def _bulk(convert, texts: list) -> list:
+    """``convert`` of each text, behind one check that the texts joined pass
+    ``decimal``'s text rule: a ValueError where not, a TypeError for a None."""
+    if decimal("".join(texts), str) is None:
+        raise ValueError("not decimal text")
+    return list(map(convert, texts))
 
 
 def _collect(text: str):
@@ -175,9 +182,9 @@ def _elements(text: str) -> Iterator[tuple[str, int, float, float, Optional[dict
     child of the root, in document order, each checked before it is yielded."""
     (raw_ids, raw_lats, raw_lons), (kinds, where, tagged, refs) = _collect(text)
     try:
-        ids = list(map(int, raw_ids))
-        lats = list(map(float, raw_lats))
-        lons = list(map(float, raw_lons))
+        ids = _bulk(int, raw_ids)
+        lats = _bulk(float, raw_lats)
+        lons = _bulk(float, raw_lons)
         position = dict(zip(ids, range(len(ids))))
     except (TypeError, ValueError):
         position = None
@@ -192,7 +199,7 @@ def _elements(text: str) -> Iterator[tuple[str, int, float, float, Optional[dict
         elif kind == "way":
             elem_id = _int_attr(_require_attr(at, "id", "?"), "way id")
             try:
-                members = list(map(int, refs[i]))
+                members = _bulk(int, refs[i])
             except ValueError:
                 members = [_int_attr(r, f"way {elem_id}: node reference") for r in refs[i]]
             if len(members) >= 2 and members[0] == members[-1]:

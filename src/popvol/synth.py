@@ -162,11 +162,10 @@ def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
     # an overflow would give inf, or NaN from inf - inf, which reads as nodata
     try:
         with np.errstate(over="raise", invalid="raise"):
-            gx, gy = np.meshgrid(ref.col_centers(), ref.row_centers())
             terrain = (
                 scene.terrain.origin_elev
-                + scene.terrain.grad_x * (gx - ref.xll)
-                + scene.terrain.grad_y * (gy - ref.yll)
+                + scene.terrain.grad_x * (ref.col_centers() - ref.xll)
+                + scene.terrain.grad_y * (ref.row_centers()[:, None] - ref.yll)
             )
             dsm_data = _paint_prisms(scene, terrain)
             if scene.noise_amplitude_m > 0:

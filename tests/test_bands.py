@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import popvol.dtm
@@ -55,6 +55,12 @@ def test_banded_write_equals_one_band(grid, nbands):
         assert write_ascii_grid(grid) == one
 
 
+# one value on the first body line and whole rows after, across three bands
+_FIRST_LINE_ONE_VALUE = Grid(
+    GridGeoref(300, 200, 0.0, 0.0, 1.0), np.arange(60000.0).reshape(200, 300) / 8
+)
+
+
 @_settings
 @given(
     grid=_grids(),
@@ -65,12 +71,12 @@ def test_banded_write_equals_one_band(grid, nbands):
     ),
     bad=st.sampled_from([None, "oops", "inf", "-inf", "7"]),
     where=st.tuples(st.integers(0, 3), st.integers(0, 99)),
-    part_cells=st.sampled_from([popvol.grid._PART_CELLS, 3]),
 )
-def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where, part_cells):
+@example(grid=_FIRST_LINE_ONE_VALUE, nbands=3, sizes=[1, 299] + [300] * 199, bad=None,
+         where=(0, 0))
+def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where):
     """Values one per line or spread unevenly over lines; a bad token ("7" is
-    one value too many) put into the body lines of one band. The bands are
-    read in chunks of ``part_cells`` values, the one band in default chunks."""
+    one value too many) put into the body lines of one band."""
     lines = write_ascii_grid(grid).splitlines()
     header, tokens = lines[:6], " ".join(lines[6:]).split()
     body, i = [], 0
@@ -92,52 +98,8 @@ def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where, part_cells
         assert one == grid
     else:
         assert isinstance(one, tuple)
-    with split_into(nbands), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(popvol.grid, "_PART_CELLS", part_cells)
+    with split_into(nbands):
         assert _outcome(text) == one
-
-
-def test_read_chunks_hold_part_cells_values_at_one_value_per_line(monkeypatch):
-    """Values per chunk follow the values read, not ncols or lines."""
-    grid = Grid(GridGeoref(40, 3, 0.0, 0.0, 1.0), np.arange(120.0).reshape(3, 40))
-    lines = write_ascii_grid(grid).splitlines()
-    text = "\n".join(lines[:6] + " ".join(lines[6:]).split()) + "\n"
-    parse = popvol.grid._parse_lines
-    sizes = []
-
-    def spy(*args):
-        chunks = parse(*args)
-        sizes.extend(map(len, chunks))
-        return chunks
-
-    monkeypatch.setattr(popvol.grid, "_PART_CELLS", 50)
-    monkeypatch.setattr(popvol.grid, "_parse_lines", spy)
-    assert read_ascii_grid(text) == grid
-    assert sizes == [50, 50, 20]
-
-
-def test_read_chunks_stay_bounded_when_the_first_line_holds_one_value():
-    """One value on the first body line and whole rows after: no chunk of any
-    band holds more than ``_PART_CELLS`` plus one line's values."""
-    ncols = 300
-    data = np.arange(200.0 * ncols).reshape(200, ncols) / 8
-    grid = Grid(GridGeoref(ncols, 200, 0.0, 0.0, 1.0), data)
-    lines = write_ascii_grid(grid).splitlines()
-    first = lines[6].split()
-    text = "\n".join(lines[:6] + [first[0], " ".join(first[1:])] + lines[7:]) + "\n"
-    sizes = []
-
-    def spy(band, bounds, take):
-        def spy_take(chunks):
-            sizes.extend(map(len, chunks))
-            take(chunks)
-        _bands.run_bands(band, bounds, spy_take)
-
-    with split_into(3), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(popvol.grid, "run_bands", spy)
-        assert read_ascii_grid(text) == grid
-    assert sum(sizes) == data.size
-    assert max(sizes) <= popvol.grid._PART_CELLS + ncols
 
 
 @st.composite

@@ -695,6 +695,25 @@ def _assert_demo_reproduced(tmp_path):
         assert (out / name).read_bytes() == (DEMO / "out" / name).read_bytes(), name
 
 
+def test_readme_library_block_prints_the_demo_totals(tmp_path):
+    """The README's "Library use" block, run as a script beside copies of
+    the demo DSM and footprints, prints the totals of the demo's summary.json
+    and the persons per unit of an 87 m² unit."""
+    readme = (DEMO.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    for name in ("dsm.asc", "footprints.geojson"):
+        shutil.copy(DEMO / "out" / name, tmp_path / name)
+    src = Path(popvol.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "96 472\n4.0\n"
+    totals = json.loads((DEMO / "out" / "summary.json").read_text())["totals"]
+    assert (totals["units"], totals["persons_rounded"]) == (96, 472)
+
+
 def test_demo_run_is_silent_under_dev_mode_with_warnings_as_errors(tmp_path):
     """A child process, so that a ResourceWarning from an unclosed file in
     the forked paths, which only shows at exit, fails the run."""
@@ -898,6 +917,24 @@ def test_run_checks_the_filter_keys_before_any_output(tmp_path, capsys, extra, m
     capsys.readouterr()
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["dtm", "run"])
+def test_a_bad_filter_key_is_refused_before_the_dsm_is_read(tmp_path, capsys, command):
+    """The DSM's header is malformed too; the filter key is named first."""
+    (tmp_path / "dsm.asc").write_text("ncols 2\nnrows x\n")
+    (tmp_path / "fp.geojson").write_text('{"type": "FeatureCollection", "features": []}')
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"slope": -1}))
+    argv = ["dtm", "--dsm", str(tmp_path / "dsm.asc"), "--out-dtm", str(tmp_path / "out" / "dtm.asc")]
+    if command == "run":
+        config.write_text(json.dumps(
+            {"slope": -1, "dsm": "dsm.asc", "footprints": "fp.geojson", "out_dir": "out"}
+        ))
+        argv = ["run"]
+    assert main(argv + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: slope must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,33 @@ def test_zero_area_ring_rejected():
     collinear = [[0, 0], [1, 1], [2, 2]]
     with pytest.raises(FootprintError, match="zero area"):
         parse_footprints(collection(feature("B1", collinear)))
+
+
+# the shoelace sum of this ring is inf - inf, so its area is NaN
+OVERFLOWING_RING = [[0, -1e308], [10, 1e308], [0, 1e308], [0, -1e308]]
+
+
+def test_a_ring_whose_area_overflows_is_a_typed_error(tmp_path, capsys):
+    """The demo footprints with A1's ring replaced: refused by name through
+    ``parse_footprints`` and through ``estimate``, which wrote an infinite
+    area and the whole grid's cells for A1 with numpy warnings."""
+    demo = Path(__file__).resolve().parents[1] / "demo" / "out"
+    doc = json.loads((demo / "footprints.geojson").read_text())
+    a1 = next(f for f in doc["features"] if f["properties"]["id"] == "A1")
+    a1["geometry"]["coordinates"] = [OVERFLOWING_RING]
+    text = json.dumps(doc)
+    message = "footprint 'A1': ring area overflows the float range"
+    with pytest.raises(FootprintError, match=re.escape(message)):
+        parse_footprints(text)
+    (tmp_path / "fp.geojson").write_text(text)
+    rc = main([
+        "estimate", "--dsm", str(demo / "dsm.asc"), "--dtm", str(demo / "dtm.asc"),
+        "--footprints", str(tmp_path / "fp.geojson"),
+        "--out-heights", str(tmp_path / "h.csv"), "--out-estimates", str(tmp_path / "e.csv"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_invalid_json_rejected():

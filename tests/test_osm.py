@@ -112,9 +112,19 @@ _BAD_REF = """<osm>
   <node id="1" lat="23.0" lon="72.5"/>
   <way id="7"><nd ref="1"/><nd ref="x"/><tag k="amenity" v="school"/></way>
 </osm>"""
+# float and int would read "1_0" as 10 and the Arabic-Indic digits as 5 and 2
+_HOSPITAL = '<tag k="amenity" v="hospital"/>'
 _BAD_IDS = [
     (_DUPLICATE_NODE, "node id 1 appears more than once"),
     (_BAD_REF, "way 7: node reference 'x' is not an integer"),
+    (f'<osm><node id="1" lat="1_0" lon="\u0665">{_HOSPITAL}</node></osm>',
+     "element 1: attribute lat='1_0' is not a number"),
+    (f'<osm><node id="1" lat="10" lon="\u0665">{_HOSPITAL}</node></osm>',
+     "element 1: attribute lon='\u0665' is not a number"),
+    (f'<osm><node id="1_0" lat="10" lon="5">{_HOSPITAL}</node></osm>',
+     "node id '1_0' is not an integer"),
+    (f'<osm><node id="2" lat="10" lon="5"/><way id="7"><nd ref="\u0662"/>{_HOSPITAL}</way></osm>',
+     "way 7: node reference '\u0662' is not an integer"),
 ]
 
 
@@ -132,10 +142,15 @@ def _amenities(tmp_path):
     ])
 
 
-@pytest.mark.parametrize("text,message", _BAD_IDS, ids=["duplicate_node", "bad_ref"])
+@pytest.mark.parametrize(
+    "text,message", _BAD_IDS,
+    ids=["duplicate_node", "bad_ref", "underscore_lat", "arabic_indic_lon",
+         "underscore_id", "arabic_indic_ref"],
+)
 def test_repeated_node_id_or_bad_node_reference_is_typed_error(tmp_path, capsys, text, message):
     """A repeated node id would give both elements the second node's
-    coordinates; a non-integer reference names its way."""
+    coordinates; a non-integer reference names its way. Ids, coordinates and
+    references are decimal text as ``errors.decimal`` reads it."""
     with pytest.raises(OsmParseError) as e:
         parse_osm(text)
     assert str(e.value) == message
@@ -304,21 +319,28 @@ def _tree_require_attr(el, name, elem_id):
     return value
 
 
+def _tree_number(raw, convert):
+    """``convert(raw)``, or None for text that is not plain ASCII without an
+    underscore, or that ``convert`` refuses."""
+    try:
+        return convert(raw) if raw.isascii() and "_" not in raw else None
+    except ValueError:
+        return None
+
+
 def _tree_float_attr(el, name, elem_id):
     raw = _tree_require_attr(el, name, elem_id)
-    try:
-        return float(raw)
-    except ValueError:
-        raise OsmParseError(
-            f"element {elem_id}: attribute {name}={raw!r} is not a number"
-        ) from None
+    value = _tree_number(raw, float)
+    if value is None:
+        raise OsmParseError(f"element {elem_id}: attribute {name}={raw!r} is not a number")
+    return value
 
 
 def _tree_int_attr(raw, what):
-    try:
-        return int(raw)
-    except ValueError:
-        raise OsmParseError(f"{what} {raw!r} is not an integer") from None
+    value = _tree_number(raw, int)
+    if value is None:
+        raise OsmParseError(f"{what} {raw!r} is not an integer")
+    return value
 
 
 def _tree_check_coords(lat, lon, where):
@@ -415,16 +437,16 @@ _ATTRS = {  # by tag; any other tag gets an id
     "node": st.fixed_dictionaries({
         "id": _ID,
         "lat": _mostly(["0", "45.5", "-12.25", "89.99", " 3 ", "-0.0", "1e1"],
-                       [None, "", "x", "nan", "91", "-1e3"]),
+                       [None, "", "x", "nan", "91", "-1e3", "1_0"]),
         "lon": _mostly(["0", "120.5", "-179.9", "180", "7", "-2.5"],
-                       [None, "", "y", "-inf", "181"]),
+                       [None, "", "y", "-inf", "181", "\u0665"]),
     }),
     "tag": st.fixed_dictionaries({
         "k": _mostly(["amenity", "name", "a&amp;b", "&#x41;", ""], [None]),
         "v": _mostly(["hospital", "school", "&lt;x&gt;", ""], [None]),
     }),
     "nd": st.fixed_dictionaries({
-        "ref": _mostly(["1", "2", "3", "4"], [None, "", "x", " 2", "99"]),
+        "ref": _mostly(["1", "2", "3", "4"], [None, "", "x", " 2", "99", "\u0662"]),
     }),
 }
 _TAGS = {  # by depth below the root

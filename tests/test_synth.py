@@ -328,6 +328,9 @@ def _tiny_scene(**changes):
                                  "per layer, more than physical memory"),
         ({"terrain.grad_x": 1e308},
          "scene values overflow the float range (overflow encountered in multiply)"),
+        # refused with the footprint, before the paint overflows
+        ({"prisms.0.ring": [[0, -1e308], [10, 1e308], [0, 1e308], [0, -1e308]]},
+         "footprint 'P0': ring area overflows the float range"),
         # inf - inf would be a NaN cell, written as nodata
         ({"georef.ncols": 1, "georef.nrows": 1, "georef.cellsize": 4, "prisms": [],
           "terrain.grad_x": 1e308, "terrain.grad_y": -1e308},
