@@ -187,10 +187,10 @@ def build_base_elevation(cfg: dict) -> float:
     return _finite_numbers(cfg, ("base_elevation_m",), "config key").get("base_elevation_m", 0.0)
 
 
-def _fmt_real(v: Optional[float], decimals: int = 3) -> str:
+def _fmt_real(v: Optional[float]) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return ""
-    return f"{v:.{decimals}f}"
+    return f"{v:.3f}"
 
 
 def render_heights_csv(rows) -> str:

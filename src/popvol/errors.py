@@ -19,10 +19,8 @@ class PipelineError(Exception):
 class AsciiGridError(PipelineError):
     """Malformed ASCII grid input. Carries the 1-based line number."""
 
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line_no):
+        super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -39,7 +37,6 @@ class EmptySelectionError(FootprintError):
 
     def __init__(self, footprint_id):
         super().__init__(f"footprint {footprint_id!r} selects no raster cells")
-        self.footprint_id = footprint_id
 
 
 class InsufficientCoverageError(FootprintError):
@@ -50,9 +47,6 @@ class InsufficientCoverageError(FootprintError):
             f"footprint {footprint_id!r} has {valid_cells} valid cells, "
             f"needs at least {min_cells}"
         )
-        self.footprint_id = footprint_id
-        self.valid_cells = valid_cells
-        self.min_cells = min_cells
 
 
 class ConfigError(PipelineError):

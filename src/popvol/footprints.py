@@ -45,23 +45,28 @@ def _signed_area(ring: Sequence[tuple[float, float]]) -> float:
     return 0.5 * a
 
 
-def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _orient(a, b, c) -> float:
+    """Twice the signed area of the triangle abc: > 0 when c is left of ab."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def normalize_ring(ring, label="ring") -> list[tuple[float, float]]:
+def _segments_meet(p, q, r, s) -> bool:
+    """Whether the closed segments pq and rs share a point: neither has both
+    ends strictly on one side of the other's line, and segments on one line
+    overlap, their points ordered along it as (x, y) tuples."""
+    d1, d2, d3, d4 = _orient(r, s, p), _orient(r, s, q), _orient(p, q, r), _orient(p, q, s)
+    if d1 == d2 == d3 == d4 == 0:
+        return max(min(p, q), min(r, s)) <= min(max(p, q), max(r, s))
+    return not (d1 > 0 < d2 or d1 < 0 > d2 or d3 > 0 < d4 or d3 < 0 > d4)
+
+
+def normalize_ring(ring, label: str) -> list[tuple[float, float]]:
     """Validate a vertex sequence and return it open and counter-clockwise.
 
     Drops a repeated closing vertex, requires finite coordinates, at least 3
-    distinct vertices, a positive area within the float range, and no
-    self-intersection (checked pairwise).
+    distinct vertices and a positive area within the float range. No two
+    edges that share no vertex may meet, not even at a point or along a
+    stretch, so the shoelace area is the area the even-odd rule fills.
     """
     pts = [(float(x), float(y)) for x, y in ring]
     for k, (x, y) in enumerate(pts):
@@ -81,12 +86,9 @@ def normalize_ring(ring, label="ring") -> list[tuple[float, float]]:
 
     n = len(pts)
     for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex
-            b1, b2 = pts[j], pts[(j + 1) % n]
-            if _segments_properly_intersect(a1, a2, b1, b2):
+        # edge i runs from vertex i to vertex i + 1; edges i - 1 and i + 1 share one of them
+        for j in range(i + 2, n - (i == 0)):
+            if _segments_meet(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]):
                 raise FootprintError(f"{label}: ring is self-intersecting")
     return pts
 
@@ -289,7 +291,7 @@ def span_table(
     count = (hi - lo + 1).clip(0).astype(np.intp)
     edge = np.repeat(np.arange(len(lo)), count)
     row = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count - lo.astype(np.intp), count)
-    cy = georef.yll + (row + 0.5) * cs + eps
+    cy = georef.row_centers()[georef.nrows - 1 - row] + eps
     hit = (y1[edge] > cy) != (y2[edge] > cy)
     edge, row, cy = edge[hit], row[hit], cy[hit]
     x_at = (x2[edge] - x1[edge]) * (cy - y1[edge]) / (y2[edge] - y1[edge]) + x1[edge]

@@ -7,6 +7,8 @@ Header keys are case-insensitive. Cells are square; row 0 of the value array
 is the northernmost row.
 
 Internally nodata cells are held as NaN; the sentinel only appears in files.
+A ``Grid`` keeps the float64 array it is given; an array with a sentinel cell
+gives a new array with NaN there, so the caller's array is never written.
 ``read_ascii_grid(write_ascii_grid(g))`` reproduces ``g`` exactly.
 
 Values are printed by ``format_value``: an integral value below 1e15 in
@@ -84,13 +86,13 @@ class GridGeoref:
         """Y coordinate of each row center, row 0 (north) first."""
         return self.yll + (self.nrows - 1 - np.arange(self.nrows) + 0.5) * self.cellsize
 
-    def approx_equal(self, other: "GridGeoref", tol: float = GEOREF_TOLERANCE_M) -> bool:
+    def approx_equal(self, other: "GridGeoref") -> bool:
         return (
             self.ncols == other.ncols
             and self.nrows == other.nrows
-            and abs(self.xll - other.xll) <= tol
-            and abs(self.yll - other.yll) <= tol
-            and abs(self.cellsize - other.cellsize) <= tol
+            and abs(self.xll - other.xll) <= GEOREF_TOLERANCE_M
+            and abs(self.yll - other.yll) <= GEOREF_TOLERANCE_M
+            and abs(self.cellsize - other.cellsize) <= GEOREF_TOLERANCE_M
         )
 
 
@@ -111,10 +113,8 @@ class Grid:
             )
         if np.isinf(arr).any():
             raise PipelineError("grid values must be finite or nodata")
-        # Sentinel-valued cells are nodata by definition; canonicalize to NaN.
-        arr = arr.copy()
-        arr[arr == self.nodata] = np.nan
-        self.data = arr
+        sentinel = arr == self.nodata
+        self.data = np.where(sentinel, np.nan, arr) if sentinel.any() else arr
 
     @property
     def valid_mask(self) -> np.ndarray:

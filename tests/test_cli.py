@@ -698,17 +698,19 @@ def _assert_demo_reproduced(tmp_path):
 def test_readme_library_block_prints_the_demo_totals(tmp_path):
     """The README's "Library use" block, run as a script beside copies of
     the demo DSM and footprints, prints the totals of the demo's summary.json
-    and the persons per unit of an 87 m² unit."""
+    and the persons per unit of an 87 m² unit, and nothing on stderr under
+    dev mode with warnings as errors (a file left unclosed is a ResourceWarning)."""
     readme = (DEMO.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
     for name in ("dsm.asc", "footprints.geojson"):
         shutil.copy(DEMO / "out" / name, tmp_path / name)
     src = Path(popvol.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-c", block], cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-X", "dev", "-W", "error", "-c", block], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
     assert result.stdout == "96 472\n4.0\n"
     totals = json.loads((DEMO / "out" / "summary.json").read_text())["totals"]
     assert (totals["units"], totals["persons_rounded"]) == (96, 472)

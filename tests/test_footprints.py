@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,67 @@ def test_self_intersecting_ring_rejected():
     crossed = [[0, 0], [6, 0], [0, 3], [4, 3], [0, 0]]
     with pytest.raises(FootprintError, match="self-intersecting"):
         parse_footprints(collection(feature("B1", crossed)))
+
+
+def _exact_meet(p, q, r, s) -> bool:
+    """Whether the closed segments pq and rs share a point, in exact arithmetic."""
+    p, q, r, s = ((Fraction(x), Fraction(y)) for x, y in (p, q, r, s))
+    d, e, w = (q[0] - p[0], q[1] - p[1]), (s[0] - r[0], s[1] - r[1]), (r[0] - p[0], r[1] - p[1])
+    den = d[0] * e[1] - d[1] * e[0]
+    if den:
+        # p + t * d == r + u * e at one point
+        t, u = (w[0] * e[1] - w[1] * e[0]) / den, (w[0] * d[1] - w[1] * d[0]) / den
+        return 0 <= t <= 1 and 0 <= u <= 1
+    # parallel or a point: they meet where an end of one lies on the other
+
+    def on(a, b, c):
+        return ((b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
+                and min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+    return on(r, s, p) or on(r, s, q) or on(p, q, r) or on(p, q, s)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=4, max_size=8))
+def test_a_ring_is_refused_exactly_when_two_edges_sharing_no_vertex_meet(ring):
+    """Edges that touch at a point or run along each other make the shoelace
+    area differ from the cells the even-odd rule fills, so such rings are
+    refused like crossing ones; the oracle is exact."""
+    pts = ring[:-1] if ring[0] == ring[-1] else ring
+    n = len(pts)
+    area = sum(Fraction(x1 * y2 - x2 * y1) for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+    meet = any(
+        _exact_meet(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n])
+        for i in range(n) for j in range(i + 1, n)
+        if j != i + 1 and (j + 1) % n != i
+    )
+    try:
+        Footprint("R", "T", ring)
+        refused = None
+    except FootprintError as e:
+        refused = str(e)
+    if area == 0:
+        assert refused == "footprint 'R': ring has zero area"
+    else:
+        assert refused == ("footprint 'R': ring is self-intersecting" if meet else None)
+
+
+def test_a_ring_that_doubles_back_is_refused_by_estimate(tmp_path, capsys):
+    """A ring, inside the demo's A1, whose edges touch and run along each
+    other: its shoelace area was 94.5 m² over 114 one-metre cells, and
+    ``estimate`` exited 0 with 21 units."""
+    demo = Path(__file__).resolve().parents[1] / "demo" / "out"
+    ring = [[37, 18], [37, 30], [40, 18], [37, 24], [37, 39], [31, 39], [28, 36]]
+    (tmp_path / "fp.geojson").write_text(collection(feature("X", ring, unit_area_m2=20)))
+    rc = main([
+        "estimate", "--dsm", str(demo / "dsm.asc"), "--dtm", str(demo / "dtm.asc"),
+        "--footprints", str(tmp_path / "fp.geojson"),
+        "--out-heights", str(tmp_path / "h.csv"), "--out-estimates", str(tmp_path / "e.csv"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: footprint 'X': ring is self-intersecting\n"
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_zero_area_ring_rejected():

@@ -348,6 +348,21 @@ def test_bad_georef_and_grid_values_are_typed_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "error: grid values must be finite or nodata\n"
 
 
+def test_grid_keeps_a_float64_array_and_never_writes_the_callers():
+    """A grid holds the caller's float64 array as it is; a sentinel cell
+    makes a new array, with NaN there, and leaves the caller's as it was."""
+    ref = GridGeoref(2, 2, 0.0, 0.0, 1.0)
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.shares_memory(Grid(ref, a).data, a)
+    b = np.array([[1.0, -9999.0], [3.0, 4.0]])
+    b.flags.writeable = False
+    g = Grid(ref, b)
+    assert b.tolist() == [[1.0, -9999.0], [3.0, 4.0]]
+    assert g.valid_mask.tolist() == [[True, False], [True, True]]
+    a.flags.writeable = False
+    assert Grid(ref, a).data is a
+
+
 def test_cell_center_convention():
     georef = GridGeoref(3, 2, 10.0, 20.0, 2.0)
     assert georef.col_centers().tolist() == [11.0, 13.0, 15.0]

@@ -3,7 +3,10 @@
 Each parser gets arbitrary text and mutations of its demo file: a few edits,
 each replacing a number of the text, or up to eight characters at a
 position, by a short string, often one that JSON, XML, CSV or grid text
-reads in a special way.
+reads in a special way. Bytes reach the parsers as the CLI reads them: a
+file of arbitrary bytes, or of a demo file with bytes that are not UTF-8 or
+that UTF-8 decodes in a special way, goes through ``_read_text`` and then
+every parser.
 """
 
 import re
@@ -23,7 +26,7 @@ from popvol import (
     read_ground_truth,
     synthesize_dsm,
 )
-from popvol.cli import _read_heights_by_id, read_estimates_csv
+from popvol.cli import _read_heights_by_id, _read_text, read_estimates_csv
 
 DEMO = Path(__file__).resolve().parents[1] / "demo"
 
@@ -89,5 +92,45 @@ def test_parser_returns_or_raises_pipeline_error(name):
             parse(text)
         except PipelineError:
             pass
+
+    check()
+
+
+# bytes that are not UTF-8 (a stray continuation byte, a cut sequence, a lone
+# surrogate's encoding) or that UTF-8 decodes in a special way (a BOM, NUL)
+_ODD_BYTES = st.sampled_from([
+    b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xed\xbf\xbf",
+    b"\xef\xbb\xbf", b"\x00",
+])
+
+
+@st.composite
+def _byte_mutations(draw):
+    data = (DEMO / draw(st.sampled_from([f for _, f in PARSERS.values()]))).read_bytes()
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            data = data.replace(b"\n", draw(st.sampled_from([b"\r\n", b"\r"])))
+        else:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(_ODD_BYTES) + data[at:]
+    return data
+
+
+def test_bytes_through_read_text_reach_every_parser_as_a_value_or_pipeline_error(tmp_path):
+    path = tmp_path / "input"
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.binary() | _byte_mutations())
+    def check(data):
+        path.write_bytes(data)
+        try:
+            text = _read_text(path)
+        except PipelineError:
+            return
+        for parse, _ in PARSERS.values():
+            try:
+                parse(text)
+            except PipelineError:
+                pass
 
     check()
