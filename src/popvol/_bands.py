@@ -33,8 +33,11 @@ import tempfile
 # resident). Grids below this many cells stay one band, where the saving
 # would shrink toward that cost and the host's noise. At 100,000 cells, on a
 # 100x1000 grid of random 3-decimal values, two bands write in 27-32 ms
-# against 32-35 ms and read in 19-22 ms against 19-20 ms (medians of 30
-# alternating calls): about break-even. The demo's 27,000 cells never fork.
+# against 32-35 ms, but read in 18.4-18.9 ms against 12.6-16.3 ms (medians
+# of 30 alternating calls, three repeats): the array decimal reader makes
+# the split a loss there. At 250,000 cells (250x1000), the fewest in any
+# benchmark grid, two bands read in 32.0-34.6 ms against 38.5-40.3 ms, so
+# one threshold still serves both. The demo's 27,000 cells never fork.
 MIN_SPLIT_CELLS = 100_000
 _TRAILER_BYTES = 8
 

@@ -24,24 +24,28 @@ The reader accepts plain ASCII decimal numbers only. ``float`` would also
 take ``nan``, ``1_000`` and non-ASCII digits such as a full-width zero; each
 of those, in the header or the body, is an ``AsciiGridError`` with its line.
 
-Grids of 100,000 cells or more are read and written in row bands, one per
-usable CPU (see ``_bands``); each band gives one result. The reader turns a
-band's tokens into one float64 array, one ``float`` at a time however they are
-spread over lines, so no per-cell Python object outlives its token. The writer
-formats whole rows in chunks of about ``_PART_CELLS`` cells, at least one row
-per chunk, so one chunk's text is built at a time. The values read and the
-text written are the same whatever the number of bands.
+Grids of 100,000 cells or more are read and written in bands, one per usable
+CPU (see ``_bands``); each band gives one result. The writer's bands are rows;
+the reader's are stretches of the body text of about equal length, cut at
+whitespace, however the values are spread over lines. The reader converts a
+band with ``_nearest.parse_tokens``, which equals ``float`` per token bit for
+bit but reads most tokens in one numpy pass per chunk of text, so neither a
+list of lines nor a per-cell Python object lives through the read; only a
+read that fails splits the text into lines, to name the line of the first bad
+token. The writer formats whole rows in chunks of about ``_PART_CELLS`` cells,
+at least one row per chunk, so one chunk's text is built at a time. The values
+read and the text written are the same whatever the number of bands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
 from ._bands import row_bands, run_bands
+from ._nearest import parse_tokens, space_after
 from ._shortest import format_cells, format_value
 from .errors import AsciiGridError, GeorefMismatchError, PipelineError, decimal
 
@@ -185,6 +189,18 @@ def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -
             count += 1
 
 
+def _head(text: str) -> list[str]:
+    """The first six lines of ``text``, or all of them where it has fewer,
+    each with its line end. Only a prefix that holds them is split."""
+    prefix = 1024
+    while True:
+        lines = text[:prefix].splitlines(keepends=True)
+        # a seventh line begun in the prefix completes the sixth and its end
+        if len(lines) > 6 or prefix >= len(text):
+            return lines[:6]
+        prefix *= 4
+
+
 def read_ascii_grid(text: str) -> Grid:
     """Parse an ESRI ASCII grid from a string.
 
@@ -193,7 +209,7 @@ def read_ascii_grid(text: str) -> Grid:
     included) or non-finite tokens, or a wrong body value count.
     """
     _raise_if_not_ascii(text)
-    lines = text.splitlines()
+    lines = _head(text)
     if len(lines) < len(_HEADER_KEYS):
         raise AsciiGridError("incomplete header", len(lines) or 1)
 
@@ -212,7 +228,7 @@ def read_ascii_grid(text: str) -> Grid:
     nodata = DEFAULT_NODATA
     body_start = len(_HEADER_KEYS)
     if body_start < len(lines):
-        parts = lines[body_start].split()
+        parts = lines[body_start].split(maxsplit=1)
         if parts and parts[0].lower() == "nodata_value":
             nodata = _parse_header_line(lines[body_start], body_start + 1, "nodata_value")
             body_start += 1
@@ -223,47 +239,43 @@ def read_ascii_grid(text: str) -> Grid:
     if expected > (len(text) + 1) // 2:
         raise AsciiGridError(
             f"too few values: expected {expected}, the text holds at most {(len(text) + 1) // 2}",
-            len(lines),
+            len(text.splitlines()),
         )
     values = np.empty(expected, dtype=np.float64)
     count = 0
-    body = lines[body_start:]
 
-    def take(band):
+    def raise_first_bad_token():
+        _raise_first_bad_token(text.splitlines()[body_start:], body_start + 1, expected)
+
+    def take(parts):
         nonlocal count
-        if band is None or count + len(band) > expected:
-            _raise_first_bad_token(body, body_start + 1, expected)
-        values[count:count + len(band)] = band
-        count += len(band)
+        if parts is None:
+            raise_first_bad_token()
+        for part in parts:
+            if count + len(part) > expected:
+                raise_first_bad_token()
+            values[count:count + len(part)] = part
+            count += len(part)
 
+    # bands of the body's characters (row_bands' rule), each cut moved on to whitespace
+    body = sum(map(len, lines[:body_start]))
+    cuts = [space_after(text, body + stop) for _, stop in row_bands(len(text) - body, expected)]
     run_bands(
-        lambda start, stop: _parse_lines(body, start, stop),
-        row_bands(len(body), expected),
+        lambda start, stop: parse_tokens(text, start, stop),
+        zip([body] + cuts[:-1], cuts),
         take,
     )
-    # float also reads "nan" and "1_000"; an underscore outside the header
-    # lines (NODATA_value has one) is in the body
-    underscores = text.count("_") > sum(line.count("_") for line in lines[:body_start])
-    if underscores or not np.isfinite(values[:count]).all():
-        _raise_first_bad_token(body, body_start + 1, expected)
+    # float also reads "nan" and "1_000" (NODATA_value's underscore is in
+    # the header)
+    if text.find("_", body) >= 0 or not np.isfinite(values[:count]).all():
+        raise_first_bad_token()
     if count < expected:
         raise AsciiGridError(
-            f"too few values: expected {expected}, got {count}", len(lines)
+            f"too few values: expected {expected}, got {count}", len(text.splitlines())
         )
 
     georef = GridGeoref(ncols, nrows, raw["xllcorner"], raw["yllcorner"], raw["cellsize"])
     return Grid(georef, values.reshape(nrows, ncols), nodata)
-
-
-def _parse_lines(body: list[str], start: int, stop: int) -> np.ndarray | None:
-    """The values of ``body[start:stop]`` as one float64 array (``np.fromiter``
-    applies ``float`` to one token at a time), or None at a token ``float``
-    refuses."""
-    tokens = chain.from_iterable(map(str.split, islice(body, start, stop)))
-    try:
-        return np.fromiter(tokens, np.float64)
-    except ValueError:
-        return None
 
 
 def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str) -> list[str]:

@@ -223,7 +223,7 @@ def test_failed_worker_still_gives_the_right_grid_and_pmf():
         text = write_ascii_grid(dsm)
         dtm, ground = progressive_morphological_filter(dsm, params)
 
-    real = popvol.grid._format_rows, popvol.grid._parse_lines, popvol.dtm._filter
+    real = popvol.grid._format_rows, popvol.grid.parse_tokens, popvol.dtm._filter
 
     def failing(fn):
         def wrapper(*args):

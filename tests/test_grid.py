@@ -205,6 +205,24 @@ def test_write_peak_memory_is_about_twice_the_text():
     assert peak <= 2.1 * len(text)
 
 
+def test_read_peak_memory_is_the_values_and_one_band():
+    """One value per line: no list of lines, and no copy of the body, lives
+    through the read; only the values (8 bytes a cell), one band's chunk
+    arrays as many and one chunk's temporaries."""
+    data = 68.0 + np.round(np.random.default_rng(3).random((1000, 1000)), 3)
+    lines = write_ascii_grid(make_grid(data)).splitlines()
+    text = "\n".join(lines[:6] + " ".join(lines[6:]).split()) + "\n"
+    with split_into(1):
+        tracemalloc.start()
+        try:
+            grid = read_ascii_grid(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert grid == make_grid(data)
+    assert peak <= 2 * 8 * data.size + 4 * 2**20
+
+
 @pytest.mark.parametrize("values", ADVERSARIAL)
 @pytest.mark.parametrize("layout", ["one_line", "uneven", "one_per_line"])
 def test_read_values_spread_across_lines(values, layout):
