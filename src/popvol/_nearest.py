@@ -1,17 +1,16 @@
 """The nearest float64 of decimal text, one numpy pass per chunk of tokens.
 
-``float`` is the definition: ``parse_tokens(text, start, stop)`` gives
-``float(t)`` for every ``t`` in ``text[start:stop].split()``, bit for bit, in
-one array per chunk, or None where ``float`` refuses one. Most tokens take no
-Python object:
+``errors.decimal`` is the definition: ``parse_tokens(text, start, stop)``
+gives ``decimal(t)`` for every ``t`` in ``text[start:stop].split()``, bit for
+bit, in one array per chunk, or None where it refuses one, a value is not
+finite or the text is not ASCII. Most tokens take no Python object:
 
 - The text is read in chunks of about ``_CHUNK_CHARS`` characters, each cut
-  at whitespace. A chunk whose characters are all whitespace, digits, "." and
-  "-" is read as a uint8 array; any other chunk (an exponent, "nan", "_", a
-  non-ASCII character) goes through ``float`` one token at a time.
+  at whitespace, as uint8 arrays; one table classes each byte as whitespace,
+  a digit or a mark, which is any other byte.
 - A token of the form ``-?d{0,8}(.d{0,16})?`` with 1 to 19 digits is
   ``w / 10**f``, with the integer ``w`` below 10**19 and ``f`` <= 16. A count
-  of the "-" and "." in each token finds these. Their digits come from
+  of the marks in each token finds these. Their digits come from
   little-endian words of 8 bytes, one ending at the point (or the token's
   end) and two ending at the token's end: the bytes before the digits are
   masked off, and each word is read as eight digits at once by fast_float's SWAR
@@ -23,8 +22,9 @@ Python object:
   adjacent doubles is such a number and rounding is monotonic, so a quotient
   that is no midpoint lies on the same side of each midpoint as the exact
   value, and rounding it to double gives the correctly rounded value.
-- Every other token, a quotient on a midpoint, and every larger ``w`` where
-  ``longdouble`` is another format go through ``float`` one at a time.
+- Every other token, such as an exponent form, a quotient on a midpoint, and
+  every larger ``w`` where ``longdouble`` is another format go through
+  ``decimal`` alone; the rest of their chunk stays on the array path.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import re
 
 import numpy as np
 
+from .errors import decimal
+
 # About 3,500 tokens of 17 digits, or 9,000 of 3 decimals. Per 65,536 tokens
 # (medians of 30 alternating calls, 2-vCPU VM), chunks of 16,384 characters
 # read 17-digit tokens in 29 ms against 19 ms, numpy's cost per call being
@@ -42,9 +44,8 @@ import numpy as np
 _CHUNK_CHARS = 65536
 # For ASCII text, exactly the characters str.split splits at.
 _SPACE = re.compile(r"\s")
-# Characters of a chunk read as an array: str.split's ASCII whitespace (every
-# byte up to the space), digits, point and minus.
-_ARRAY_BYTES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f 0123456789.-"
+# Each ASCII byte's class: 0 where str.split splits, 1 for a digit, 2 for a mark.
+_CLASSES = bytes(0 if chr(b).isspace() else 1 if chr(b).isdigit() else 2 for b in range(256))
 # Leading spaces, so that every word ending at a token's end starts in the buffer.
 _PAD = b" " * 16
 # Eight digits of a word at once, after fast_float: pairs of digits become
@@ -87,9 +88,11 @@ def space_after(text: str, pos: int) -> int:
 
 
 def parse_tokens(text: str, start: int, stop: int) -> list[np.ndarray] | None:
-    """``float`` of every token of ``text[start:stop]``, as float64 arrays
-    of one chunk each, or None if ``float`` refuses one. ``stop`` is
-    ``len(text)`` or the index of a whitespace character."""
+    """``decimal`` of every token of ``text[start:stop]``, as float64 arrays of
+    one chunk each, or None if it refuses one, one is not finite or ``text`` is
+    not ASCII. ``stop`` is ``len(text)`` or the index of a whitespace character."""
+    if not text.isascii():
+        return None
     parts = []
     while start < stop:
         end = min(space_after(text, min(start + _CHUNK_CHARS, stop)), stop)
@@ -102,11 +105,9 @@ def parse_tokens(text: str, start: int, stop: int) -> list[np.ndarray] | None:
 
 
 def _floats(tokens) -> np.ndarray | None:
-    """``float`` of each token, or None if it refuses one."""
-    try:
-        return np.fromiter(map(float, tokens), np.float64)
-    except ValueError:
-        return None
+    """``decimal`` of each token, or None if it refuses one or one is not finite."""
+    values = np.fromiter(map(decimal, tokens), np.float64)  # a refusal, None, reads as NaN
+    return values if np.isfinite(values).all() else None
 
 
 def _digits(words: np.ndarray, end: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -119,24 +120,24 @@ def _digits(words: np.ndarray, end: np.ndarray, count: np.ndarray) -> np.ndarray
 
 
 def _parse_chunk(chunk: str) -> np.ndarray | None:
-    """``float`` of every token of ``chunk``, or None if it refuses one."""
-    data = chunk.encode()
-    if data.translate(None, _ARRAY_BYTES):
-        return _floats(chunk.split())
-    buf = np.frombuffer(_PAD + data, np.uint8)
+    """``decimal`` of every token of the ASCII ``chunk``, or None if it
+    refuses one or one is not finite."""
+    data = _PAD + chunk.encode()
+    buf = np.frombuffer(data, np.uint8)
+    classes = np.frombuffer(data.translate(_CLASSES), np.uint8)
     # words[i] is the little-endian word of bytes i to i + 7
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
     in_token = np.empty(len(buf) + 1, bool)
     in_token[-1] = False
-    np.greater(buf, ord(" "), out=in_token[:-1])
+    np.not_equal(classes, 0, out=in_token[:-1])
     edges = np.flatnonzero(in_token[:-1] != in_token[1:]) + 1
     starts, ends = edges[0::2], edges[1::2]
 
-    # Every byte of a token is a digit, "." or "-". It is on the array path
-    # when its only other bytes are a leading "-" and one ".", with at most 8
-    # digits before the point, 16 after it and 1 to 19 in all.
+    # A token is on the array path when its only marks are a leading "-" and
+    # one ".", with at most 8 digits before the point, 16 after it and 1 to 19
+    # in all; any other mark makes its count too large.
     neg = buf[starts] == ord("-")
-    marks = np.flatnonzero(buf - np.uint8(ord("-")) < 2)
+    marks = np.flatnonzero(classes == 2)
     owner = np.searchsorted(ends, marks)
     point = ends.copy()
     dot = buf[marks] == ord(".")

@@ -309,13 +309,15 @@ def estimate_stage(
     heights by id as the CSV holds them (what a standalone ``model3d`` reads),
     the per-building warnings and the stage record."""
     height_rows, estimates, warnings = estimate_buildings(dsm, dtm, footprints, cfg)
-    heights_csv = render_heights_csv(height_rows)
-    _write_text(out_heights, heights_csv)
+    _write_text(out_heights, render_heights_csv(height_rows))
     _write_text(out_estimates, render_estimates_csv(estimates))
     record = _record(
         out_heights, out_estimates, buildings=len(estimates), failed_buildings=len(warnings)
     )
-    return aggregate(estimates), _read_heights_by_id(heights_csv), warnings, record
+    heights = {
+        rec.id: float(text) for _, rec in height_rows if (text := _fmt_real(rec.height_m))
+    }
+    return aggregate(estimates), heights, warnings, record
 
 
 def validate_stage(society: SocietyEstimate, gt, out) -> tuple[list, dict]:

@@ -65,8 +65,14 @@ def window_sizes(params: DtmFilterParams, cellsize: float) -> list[int]:
     w = int(params.initial_window)
     while True:
         sizes.append(w)
-        if w * cellsize >= params.max_window_m:
-            break
+        try:
+            if w * cellsize >= params.max_window_m:
+                break
+        except OverflowError:  # w itself is beyond the float range
+            raise ConfigError(
+                f"max_window_m ({params.max_window_m}) is out of reach: windows of "
+                f"{params.initial_window} cells x {cellsize} m leave the float range first"
+            ) from None
         w = 2 * w - 1
     return sizes
 

@@ -27,19 +27,22 @@ of those, in the header or the body, is an ``AsciiGridError`` with its line.
 Grids of 100,000 cells or more are read and written in bands, one per usable
 CPU (see ``_bands``); each band gives one result. The writer's bands are rows;
 the reader's are stretches of the body text of about equal length, cut at
-whitespace, however the values are spread over lines. The reader converts a
-band with ``_nearest.parse_tokens``, which equals ``float`` per token bit for
-bit but reads most tokens in one numpy pass per chunk of text, so neither a
-list of lines nor a per-cell Python object lives through the read; only a
-read that fails splits the text into lines, to name the line of the first bad
-token. The writer formats whole rows in chunks of about ``_PART_CELLS`` cells,
-at least one row per chunk, so one chunk's text is built at a time. The values
+whitespace, however the values are spread over lines; the header scan stops
+at the sixth line's first token unless it is NODATA_value. A band is read by
+``_nearest.parse_tokens``, which refuses what ``errors.decimal`` refuses and
+non-finite values, and otherwise equals ``float`` per token bit for bit, but
+reads most tokens in one numpy pass per chunk of text, so neither a list of
+lines nor a per-cell Python object lives through the read; only a read that
+fails splits the text into lines, to name the line of the first bad token.
+The writer formats whole rows in chunks of about ``_PART_CELLS`` cells, at
+least one row per chunk, so one chunk's text is built at a time. The values
 read and the text written are the same whatever the number of bands.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,10 @@ from .errors import AsciiGridError, GeorefMismatchError, PipelineError, decimal
 DEFAULT_NODATA = -9999.0
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+# One line of ASCII text and its end, as str.splitlines cuts them.
+_LINE = re.compile(r"[^\n\r\x0b\x0c\x1c-\x1e]*(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e])?")
+# A line whose first token is NODATA_value, in any case.
+_NODATA = re.compile(r"[\t\x1f ]*nodata_value(?!\S)", re.IGNORECASE)
 
 # Origin/cellsize agreement required for grid algebra, in meters.
 GEOREF_TOLERANCE_M = 1e-6
@@ -190,15 +197,14 @@ def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -
 
 
 def _head(text: str) -> list[str]:
-    """The first six lines of ``text``, or all of them where it has fewer,
-    each with its line end. Only a prefix that holds them is split."""
-    prefix = 1024
-    while True:
-        lines = text[:prefix].splitlines(keepends=True)
-        # a seventh line begun in the prefix completes the sixth and its end
-        if len(lines) > 6 or prefix >= len(text):
-            return lines[:6]
-        prefix *= 4
+    """The five header lines of ``text``, or all of them where it has fewer,
+    and the NODATA_value line if the sixth is one, each with its line end.
+    The scan stops at the sixth line's first token, so no body line is copied."""
+    lines, pos = [], 0
+    while pos < len(text) and (len(lines) < 5 or len(lines) == 5 and _NODATA.match(text, pos)):
+        lines.append(_LINE.match(text, pos).group())
+        pos += len(lines[-1])
+    return lines
 
 
 def read_ascii_grid(text: str) -> Grid:
@@ -226,12 +232,9 @@ def read_ascii_grid(text: str) -> Grid:
         raise AsciiGridError(f"cellsize must be positive, got {raw['cellsize']}", 5)
 
     nodata = DEFAULT_NODATA
-    body_start = len(_HEADER_KEYS)
-    if body_start < len(lines):
-        parts = lines[body_start].split(maxsplit=1)
-        if parts and parts[0].lower() == "nodata_value":
-            nodata = _parse_header_line(lines[body_start], body_start + 1, "nodata_value")
-            body_start += 1
+    body_start = len(lines)
+    if body_start > len(_HEADER_KEYS):
+        nodata = _parse_header_line(lines[-1], body_start, "nodata_value")
 
     expected = ncols * nrows
     # each value takes a character and a separator: a header that claims more
@@ -244,31 +247,22 @@ def read_ascii_grid(text: str) -> Grid:
     values = np.empty(expected, dtype=np.float64)
     count = 0
 
-    def raise_first_bad_token():
-        _raise_first_bad_token(text.splitlines()[body_start:], body_start + 1, expected)
-
     def take(parts):
         nonlocal count
-        if parts is None:
-            raise_first_bad_token()
+        if parts is None or count + sum(map(len, parts)) > expected:
+            _raise_first_bad_token(text.splitlines()[body_start:], body_start + 1, expected)
         for part in parts:
-            if count + len(part) > expected:
-                raise_first_bad_token()
             values[count:count + len(part)] = part
             count += len(part)
 
     # bands of the body's characters (row_bands' rule), each cut moved on to whitespace
-    body = sum(map(len, lines[:body_start]))
+    body = sum(map(len, lines))
     cuts = [space_after(text, body + stop) for _, stop in row_bands(len(text) - body, expected)]
     run_bands(
         lambda start, stop: parse_tokens(text, start, stop),
         zip([body] + cuts[:-1], cuts),
         take,
     )
-    # float also reads "nan" and "1_000" (NODATA_value's underscore is in
-    # the header)
-    if text.find("_", body) >= 0 or not np.isfinite(values[:count]).all():
-        raise_first_bad_token()
     if count < expected:
         raise AsciiGridError(
             f"too few values: expected {expected}, got {count}", len(text.splitlines())

@@ -36,7 +36,8 @@ def extrude(buildings: Iterable[tuple[Footprint, float]], base_elevation_m: floa
     """Extrude footprints to their heights above a constant base.
 
     Zero-height buildings are skipped with a warning; negative or non-finite
-    heights and a non-finite base are rejected.
+    heights, a non-finite base and a roof elevation (base + height) that
+    overflows are rejected.
     """
     mesh = Mesh()
     base = float(base_elevation_m)
@@ -50,12 +51,17 @@ def extrude(buildings: Iterable[tuple[Footprint, float]], base_elevation_m: floa
             continue
         if not math.isfinite(base):
             raise PipelineError(f"building {fp.id!r}: base elevation {base} is not finite")
+        roof = base + height
+        if not math.isfinite(roof):
+            raise PipelineError(
+                f"building {fp.id!r}: roof elevation {base} + {height} is not finite"
+            )
 
         ring = fp.ring  # counter-clockwise after normalization
         n = len(ring)
         start = len(mesh.vertices)
         mesh.vertices.extend((x, y, base) for x, y in ring)
-        mesh.vertices.extend((x, y, base + height) for x, y in ring)
+        mesh.vertices.extend((x, y, roof) for x, y in ring)
 
         bottom = [start + i + 1 for i in range(n)]
         top = [start + n + i + 1 for i in range(n)]

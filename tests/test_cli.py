@@ -1014,6 +1014,24 @@ def test_bad_heights_csv_value_is_typed_error(tmp_path, capsys, rows, message):
     assert not (tmp_path / "model.obj").exists()
 
 
+def test_roof_elevation_past_the_float_range_is_typed_error(tmp_path, capsys):
+    """A finite height on a finite base whose sum overflows names the building,
+    instead of an inf vertex failing in the OBJ writer."""
+    fps = [Footprint("A1", "T", rectangle_ring(0, 0, 10, 12))]
+    (tmp_path / "fp.geojson").write_text(footprints_to_geojson(fps))
+    (tmp_path / "h.csv").write_text("id,height_m\nA1,1e308\n")
+    (tmp_path / "config.json").write_text('{"base_elevation_m": 1e308}')
+    assert main([
+        "model3d", "--config", str(tmp_path / "config.json"),
+        "--footprints", str(tmp_path / "fp.geojson"),
+        "--heights", str(tmp_path / "h.csv"), "--out", str(tmp_path / "model.obj"),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "error: building 'A1': roof elevation 1e+308 + 1e+308 is not finite\n"
+    )
+    assert not (tmp_path / "model.obj").exists()
+
+
 TINY_SCENE = {
     "georef": {"ncols": 40, "nrows": 30, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
     "terrain": {"origin_elev": 50.0},
@@ -1158,8 +1176,17 @@ _LONG_ROW = "B9," + "x" * 140_000 + "\n"
         (["run", "--config", "config.json", "--out-dir", "run_out"],
          "ground_truth.csv", None, _LONG_ROW,
          "ground-truth CSV line 5: field larger than field limit (131072)"),
+        (["dtm", "--dsm", "out/dsm.asc", "--out-dtm", "new.asc"],
+         "out/dsm.asc", "cellsize 1\n", "cellsize 5e-324\n",
+         "max_window_m (35.0) is out of reach: windows of 3 cells x 5e-324 m leave the float "
+         "range first"),
+        (["run", "--config", "config.json", "--out-dir", "run_out"],
+         "config.json", '"radius_m": 2000.0', '"radius_m": 2000.0, "max_window_m": 1e308',
+         "max_window_m (1e+308) is out of reach: windows of 3 cells x 1.0 m leave the float "
+         "range first"),
     ],
-    ids=["dtm", "estimate", "validate", "amenities", "model3d", "synth", "run"],
+    ids=["dtm", "estimate", "validate", "amenities", "model3d", "synth", "run", "dtm_window",
+         "run_window"],
 )
 def test_each_subcommand_reports_bad_input_in_one_line(
     tmp_path, capsys, monkeypatch, argv, name, old, new, message

@@ -135,6 +135,10 @@ def test_window_progression():
     assert window_sizes(DtmFilterParams(), 1.0) == [3, 5, 9, 17, 33, 65]
     assert window_sizes(DtmFilterParams(max_window_m=3.0), 1.0) == [3]
     assert window_sizes(DtmFilterParams(), 2.0) == [3, 5, 9, 17, 33]
+    # up to the last window whose size is still a float
+    sizes = window_sizes(DtmFilterParams(max_window_m=8e307), 1.0)
+    assert sizes == [2**k + 1 for k in range(1, len(sizes) + 1)]
+    assert sizes[-2] < 8e307 <= sizes[-1]
 
 
 def test_flat_dsm_identity_all_ground():

@@ -205,13 +205,19 @@ def test_write_peak_memory_is_about_twice_the_text():
     assert peak <= 2.1 * len(text)
 
 
-def test_read_peak_memory_is_the_values_and_one_band():
-    """One value per line: no list of lines, and no copy of the body, lives
-    through the read; only the values (8 bytes a cell), one band's chunk
-    arrays as many and one chunk's temporaries."""
+@pytest.mark.parametrize("layout", ["one_per_line", "no_nodata_one_line"])
+def test_read_peak_memory_is_the_values_and_one_band(layout):
+    """No list of lines, and no copy of the body, lives through the read,
+    nor does the header scan copy a long first body line; only the values
+    (8 bytes a cell), one band's chunk arrays as many and one chunk's
+    temporaries."""
     data = 68.0 + np.round(np.random.default_rng(3).random((1000, 1000)), 3)
     lines = write_ascii_grid(make_grid(data)).splitlines()
-    text = "\n".join(lines[:6] + " ".join(lines[6:]).split()) + "\n"
+    tokens = " ".join(lines[6:]).split()
+    if layout == "one_per_line":
+        text = "\n".join(lines[:6] + tokens) + "\n"
+    else:
+        text = "\n".join(lines[:5] + [" ".join(tokens)]) + "\n"
     with split_into(1):
         tracemalloc.start()
         try:

@@ -1,4 +1,5 @@
-"""The grid reader's decimal kernel equals ``float``, bit for bit."""
+"""The grid reader's decimal kernel equals ``errors.decimal`` with finite
+values, bit for bit, and sends only the tokens off its array path to ``float``."""
 
 import math
 from decimal import Decimal, localcontext
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popvol import _nearest
+from popvol.errors import decimal
 
 _settings = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -54,16 +56,19 @@ _tokens = st.one_of(
     st.floats(-1e300, 1e300).map(_midpoint),
     st.builds(_midpoint, st.floats(100, 1e8), st.sampled_from([18, 19])),
     st.sampled_from(["-0", "-0.0", "0", ".5", "5.", "-.5", "-", ".", "1.2.3", "--5", "1-2",
-                     "nan", "inf", "1_0", "5e-324", "2.2250738585072014e-308", "00012.5000"]),
+                     "nan", "inf", "1_0", "5e-324", "2.2250738585072014e-308", "00012.5000",
+                     "1e-05", "+5", "1\x002", "\u0665"]),
 )
 _seps = st.sampled_from([" ", "\t", "\x1f", "\n", "   ", "\r\n", "\x0b\x1c"])
 
 
 def _reference(text: str):
-    try:
-        return np.fromiter(map(float, text.split()), np.float64)
-    except ValueError:
+    """The grid's rule: ``decimal`` of each token, every value finite, and
+    ASCII text (``str.split`` also splits at a non-ASCII space)."""
+    values = [decimal(t) for t in text.split()] if text.isascii() else [None]
+    if None in values or not all(map(math.isfinite, values)):
         return None
+    return np.array(values, np.float64)
 
 
 def _assert_same(parts, want):
@@ -85,10 +90,33 @@ def _assert_same(parts, want):
          chunk=_nearest._CHUNK_CHARS)
 def test_parse_tokens_equals_float(extended, tokens, seps, chunk):
     """Separators of str.split, chunks of a few characters (cut at
-    whitespace) or one, and the long-double quotients off where they are."""
+    whitespace) or one, and the long-double quotients off where they are.
+    The reference is ``decimal`` plus finiteness, not ``float``: the grid
+    refuses "_", "nan", "inf" and overflows, and the kernel refuses them too."""
     text = seps[-1] + "".join(t + seps[i % len(seps)] for i, t in enumerate(tokens))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_nearest, "_CHUNK_CHARS", chunk)
         if not extended:
             mp.setattr(_nearest, "_extended", lambda: False)
         _assert_same(_nearest.parse_tokens(text, 0, len(text)), _reference(text))
+
+
+def test_only_tokens_off_the_array_path_reach_float(monkeypatch):
+    """One exponent token in a chunk of 3-decimal values goes to ``float``
+    alone; the rest of its chunk stays on the array path."""
+    seen = []
+    floats = _nearest._floats
+
+    def record(tokens):
+        tokens = list(tokens)
+        seen.extend(tokens)
+        return floats(tokens)
+
+    monkeypatch.setattr(_nearest, "_floats", record)
+    tokens = [f"{v:.3f}" for v in 68 + np.random.default_rng(3).random(2000)]
+    tokens[1000] = "1e-05"
+    text = " ".join(tokens)
+    assert len(text) < _nearest._CHUNK_CHARS
+    parts = _nearest.parse_tokens(text, 0, len(text))
+    assert seen == ["1e-05"]
+    assert np.concatenate(parts).tolist() == [float(t) for t in tokens]
