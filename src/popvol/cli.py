@@ -273,12 +273,6 @@ def estimate_buildings(
     return height_rows, estimates, warnings
 
 
-def _ground_mask_grid(dsm: Grid, ground_mask: np.ndarray) -> Grid:
-    data = np.where(ground_mask, 1.0, 0.0)
-    data[~dsm.valid_mask] = np.nan
-    return Grid(dsm.georef, data, dsm.nodata)
-
-
 # ---------------------------------------------------------------------------
 # stages: each writes its files and returns its summary.json record; a
 # subcommand and `run` share one body per stage
@@ -296,7 +290,8 @@ def dtm_stage(dsm: Grid, params: DtmFilterParams, out_dtm, out_mask=None) -> tup
     dtm, ground_mask = progressive_morphological_filter(dsm, params)
     _write_text(out_dtm, write_ascii_grid(dtm))
     if out_mask:
-        _write_text(out_mask, write_ascii_grid(_ground_mask_grid(dsm, ground_mask)))
+        mask = np.where(dsm.valid_mask, ground_mask, np.nan)  # 1 or 0, never -9999
+        _write_text(out_mask, write_ascii_grid(Grid(dsm.georef, mask)))
     non_ground = int((~ground_mask & dsm.valid_mask).sum())
     return dtm, _record(out_dtm, out_mask, non_ground_cells=non_ground)
 

@@ -129,11 +129,20 @@ def progressive_morphological_filter(
     with that many extra rows on each side and cropped: the output equals the
     one-band filter bit for bit. Bands are used only while a band and its
     halo stay smaller than the grid.
+
+    The progression stops at the first window of 2n - 1 cells or more, n the
+    grid's longer side: ``_running`` clips it to the whole block along both
+    axes, so its opening is the block's minimum over valid cells, and a later
+    window, opening to that same minimum with a threshold no smaller, would
+    flag no cell more. A window past the grid costs no time.
     """
     if params is None:
         params = DtmFilterParams()
     cellsize = dsm.georef.cellsize
     windows = window_sizes(params, cellsize)
+    span = 2 * max(dsm.data.shape) - 1  # a window this wide covers the grid
+    while len(windows) > 1 and windows[-2] >= span:
+        windows.pop()
     halo = sum(w - 1 for w in windows)
 
     def band(start: int, stop: int):

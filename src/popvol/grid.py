@@ -6,10 +6,10 @@ lines of ``ncols`` whitespace-separated elevation values, north row first.
 Header keys are case-insensitive. Cells are square; row 0 of the value array
 is the northernmost row.
 
-Internally nodata cells are held as NaN; the sentinel only appears in files.
-A ``Grid`` keeps the float64 array it is given; an array with a sentinel cell
-gives a new array with NaN there, so the caller's array is never written.
-``read_ascii_grid(write_ascii_grid(g))`` reproduces ``g`` exactly.
+In memory NaN is the only nodata: a ``Grid`` keeps its float64 array as it is,
+and ``nodata`` is only the sentinel written for NaN. The reader makes its
+file's sentinel cells NaN; the writer refuses a cell equal to the sentinel or
+a sentinel that is not finite, so every grid it writes reads back exactly.
 
 Values are printed by ``format_value``: an integral value below 1e15 in
 magnitude as an integer ("5", not "5.0"), any other value as ``repr``, the
@@ -109,23 +109,21 @@ class GridGeoref:
 
 @dataclass
 class Grid:
-    """Elevation raster. ``data`` is float64, shape (nrows, ncols), NaN = nodata."""
+    """Elevation raster. ``data`` is float64, shape (nrows, ncols), NaN the only nodata."""
 
     georef: GridGeoref
     data: np.ndarray
     nodata: float = DEFAULT_NODATA
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.shape != (self.georef.nrows, self.georef.ncols):
+        self.data = np.asarray(self.data, dtype=np.float64)
+        if self.data.shape != (self.georef.nrows, self.georef.ncols):
             raise PipelineError(
-                f"data shape {arr.shape} does not match georef "
+                f"data shape {self.data.shape} does not match georef "
                 f"({self.georef.nrows}, {self.georef.ncols})"
             )
-        if np.isinf(arr).any():
+        if np.isinf(self.data).any():
             raise PipelineError("grid values must be finite or nodata")
-        sentinel = arr == self.nodata
-        self.data = np.where(sentinel, np.nan, arr) if sentinel.any() else arr
 
     @property
     def valid_mask(self) -> np.ndarray:
@@ -268,6 +266,7 @@ def read_ascii_grid(text: str) -> Grid:
             f"too few values: expected {expected}, got {count}", len(text.splitlines())
         )
 
+    values[values == nodata] = np.nan
     georef = GridGeoref(ncols, nrows, raw["xllcorner"], raw["yllcorner"], raw["cellsize"])
     return Grid(georef, values.reshape(nrows, ncols), nodata)
 
@@ -284,8 +283,14 @@ def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str) -> list
 
 def write_ascii_grid(g: Grid) -> str:
     """Serialize a Grid to ESRI ASCII text (always includes NODATA_value)."""
+    if not math.isfinite(g.nodata):
+        raise PipelineError(f"cannot write grid: NODATA_value {g.nodata} is not finite")
     ref = g.georef
     sentinel = format_value(g.nodata)
+    clash = np.argwhere(g.data == g.nodata)
+    if len(clash):
+        r, c = clash[0]
+        raise PipelineError(f"cannot write grid: row {r}, col {c} equals NODATA_value {sentinel}")
     parts = [
         f"ncols {ref.ncols}\n"
         f"nrows {ref.nrows}\n"

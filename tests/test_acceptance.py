@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from popvol import (
+    amenities,
     EstimationConfig,
     Footprint,
     GridGeoref,
@@ -22,9 +23,7 @@ from popvol import (
     TerrainModel,
     diff_footnotes,
     extrude,
-    filter_amenities,
     floors_from_height,
-    parse_osm,
     person_total_footnotes,
     progressive_morphological_filter,
     rasterize_polygon,
@@ -291,23 +290,23 @@ def _law_of_cosines_m(lat1, lon1, lat2, lon2):
 
 @criterion(7, "OSM fixture counts at three radii match brute force")
 def test_criterion_7_osm_counts():
-    elements = parse_osm(OSM_FIXTURE)
-    amenities = filter_amenities(elements, RULES)
-    assert len(amenities) == 8  # 5 hospital nodes + 2 school nodes + 1 hospital way
+    # the amenity pass that the `amenities` subcommand and `run` use
+    records = amenities(OSM_FIXTURE, RULES)
+    assert len(records) == 8  # 5 hospital nodes + 2 school nodes + 1 hospital way
 
     for radius in (1000.0, 3000.0, 12000.0):
-        counts, _ = count_within_radius(amenities, SITE_LAT, SITE_LON, radius)
+        counts, _ = count_within_radius(records, SITE_LAT, SITE_LON, radius)
         brute = {"hospital": 0, "school": 0}
-        for rec in amenities:
+        for rec in records:
             if _law_of_cosines_m(SITE_LAT, SITE_LON, rec.lat, rec.lon) <= radius:
                 brute[rec.category] += 1
         assert counts == brute, radius
 
     # fixture distances: hospitals at 389, 921, 2057, 3517 (way), 5117, 10841 m;
     # schools at 797 and 11885 m
-    counts_1k, _ = count_within_radius(amenities, SITE_LAT, SITE_LON, 1000.0)
-    counts_3k, _ = count_within_radius(amenities, SITE_LAT, SITE_LON, 3000.0)
-    counts_12k, _ = count_within_radius(amenities, SITE_LAT, SITE_LON, 12000.0)
+    counts_1k, _ = count_within_radius(records, SITE_LAT, SITE_LON, 1000.0)
+    counts_3k, _ = count_within_radius(records, SITE_LAT, SITE_LON, 3000.0)
+    counts_12k, _ = count_within_radius(records, SITE_LAT, SITE_LON, 12000.0)
     assert counts_1k == {"hospital": 2, "school": 1}
     assert counts_3k == {"hospital": 3, "school": 1}
     assert counts_12k == {"hospital": 6, "school": 2}

@@ -13,7 +13,7 @@ import popvol.dtm
 import popvol.grid
 from popvol import _bands
 from popvol.dtm import DtmFilterParams, progressive_morphological_filter
-from popvol.errors import AsciiGridError
+from popvol.errors import AsciiGridError, PipelineError
 from popvol.grid import Grid, GridGeoref, read_ascii_grid, write_ascii_grid
 
 from conftest import ExitWhenPickled, assert_no_children, in_child, split_into
@@ -46,13 +46,30 @@ def _outcome(text: str):
         return str(e), e.line_no
 
 
+def _written(grid: Grid):
+    """The grid's text, or the writer's refusal."""
+    try:
+        return write_ascii_grid(grid)
+    except PipelineError as e:
+        return str(e)
+
+
+def _sentinel_as_nodata(grid: Grid) -> Grid:
+    """The grid with its sentinel cells as nodata, as a file holding them reads."""
+    return Grid(grid.georef, np.where(grid.data == SENTINEL, np.nan, grid.data), SENTINEL)
+
+
 @_settings
 @given(grid=_grids(), nbands=st.integers(2, 4))
 def test_banded_write_equals_one_band(grid, nbands):
+    """A grid holding its sentinel is refused, the same whatever the band count."""
     with split_into(1):
-        one = write_ascii_grid(grid)
+        one = _written(grid)
+    if (grid.data == SENTINEL).any():
+        assert one.startswith("cannot write grid: row ")
+        assert one.endswith(" equals NODATA_value -3.5")
     with split_into(nbands):
-        assert write_ascii_grid(grid) == one
+        assert _written(grid) == one
 
 
 # one value on the first body line and whole rows after, across three bands
@@ -76,7 +93,9 @@ _FIRST_LINE_ONE_VALUE = Grid(
          where=(0, 0))
 def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where):
     """Values one per line or spread unevenly over lines; a bad token ("7" is
-    one value too many) put into the body lines of one band."""
+    one value too many) put into the body lines of one band. A drawn sentinel
+    cell is a sentinel token in the text, so it reads as nodata."""
+    grid = _sentinel_as_nodata(grid)
     lines = write_ascii_grid(grid).splitlines()
     header, tokens = lines[:6], " ".join(lines[6:]).split()
     body, i = [], 0
@@ -88,7 +107,8 @@ def test_banded_read_equals_one_band(grid, nbands, sizes, bad, where):
     if bad is not None:
         band_index, offset = where
         with split_into(nbands):
-            start, stop = _bands.row_bands(len(body), 0)[band_index % nbands]
+            bands = _bands.row_bands(len(body), 0)  # fewer than nbands for a short body
+        start, stop = bands[band_index % len(bands)]
         line = start + offset % (stop - start)
         body[line] = f"{body[line]} {bad}"
     text = "\n".join(header + body) + "\n"

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -13,15 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import popvol
 import popvol.cli
+import popvol.dtm
 from popvol import read_ascii_grid, write_ascii_grid
 from popvol.cli import footprints_to_geojson, main, read_estimates_csv
 from popvol.footprints import Footprint
-from popvol.grid import Grid, GridGeoref
+from popvol.grid import Grid, GridGeoref, format_value
 
 from conftest import (
     ExitWhenPickled,
@@ -121,6 +123,27 @@ def test_dtm_window_wider_than_the_grid(tmp_path, capsys, config):
     assert capsys.readouterr().err == ""
     dtm = read_ascii_grid((tmp_path / "dtm.asc").read_text())
     assert dtm.georef == read_ascii_grid((DEMO / "out" / "dsm.asc").read_text()).georef
+
+
+def test_windows_stop_once_one_covers_the_grid(tmp_path, monkeypatch):
+    """On the 150x180 demo DSM the ninth window, 513 cells, is the first of
+    2 * 180 - 1 or more: a config whose windows go on to 8e307 m runs the
+    same nine openings and writes the same bytes as one that stops there."""
+    calls = []
+    real_open = popvol.dtm._open
+    monkeypatch.setattr(popvol.dtm, "_open", lambda data, w: calls.append(w) or real_open(data, w))
+    written = []
+    for max_window_m in (513.0, 8e307):
+        config, out = tmp_path / "config.json", tmp_path / str(max_window_m)
+        config.write_text(json.dumps({"max_window_m": max_window_m}))
+        calls.clear()
+        assert main([
+            "dtm", "--dsm", str(DEMO / "out" / "dsm.asc"), "--config", str(config),
+            "--out-dtm", str(out / "dtm.asc"), "--out-mask", str(out / "mask.asc"),
+        ]) == 0
+        assert calls == [3, 5, 9, 17, 33, 65, 129, 257, 513]
+        written.append([(out / name).read_bytes() for name in ("dtm.asc", "mask.asc")])
+    assert written[0] == written[1]
 
 
 def test_missing_input_path_fails_with_message(tmp_path, capsys):
@@ -693,6 +716,88 @@ def _assert_demo_reproduced(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == golden
     for name in golden:
         assert (out / name).read_bytes() == (DEMO / "out" / name).read_bytes(), name
+
+
+# A1 widened by 5 m onto the ground around it, and a footprint on open ground
+_WIDE_A1 = [[10.0, 10.0], [50.0, 10.0], [50.0, 50.0], [10.0, 50.0], [10.0, 10.0]]
+_OPEN_GROUND = [[100.0, 60.0], [130.0, 60.0], [130.0, 100.0], [100.0, 100.0], [100.0, 60.0]]
+
+
+def _relabel_outputs(site: Path, out: Path, nodata: float | None) -> dict:
+    """The outputs of `dtm --out-mask`, `estimate` and `run` on the demo DSM,
+    its NODATA_value line rewritten to ``nodata`` unless that is None."""
+    dsm_text = (site / "out" / "dsm.asc").read_text()
+    if nodata is not None:
+        dsm_text = dsm_text.replace("NODATA_value -9999\n", f"NODATA_value {format_value(nodata)}\n")
+    (out / "run").mkdir(parents=True)
+    (out / "dsm.asc").write_text(dsm_text)
+    assert main(["dtm", "--dsm", str(out / "dsm.asc"), "--out-dtm", str(out / "dtm.asc"),
+                 "--out-mask", str(out / "ground_mask.asc")]) == 0
+    assert main(["estimate", "--dsm", str(out / "dsm.asc"), "--dtm", str(out / "dtm.asc"),
+                 "--footprints", str(site / "fp.geojson"), "--out-heights",
+                 str(out / "heights.csv"), "--out-estimates", str(out / "estimates.csv")]) == 0
+    config = json.loads((site / "config.json").read_text())
+    config.update(dsm=str(out / "dsm.asc"), footprints="fp.geojson")
+    (site / f"{out.name}.json").write_text(json.dumps(config))  # inputs beside it
+    assert main(["run", "--config", str(site / f"{out.name}.json"), "--out-dir", str(out / "run")]) == 0
+    return {
+        **{name: (out / name).read_text()
+           for name in ("dtm.asc", "ground_mask.asc", "heights.csv", "estimates.csv")},
+        **{f"run/{p.name}": p.read_text() for p in (out / "run").iterdir()},
+    }
+
+
+def test_a_relabelled_nodata_sentinel_changes_only_the_dtm_header(tmp_path):
+    """Rewriting only the DSM's NODATA_value, to a value no cell holds,
+    changes no output but line 6 of dtm.asc, which keeps the DSM's sentinel.
+    Once a sentinel of 0 made every ground cell of the heights nodata: A1
+    then read 900 of its 1,600 cells and the open-ground footprint failed."""
+    site = tmp_path / "demo"
+    shutil.copytree(DEMO, site)
+    doc = json.loads((site / "out" / "footprints.geojson").read_text())
+    a1 = doc["features"][0]
+    a1["geometry"]["coordinates"] = [_WIDE_A1]
+    ground = json.loads(json.dumps(a1))
+    ground["properties"]["id"] = "G1"
+    ground["geometry"]["coordinates"] = [_OPEN_GROUND]
+    doc["features"].append(ground)
+    (site / "fp.geojson").write_text(json.dumps(doc))
+    cells = set(read_ascii_grid((site / "out" / "dsm.asc").read_text()).data.ravel().tolist())
+    base = _relabel_outputs(site, tmp_path / "base", None)
+    heights = {line.split(",")[0]: line for line in base["heights.csv"].splitlines()}
+    assert heights["A1"].endswith(",1600.000,1600")
+    estimates = {line.split(",")[0]: line for line in base["estimates.csv"].splitlines()}
+    assert estimates["G1"].endswith(",below minimum height")
+    runs = itertools.count()
+
+    @settings(derandomize=True, database=None, max_examples=4, deadline=None)
+    @given(nodata=st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda v: v not in cells))
+    @example(nodata=0.0)
+    @example(nodata=1.0)
+    def check(nodata):
+        got = _relabel_outputs(site, tmp_path / str(next(runs)), nodata)
+        dtm, base_dtm = got.pop("dtm.asc").splitlines(), base["dtm.asc"].splitlines()
+        assert dtm[5] == f"NODATA_value {format_value(nodata)}"
+        assert dtm[:5] + dtm[6:] == base_dtm[:5] + base_dtm[6:]
+        assert got.pop("run/dtm.asc").splitlines() == dtm
+        assert got == {k: v for k, v in base.items() if k not in ("dtm.asc", "run/dtm.asc")}
+
+    check()
+
+
+def test_synth_refuses_a_scene_that_holds_the_sentinel(tmp_path, capsys):
+    """Terrain at exactly -9999 m would read back as nodata, so every demo
+    building would read 0 m; the writer refuses it and writes no file."""
+    scene = json.loads((DEMO / "scene.json").read_text())
+    scene["terrain"] = {"origin_elev": -9999.0}
+    scene["noise_amplitude_m"] = 0.0
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    argv = ["synth", "--scene", str(tmp_path / "scene.json"),
+            "--out-dsm", str(tmp_path / "out" / "dsm.asc")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write grid: row 0, col 0 equals NODATA_value -9999\n"
+    assert not (tmp_path / "out" / "dsm.asc").exists()
 
 
 def test_readme_library_block_prints_the_demo_totals(tmp_path):

@@ -37,11 +37,15 @@ def test_parse_minimal_2x2():
     assert g.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
-def test_nodata_token_is_masked():
-    text = MINIMAL.replace("1 2", "-9999 2")
+@pytest.mark.parametrize("nodata", ["-9999", "0", "1", "-0", "52.5", "-32768"])
+def test_nodata_token_is_masked(nodata):
+    """A cell equal to the file's sentinel is nodata; any other value, -9999
+    among them, is a value."""
+    text = MINIMAL.replace("-9999", nodata).replace("1 2\n3 4", f"{nodata} 12\n-9999 13")
     g = read_ascii_grid(text)
-    assert math.isnan(g.data[0, 0])
-    assert g.valid_mask.tolist() == [[False, True], [True, True]]
+    assert g.nodata == float(nodata)
+    minus_9999 = np.nan if nodata == "-9999" else -9999.0
+    assert np.array_equal(g.data, [[np.nan, 12.0], [minus_9999, 13.0]], equal_nan=True)
 
 
 def test_missing_nodata_header_defaults():
@@ -186,7 +190,12 @@ def _kernel_grids(draw) -> Grid:
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(g=_kernel_grids())
 def test_write_equals_format_value_on_any_double(nbands, g):
+    """A drawn cell may equal the sentinel (2**60 or 1e-7): the writer refuses it."""
     with split_into(nbands):
+        if (g.data == g.nodata).any():
+            with pytest.raises(PipelineError, match="equals NODATA_value"):
+                write_ascii_grid(g)
+            return
         text = write_ascii_grid(g)
     assert text == _write_reference(g)
     assert read_ascii_grid(text) == g
@@ -373,18 +382,48 @@ def test_bad_georef_and_grid_values_are_typed_errors(tmp_path, capsys):
 
 
 def test_grid_keeps_a_float64_array_and_never_writes_the_callers():
-    """A grid holds the caller's float64 array as it is; a sentinel cell
-    makes a new array, with NaN there, and leaves the caller's as it was."""
+    """A grid holds the caller's float64 array as it is, whatever its values:
+    a cell equal to the sentinel is a value, not nodata."""
     ref = GridGeoref(2, 2, 0.0, 0.0, 1.0)
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.shares_memory(Grid(ref, a).data, a)
     b = np.array([[1.0, -9999.0], [3.0, 4.0]])
     b.flags.writeable = False
     g = Grid(ref, b)
+    assert g.data is b
     assert b.tolist() == [[1.0, -9999.0], [3.0, 4.0]]
-    assert g.valid_mask.tolist() == [[True, False], [True, True]]
+    assert g.valid_mask.all()
     a.flags.writeable = False
     assert Grid(ref, a).data is a
+    assert Grid(ref, a, 2.0).data is a
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(cells=st.lists(_CELLS | st.just(math.nan), min_size=6, max_size=6),
+       nodata=st.sampled_from([-9999.0, 0.0, 1.0]) | _CELLS)
+def test_grid_holds_every_float64_array_as_it_is(cells, nodata):
+    a = np.array(cells).reshape(2, 3)
+    assert Grid(GridGeoref(3, 2, 0.0, 0.0, 1.0), a, nodata).data is a
+
+
+@pytest.mark.parametrize("nodata", [-9999.0, 0.0, 1.0, 2.0**60, 1e-7, -0.0])
+def test_a_cell_equal_to_the_sentinel_is_refused(nodata):
+    """It would read back as nodata; nodata cells themselves are written."""
+    g = make_grid([[np.nan, 5.0], [nodata, nodata]], nodata=nodata)
+    sentinel = format_value(nodata)
+    with pytest.raises(PipelineError) as err:
+        write_ascii_grid(g)
+    assert str(err.value) == f"cannot write grid: row 1, col 0 equals NODATA_value {sentinel}"
+    g.data[1] = 7.0
+    assert read_ascii_grid(write_ascii_grid(g)) == g
+
+
+@pytest.mark.parametrize("nodata", [math.nan, math.inf, -math.inf])
+def test_a_sentinel_that_is_not_finite_is_refused(nodata):
+    g = make_grid([[1.0, np.nan]], nodata=nodata)
+    with pytest.raises(PipelineError) as err:
+        write_ascii_grid(g)
+    assert str(err.value) == f"cannot write grid: NODATA_value {nodata} is not finite"
 
 
 def test_cell_center_convention():

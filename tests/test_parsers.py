@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from popvol import (
     PipelineError,
+    amenities,
     load_rules,
     load_scene,
     parse_footprints,
@@ -29,6 +30,8 @@ from popvol import (
 from popvol.cli import _read_heights_by_id, _read_text, read_estimates_csv
 
 DEMO = Path(__file__).resolve().parents[1] / "demo"
+# the rules `amenities` matches with, as `run` reads them
+_DEMO_RULES = load_rules((DEMO / "rules.json").read_text(encoding="utf-8"))
 
 # a scene may ask for any grid size; the synthetic grid is allocated at that
 # size, so larger mutated scenes are only loaded
@@ -46,6 +49,7 @@ PARSERS = {
     "read_ascii_grid": (read_ascii_grid, "out/dsm.asc"),
     "parse_footprints": (parse_footprints, "out/footprints.geojson"),
     "parse_osm": (parse_osm, "site.osm"),
+    "amenities": (lambda text: amenities(text, _DEMO_RULES), "site.osm"),
     "load_rules": (load_rules, "rules.json"),
     "synthesize_dsm(load_scene)": (_synth, "scene.json"),
     "read_ground_truth": (read_ground_truth, "ground_truth.csv"),
