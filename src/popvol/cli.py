@@ -17,69 +17,98 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import difflib
 import functools
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import __version__, _bands
-from .dtm import DtmFilterParams, progressive_morphological_filter
+from . import __version__
 from .errors import ConfigError, FootprintError, PipelineError, json_document, json_number
-from .estimate import (
-    BuildingEstimate,
-    EstimationConfig,
-    PersonsBand,
-    SocietyEstimate,
-    aggregate,
-    estimate_building,
-    excluded_estimate,
-)
-from .footprints import (
-    Footprint,
-    footprints_to_geojson,
-    parse_footprints,
-    rasterize_footprints,
-    zonal_height,
-)
-from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
-from .mesh import Mesh, extrude, write_obj
-from .osm import amenities, check_center, count_within_radius, load_rules
-from .osm import filter_amenities, parse_osm  # unused here; perfbench/spans.py wraps these names
-from .synth import load_scene, synthesize_dsm
-from .validate import (
-    csv_field,
-    csv_records,
-    csv_text,
-    diff_footnotes,
-    person_total_footnotes,
-    read_ground_truth,
-    render_report_csv,
-    validate_report,
-)
 
 HEIGHTS_HEADER = "id,type_label,height_m,footprint_area_m2,valid_cells"
 ESTIMATES_HEADER = (
     "id,type_label,height_m,floors,units_per_floor,units,unit_area_m2,persons,excluded"
 )
 
-ESTIMATION_KEYS = tuple(f.name for f in fields(EstimationConfig) if f.name != "bands")
-FILTER_KEYS = tuple(f.name for f in fields(DtmFilterParams))
-BAND_KEYS = tuple(f.name for f in fields(PersonsBand))
 # input files of `run`, resolved relative to the config file
 INPUT_KEYS = ("dsm", "footprints", "ground_truth", "osm", "rules", "published_reference")
 PATH_KEYS = INPUT_KEYS + ("out_dir",)
 AMENITY_KEYS = ("center_lat", "center_lon", "radius_m")
 # characters encoded and written at a time
 _WRITE_SLICE = 1 << 20
-CONFIG_KEYS = frozenset(
-    PATH_KEYS + AMENITY_KEYS + ("base_elevation_m", "bands") + ESTIMATION_KEYS + FILTER_KEYS
-)
+_loaded = False
+
+
+def _load() -> None:
+    """Import numpy and the stages, and derive the config keys from their
+    dataclasses, on the first command: ``--version``, ``--help`` and a usage
+    error need none of it. Each name becomes a module global unless one is
+    bound already, so a wrapper set on ``popvol.cli.<name>`` beforehand (as
+    ``perfbench/spans.py`` sets them) stays in place. The functions below
+    read these globals, so a caller other than ``main`` runs this first."""
+    global _loaded
+    if _loaded:
+        return
+    import numpy as np
+
+    from dataclasses import fields
+
+    from . import _bands
+    from .dtm import DtmFilterParams, progressive_morphological_filter
+    from .estimate import (
+        BuildingEstimate,
+        EstimationConfig,
+        PersonsBand,
+        SocietyEstimate,
+        aggregate,
+        estimate_building,
+        excluded_estimate,
+    )
+    from .footprints import (
+        Footprint,
+        footprints_to_geojson,
+        parse_footprints,
+        rasterize_footprints,
+        zonal_height,
+    )
+    from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
+    from .mesh import Mesh, extrude, write_obj
+    from .osm import amenities, check_center, count_within_radius, load_rules
+    from .osm import filter_amenities, parse_osm  # unused here; perfbench/spans.py wraps these names
+    from .synth import load_scene, synthesize_dsm
+    from .validate import (
+        csv_field,
+        csv_records,
+        csv_text,
+        diff_footnotes,
+        person_total_footnotes,
+        read_ground_truth,
+        render_report_csv,
+        validate_report,
+    )
+
+    ESTIMATION_KEYS = tuple(f.name for f in fields(EstimationConfig) if f.name != "bands")
+    FILTER_KEYS = tuple(f.name for f in fields(DtmFilterParams))
+    BAND_KEYS = tuple(f.name for f in fields(PersonsBand))
+    CONFIG_KEYS = frozenset(
+        PATH_KEYS + AMENITY_KEYS + ("base_elevation_m", "bands") + ESTIMATION_KEYS + FILTER_KEYS
+    )
+    for name, value in dict(locals()).items():
+        globals().setdefault(name, value)
+    _loaded = True
+
+
+def __getattr__(name: str):
+    """A name ``_load`` binds, read before any command ran. A dunder name,
+    which the import system and tools probe (``__path__``), loads nothing."""
+    if not name.startswith("__"):
+        _load()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 def _read_text(path) -> str:
@@ -121,6 +150,8 @@ def _load_config(path) -> dict:
     doc = _load_json_object(path, "config") if path else {}
     for key in doc:
         if key not in CONFIG_KEYS:
+            import difflib
+
             close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ConfigError(f"unknown config key {key!r}{hint}")
@@ -442,9 +473,13 @@ def cmd_model3d(args) -> int:
 def cmd_synth(args) -> int:
     scene = load_scene(_read_text(args.scene))
     result = synthesize_dsm(scene)
-    _write_text(args.out_dsm, write_ascii_grid(result.dsm))
-    if args.out_truth_dtm:
-        _write_text(args.out_truth_dtm, write_ascii_grid(result.truth_dtm))
+    # every grid is formatted before any file is written: one the writer
+    # refuses leaves no file behind
+    dsm_text = write_ascii_grid(result.dsm)
+    truth_text = write_ascii_grid(result.truth_dtm) if args.out_truth_dtm else None
+    _write_text(args.out_dsm, dsm_text)
+    if truth_text is not None:
+        _write_text(args.out_truth_dtm, truth_text)
     if args.out_heights:
         _write_text(
             args.out_heights,
@@ -615,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    _load()
     try:
         return args.func(args)
     except (PipelineError, OSError) as e:

@@ -23,6 +23,13 @@ from popvol import (
 
 import site_data
 
+# `popvol.cli` binds the stage names its helpers read on the first command;
+# tests call some helpers (`read_estimates_csv`, `estimate_buildings`, ...)
+# without one
+import popvol.cli
+
+popvol.cli._load()
+
 
 def rectangle_ring(x0: float, y0: float, width: float, depth: float) -> list[tuple[float, float]]:
     """Axis-aligned rectangle, counter-clockwise from the southwest corner."""

@@ -800,6 +800,27 @@ def test_synth_refuses_a_scene_that_holds_the_sentinel(tmp_path, capsys):
     assert not (tmp_path / "out" / "dsm.asc").exists()
 
 
+def test_synth_writes_no_file_when_the_truth_dtm_holds_the_sentinel(tmp_path, capsys):
+    """Terrain at exactly -9999 m under one prism that covers the grid: the
+    DSM (-9994 m everywhere) can be written, the truth DTM cannot, and the
+    refusal comes before either file is written."""
+    scene = json.loads((DEMO / "scene.json").read_text())
+    scene["georef"] = {"ncols": 20, "nrows": 10, "xll": 0.0, "yll": 0.0, "cellsize": 1.0}
+    scene["terrain"] = {"origin_elev": -9999.0}
+    scene["noise_amplitude_m"] = 0.0
+    scene["prisms"] = [dict(scene["prisms"][0], ring=rectangle_ring(0, 0, 20, 10), height_m=5.0)]
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    out = tmp_path / "out"
+    argv = ["synth", "--scene", str(tmp_path / "scene.json"),
+            "--out-dsm", str(out / "dsm.asc"), "--out-truth-dtm", str(out / "truth_dtm.asc")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write grid: row 0, col 0 equals NODATA_value -9999\n"
+    assert not out.exists()
+    # the same scene without the truth DTM writes its DSM
+    assert main(argv[:-2]) == 0
+    assert set(read_ascii_grid((out / "dsm.asc").read_text()).data.ravel()) == {-9994.0}
+
+
 def test_readme_library_block_prints_the_demo_totals(tmp_path):
     """The README's "Library use" block, run as a script beside copies of
     the demo DSM and footprints, prints the totals of the demo's summary.json
@@ -859,6 +880,124 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "dtm.asc").read_bytes() == (tmp_path / "dtm.asc").read_bytes()
+
+
+SRC = Path(popvol.__file__).resolve().parents[1]
+# every module of the package but the CLI and the error types it imports
+STAGE_MODULES = {f"popvol.{p.stem}" for p in (SRC / "popvol").glob("*.py")} - {
+    "popvol.__init__", "popvol.cli", "popvol.errors"
+}
+
+
+def _in_fresh_interpreter(tmp_path, code: str):
+    """Run ``code`` in a new interpreter; return its exit code (None when it
+    raised no SystemExit), its stdout and the numpy and popvol stage modules
+    loaded at the end."""
+    probe = tmp_path / "probe.json"
+    script = (
+        "import json, sys\n"
+        "code = None\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "except SystemExit as e:\n"
+        "    code = e.code\n"
+        f"stages = {sorted(STAGE_MODULES)!r}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m in stages)\n"
+        f"open({str(probe)!r}, 'w').write(json.dumps([code, loaded]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    code, loaded = json.loads(probe.read_text())
+    return code, result.stdout, loaded
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["run", "--help"], 0),
+    (["bogus"], 2),
+    (["dtm", "--dsm"], 2),
+], ids=["version", "help", "run-help", "unknown-command", "missing-value"])
+def test_help_version_and_usage_errors_load_no_stage(tmp_path, argv, code):
+    """``python -m popvol.cli`` (and the ``popvol`` script, ``main``) load
+    numpy and the stages only once a subcommand's arguments parse."""
+    got, out, loaded = _in_fresh_interpreter(tmp_path, (
+        f"sys.argv = ['popvol'] + {argv!r}\n"
+        "import runpy\n"
+        "runpy.run_module('popvol.cli', run_name='__main__')"
+    ))
+    assert (got, loaded) == (code, [])
+    if argv == ["--version"]:
+        assert out == f"popvol {popvol.__version__}\n"
+
+
+@pytest.mark.parametrize("code", [
+    "import popvol",
+    "import popvol.cli",
+    "from popvol import __version__",
+    "import popvol.cli\npopvol.cli.main(['--version'])",
+], ids=["package", "cli", "version-constant", "cli-main-version"])
+def test_importing_the_package_or_the_cli_loads_no_stage(tmp_path, code):
+    exit_code, _, loaded = _in_fresh_interpreter(tmp_path, code)
+    assert (exit_code, loaded) == (0 if "main" in code else None, [])
+
+
+def test_the_first_command_keeps_a_name_bound_before_it(tmp_path):
+    """``perfbench/spans.py`` swaps ``popvol.cli.<name>`` for a wrapper, which
+    the command must then call: loading the stages binds no name twice."""
+    grid = tmp_path / "dsm.asc"
+    grid.write_text(write_ascii_grid(make_grid([[1.0, 1.0], [1.0, 1.0]])))
+    code, out, loaded = _in_fresh_interpreter(tmp_path, (
+        "import popvol.cli\n"
+        "popvol.cli.read_ascii_grid = lambda text: print('wrapped') or real(text)\n"
+        "from popvol.grid import read_ascii_grid as real\n"
+        f"sys.exit(popvol.cli.main(['dtm', '--dsm', {str(grid)!r}, "
+        f"'--out-dtm', {str(tmp_path / 'dtm.asc')!r}]))"
+    ))
+    assert code == 0
+    assert out.splitlines() == ["wrapped", "dtm: 2x2 cells, 0 non-ground"]
+    assert "numpy" in loaded and "popvol.dtm" in loaded
+
+
+# every name `popvol` exported when it imported its submodules eagerly
+PUBLIC_NAMES = (
+    "DtmFilterParams", "progressive_morphological_filter",
+    "AsciiGridError", "ConfigError", "EmptySelectionError", "FootprintError",
+    "GeorefMismatchError", "InsufficientCoverageError", "OsmParseError", "PipelineError",
+    "ReportMismatchError", "SceneError",
+    "DEFAULT_BANDS", "BuildingEstimate", "EstimationConfig", "PersonsBand", "SocietyEstimate",
+    "aggregate", "estimate_building", "floors_from_height", "persons_per_unit",
+    "units_per_floor",
+    "BuildingHeightRecord", "Footprint", "footprint_area", "nearest_rank_percentile",
+    "parse_footprints", "rasterize_polygon", "zonal_height",
+    "Grid", "GridGeoref", "grid_subtract", "read_ascii_grid", "write_ascii_grid",
+    "Mesh", "extrude", "write_obj",
+    "AmenityRecord", "OsmElement", "TagRule", "amenities", "count_within_radius",
+    "filter_amenities", "haversine_m", "load_rules", "parse_osm",
+    "SyntheticScene", "SynthResult", "TerrainModel", "lcg_noise", "load_scene",
+    "synthesize_dsm",
+    "GroundTruthRow", "ValidationRow", "diff_footnotes", "percent_diff",
+    "person_total_footnotes", "read_ground_truth", "render_report_csv", "validate_report",
+)
+
+
+def test_every_public_name_resolves_lazily(tmp_path):
+    assert sorted(popvol.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(popvol))
+    star: dict = {}
+    exec("from popvol import *", star)
+    assert {name: star[name] for name in PUBLIC_NAMES} == {
+        name: getattr(popvol, name) for name in PUBLIC_NAMES
+    }
+    code, _, loaded = _in_fresh_interpreter(tmp_path, "import popvol\npopvol.grid.Grid")
+    assert (code, "popvol.grid" in loaded) == (None, True)
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        popvol.nothing
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        popvol.cli.nothing
 
 
 def test_files_are_utf8_with_lf_whatever_the_locale(tmp_path):

@@ -19,7 +19,7 @@ from popvol import (
     rasterize_polygon,
     synthesize_dsm,
 )
-from popvol.dtm import _open, _running, window_sizes
+from popvol.dtm import _filter, _open, _running, window_sizes
 
 from conftest import cell_set, make_grid, rectangle_ring
 
@@ -244,6 +244,32 @@ def test_ground_mask_means_unchanged(case):
     dtm, ground = progressive_morphological_filter(dsm, params)
     assert ground[~dsm.valid_mask].all()
     assert dtm.data[ground].tobytes() == dsm.data[ground].tobytes()
+
+
+@_pmf_settings
+@given(case=_pmf_cases())
+@example(case=_PRISM_CASES[0])
+def test_each_step_thresholds_an_opening_of_the_input(case):
+    """Every opening in the progression equals the opening of the input
+    surface with the same window: a step lowers cells only onto an opening,
+    which every larger opening absorbs. So a cell's result depends on no
+    cell more than max(w) - 1 rows away, within the row bands' sum(w - 1) halo."""
+    dsm, params = case
+    cellsize = dsm.georef.cellsize
+    windows = window_sizes(params, cellsize)
+    terrain, flagged = _filter(dsm.data, windows, params, cellsize)
+    expected, expected_flagged = dsm.data, np.zeros(dsm.data.shape, dtype=bool)
+    for i, w in enumerate(windows):
+        dh = params.initial_threshold_m if i == 0 else min(
+            params.max_threshold_m,
+            params.slope * (w - windows[i - 1]) * cellsize + params.initial_threshold_m,
+        )
+        opened = _open(dsm.data, w)
+        hit = (expected - opened) > dh
+        expected = np.where(hit, opened, expected)
+        expected_flagged |= hit
+    assert terrain.tobytes() == expected.tobytes()
+    assert np.array_equal(flagged, expected_flagged)
 
 
 def test_nodata_cells_stay_nodata_and_unflagged():
