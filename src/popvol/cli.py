@@ -146,7 +146,7 @@ def _load_json_object(path, what: str) -> dict:
 def _load_config(path) -> dict:
     """The config object, or {} without a ``path``. A key outside CONFIG_KEYS
     is a ConfigError that names the closest known key, and so is a path key
-    that is not a string."""
+    that is not a string or is empty."""
     doc = _load_json_object(path, "config") if path else {}
     for key in doc:
         if key not in CONFIG_KEYS:
@@ -158,6 +158,8 @@ def _load_config(path) -> dict:
     for key in PATH_KEYS:
         if doc.get(key) is not None and not isinstance(doc[key], str):
             raise ConfigError(f"config key {key!r} must be a path string, got {doc[key]!r}")
+        if doc.get(key) == "":
+            raise ConfigError(f"config key {key!r} is an empty path")
     return doc
 
 
@@ -511,8 +513,6 @@ def cmd_run(args) -> int:
         q = Path(p)
         return q if q.is_absolute() else base_dir / q
     for key in INPUT_KEYS:
-        if cfg.get(key) == "":
-            raise ConfigError(f"config key {key!r} is an empty path")
         if cfg.get(key) and not resolve(cfg[key]).is_file():
             raise ConfigError(f"config key {key!r}: file not found: {resolve(cfg[key])}")
 
@@ -650,6 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    for name, value in vars(args).items():  # every flag names a file or directory
+        if value == "":
+            print(f"error: --{name.replace('_', '-')} is an empty path", file=sys.stderr)
+            return 2
     _load()
     try:
         return args.func(args)

@@ -7,7 +7,7 @@ above the opened surface are classified non-ground and lowered onto the
 opened surface; ground cells keep their original elevation, so the terrain
 model equals the surface model wherever nothing was removed (Zhang et al.
 2003, IEEE TGRS 41(4)). An opening is a numpy running min then max filter
-(van Herk 1992; Gil & Werman 1993), with nodata filled once per opening.
+(van Herk 1992; Gil & Werman 1993), with nodata filled once per row band.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class DtmFilterParams:
             or self.initial_window % 2 == 0
         ):
             raise ConfigError(f"initial_window must be an odd integer >= 3, got {self.initial_window}")
+        self.initial_window = int(self.initial_window)
         if self.slope < 0:
             raise ConfigError(f"slope must be >= 0, got {self.slope}")
         if self.initial_threshold_m <= 0:
@@ -62,7 +63,7 @@ def window_sizes(params: DtmFilterParams, cellsize: float) -> list[int]:
             f"window ({params.initial_window} cells x {cellsize} m)"
         )
     sizes = []
-    w = int(params.initial_window)
+    w = params.initial_window
     while True:
         sizes.append(w)
         try:
@@ -103,17 +104,6 @@ def _running(data: np.ndarray, window: int, pick) -> np.ndarray:
     return p
 
 
-def _open(data: np.ndarray, window: int) -> np.ndarray:
-    """Erosion then dilation of finite ``data``, nodata (NaN) absent from the
-    kernel: filled with +inf for the minimum, whose +inf (an all-nodata
-    neighborhood) is -inf for the maximum, whose -inf is NaN again."""
-    eroded = _running(np.where(np.isnan(data), np.inf, data), window, np.minimum)
-    eroded[eroded == np.inf] = -np.inf
-    out = _running(eroded, window, np.maximum)
-    out[out == -np.inf] = np.nan
-    return out
-
-
 def progressive_morphological_filter(
     dsm: Grid, params: DtmFilterParams | None = None
 ) -> tuple[Grid, np.ndarray]:
@@ -123,12 +113,13 @@ def progressive_morphological_filter(
     non-ground (nodata cells are never flagged). Wherever ground_mask is True
     the returned terrain equals the input surface exactly.
 
-    Large grids are filtered in row bands, one per usable CPU. A cell's result
-    depends only on cells within sum(w - 1) rows of it (each opening reaches
-    w - 1 cells, and the threshold step is per cell), so each band is filtered
-    with that many extra rows on each side and cropped: the output equals the
-    one-band filter bit for bit. Bands are used only while a band and its
-    halo stay smaller than the grid.
+    Large grids are filtered in row bands, one per usable CPU. Every step
+    thresholds an opening of the input, so a cell's result depends only on
+    cells within max(w) - 1 rows of it. Each band is still filtered with
+    sum(w - 1) extra rows on each side, since the smaller temporaries of a
+    max(w) - 1 halo raised the peak memory of a large ``run``, and cropped:
+    the output equals the one-band filter bit for bit. Bands are used only
+    while a band and its halo stay smaller than the grid.
 
     The progression stops at the first window of 2n - 1 cells or more, n the
     grid's longer side: ``_running`` clips it to the whole block along both
@@ -166,21 +157,28 @@ def progressive_morphological_filter(
 def _filter(
     surface: np.ndarray, windows: list[int], params: DtmFilterParams, cellsize: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The filter on one block of rows: (terrain, flagged)."""
+    """The filter on one block of rows: (terrain, flagged).
+
+    Each window thresholds the terrain against an opening of ``surface``,
+    equal to the opening of the terrain lowered so far. Nodata is filled with
+    +inf once, and each erosion erodes the last by ``w - prev_w + 1`` cells
+    (eroding by a, then b cells erodes by a + b - 1); the dilation reads +inf
+    as -inf. A valid cell's opening is finite, and at nodata ``terrain -
+    opened`` is NaN, never hit. The chain can change a direct erosion only in
+    the sign of a zero, seen only where a flagged cell opens to +-0: its
+    surface exceeds dh > 0, so no height or written digit changes.
+    """
     flagged = np.zeros(surface.shape, dtype=bool)
-    prev_w = None
+    eroded = np.where(np.isnan(surface), np.inf, surface)
+    terrain, prev_w = surface.copy(), 1
     for w in windows:
-        opened = _open(surface, w)
-        if prev_w is None:
-            dh = params.initial_threshold_m
-        else:
-            dh = min(
-                params.max_threshold_m,
-                params.slope * (w - prev_w) * cellsize + params.initial_threshold_m,
-            )
-        # NaN differences compare False, so nodata cells are never flagged.
-        hit = (surface - opened) > dh
-        surface = np.where(hit, opened, surface)
+        dh = params.initial_threshold_m
+        if prev_w > 1:
+            dh = min(params.max_threshold_m, params.slope * (w - prev_w) * cellsize + dh)
+        eroded = _running(eroded, w - prev_w + 1, np.minimum)
+        opened = _running(np.where(eroded == np.inf, -np.inf, eroded), w, np.maximum)
+        hit = (terrain - opened) > dh
+        np.copyto(terrain, opened, where=hit)
         flagged |= hit
         prev_w = w
-    return surface, flagged
+    return terrain, flagged

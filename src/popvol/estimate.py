@@ -82,6 +82,7 @@ class EstimationConfig:
             )
         if not (float(self.min_cells).is_integer() and self.min_cells >= 1):
             raise ConfigError(f"min_cells must be an integer >= 1, got {self.min_cells}")
+        self.min_cells = int(self.min_cells)  # 2000.0 from a JSON config prints as 2000
         self.bands = tuple(self.bands)
         if not self.bands:
             raise ConfigError("band table must not be empty")

@@ -128,10 +128,17 @@ def test_dtm_window_wider_than_the_grid(tmp_path, capsys, config):
 def test_windows_stop_once_one_covers_the_grid(tmp_path, monkeypatch):
     """On the 150x180 demo DSM the ninth window, 513 cells, is the first of
     2 * 180 - 1 or more: a config whose windows go on to 8e307 m runs the
-    same nine openings and writes the same bytes as one that stops there."""
+    same nine openings (one dilation each) and writes the same bytes as one
+    that stops there."""
     calls = []
-    real_open = popvol.dtm._open
-    monkeypatch.setattr(popvol.dtm, "_open", lambda data, w: calls.append(w) or real_open(data, w))
+    real_running = popvol.dtm._running
+
+    def running(data, window, pick):
+        if pick is np.maximum:
+            calls.append(window)
+        return real_running(data, window, pick)
+
+    monkeypatch.setattr(popvol.dtm, "_running", running)
     written = []
     for max_window_m in (513.0, 8e307):
         config, out = tmp_path / "config.json", tmp_path / str(max_window_m)
@@ -1135,15 +1142,82 @@ def test_run_checks_the_amenity_center_before_any_output(tmp_path, capsys, extra
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["ground_truth", "osm", "rules", "published_reference"])
+@pytest.mark.parametrize(
+    "key", ["dsm", "footprints", "ground_truth", "osm", "rules", "published_reference", "out_dir"]
+)
 def test_run_empty_input_path_is_typed_error(tmp_path, capsys, key):
-    """An input key set to "" is refused, not read as a stage left out."""
+    """A path key set to "" is refused, not read as a stage left out or as
+    a key that is missing."""
     config = _write_run_config(tmp_path)
     config.write_text(json.dumps({**json.loads(config.read_text()), key: ""}))
     capsys.readouterr()
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: config key {key!r} is an empty path\n"
     assert not (tmp_path / "out").exists()
+
+
+def _demo_argv(site: Path, out: Path) -> dict:
+    """A working argv for each subcommand, by flag: inputs from the demo
+    copy in ``site``, every output under ``out``."""
+    return {
+        "dtm": {"--dsm": site / "out" / "dsm.asc", "--out-dtm": out / "dtm.asc",
+                "--out-mask": out / "mask.asc", "--config": site / "config.json"},
+        "estimate": {"--dsm": site / "out" / "dsm.asc", "--dtm": site / "out" / "dtm.asc",
+                     "--footprints": site / "out" / "footprints.geojson",
+                     "--config": site / "config.json", "--out-heights": out / "heights.csv",
+                     "--out-estimates": out / "estimates.csv"},
+        "validate": {"--estimates": site / "out" / "estimates.csv",
+                     "--ground-truth": site / "ground_truth.csv", "--out": out / "validation.csv"},
+        "amenities": {"--osm": site / "site.osm", "--rules": site / "rules.json",
+                      "--config": site / "config.json", "--out-records": out / "amenities.csv",
+                      "--out-summary": out / "amenities_summary.csv"},
+        "model3d": {"--footprints": site / "out" / "footprints.geojson",
+                    "--heights": site / "out" / "heights.csv", "--out": out / "model.obj",
+                    "--config": site / "config.json"},
+        "synth": {"--scene": site / "scene.json", "--out-dsm": out / "dsm.asc",
+                  "--out-truth-dtm": out / "truth.asc", "--out-heights": out / "heights.csv",
+                  "--out-footprints": out / "footprints.geojson"},
+        "run": {"--config": site / "config.json", "--out-dir": out},
+    }
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command, flags in _demo_argv(Path(), Path()).items() for flag in flags],
+)
+def test_an_empty_path_flag_is_refused(tmp_path, capsys, command, flag):
+    """Every flag names a file or directory: an empty one is an error before
+    anything is read or written, not a flag left out. The config's out_dir
+    points into ``out`` too, where a ``run --out-dir ""`` would write."""
+    site, out = tmp_path / "demo", tmp_path / "out"
+    shutil.copytree(DEMO, site)
+    cfg = json.loads((site / "config.json").read_text())
+    (site / "config.json").write_text(json.dumps({**cfg, "out_dir": str(out)}))
+    flags = {**_demo_argv(site, out)[command], flag: ""}
+    assert main([command, *itertools.chain.from_iterable(
+        (name, str(value)) for name, value in flags.items()
+    )]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} is an empty path\n")
+    assert not out.exists()
+
+
+def test_integer_keys_written_as_integers(tmp_path):
+    """``min_cells`` and ``initial_window`` given as 500.0 and 3.0 write the
+    same bytes as 500 and 3: a building with too few cells reads "needs at
+    least 500", not 500.0. The config leaves ground truth out, so both TypeC
+    buildings (288 cells each) may be excluded."""
+    written = []
+    for min_cells, initial_window in ((500.0, 3.0), (500, 3)):
+        site, out = tmp_path / f"demo_{min_cells}", tmp_path / f"out_{min_cells}"
+        shutil.copytree(DEMO, site)
+        cfg = json.loads((site / "config.json").read_text())
+        cfg.update(min_cells=min_cells, initial_window=initial_window)
+        del cfg["ground_truth"]
+        (site / "config.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(site / "config.json"), "--out-dir", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    assert b'needs at least 500"' in written[1]["estimates.csv"]
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,9 @@ from popvol import (
     progressive_morphological_filter,
     rasterize_polygon,
     synthesize_dsm,
+    write_ascii_grid,
 )
-from popvol.dtm import _filter, _open, _running, window_sizes
+from popvol.dtm import _filter, _running, window_sizes
 
 from conftest import cell_set, make_grid, rectangle_ring
 
@@ -48,7 +49,30 @@ def brute_force_opening(data: np.ndarray, window: int) -> np.ndarray:
 
 
 def opening(data: np.ndarray, window: int) -> np.ndarray:
-    return _open(data, window)
+    """The oracle opening, NaN cells absent from the window and NaN where a
+    window holds nothing else: scipy's minimum filter with NaN as +inf, then
+    its maximum filter with that +inf as -inf."""
+    eroded = ndimage.minimum_filter(np.where(np.isnan(data), np.inf, data), size=window,
+                                    mode="nearest")
+    opened = ndimage.maximum_filter(np.where(eroded == np.inf, -np.inf, eroded), size=window,
+                                    mode="nearest")
+    return np.where(opened == -np.inf, np.nan, opened)
+
+
+def reopening_filter(data: np.ndarray, windows: list[int], params: DtmFilterParams, cellsize: float):
+    """The filter as Zhang et al. state it, each window thresholding the
+    oracle opening of the terrain lowered so far: (terrain, flagged)."""
+    terrain, flagged = data, np.zeros(data.shape, dtype=bool)
+    for i, w in enumerate(windows):
+        dh = params.initial_threshold_m if i == 0 else min(
+            params.max_threshold_m,
+            params.slope * (w - windows[i - 1]) * cellsize + params.initial_threshold_m,
+        )
+        opened = opening(terrain, w)
+        hit = (terrain - opened) > dh
+        terrain = np.where(hit, opened, terrain)
+        flagged |= hit
+    return terrain, flagged
 
 
 def test_window_one_is_identity():
@@ -117,18 +141,49 @@ def test_running_equals_scipy_bit_for_bit(case):
 
 @_filter_settings
 @given(case=_filter_grids([np.nan, np.nan, 0.0, -0.0, 1.0]))
-def test_open_equals_scipy_with_nodata_holes(case):
-    """NaN cells are absent from the window, and a window of nothing but NaN
-    stays NaN: scipy's minimum filter with NaN as +inf, then its maximum
-    filter with NaN as -inf, gives the same bytes."""
+def test_one_window_thresholds_the_scipy_opening(case):
+    """With one window nothing is chained: ``_filter`` lowers onto the
+    oracle opening, NaN cells absent from the window, with the same bytes."""
     data, window = case
-    eroded = ndimage.minimum_filter(np.where(np.isnan(data), np.inf, data), size=window,
-                                    mode="nearest")
-    eroded[np.isinf(eroded)] = np.nan
-    expected = ndimage.maximum_filter(np.where(np.isnan(eroded), -np.inf, eroded), size=window,
-                                      mode="nearest")
-    expected[np.isinf(expected)] = np.nan
-    assert _open(data, window).tobytes() == expected.tobytes()
+    terrain, flagged = _filter(data, [window], DtmFilterParams(), 1.0)
+    expected, expected_flagged = reopening_filter(data, [window], DtmFilterParams(), 1.0)
+    assert terrain.tobytes() == expected.tobytes()
+    assert np.array_equal(flagged, expected_flagged)
+
+
+@st.composite
+def _signed_zero_cases(draw):
+    """A grid of 1 to 30 rows and columns of 0.0, -0.0, 1.0 and NaN, and
+    filter parameters whose windows go from 3, 5 or 7 cells to past twice
+    the grid's longer side."""
+    nrows, ncols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.choice(np.array([0.0, -0.0, 1.0, np.nan]), (nrows, ncols))
+    window = draw(st.sampled_from([3, 5, 7]))
+    threshold = draw(st.sampled_from([0.25, 0.5, 2.0]))
+    params = DtmFilterParams(
+        initial_window=window,
+        max_window_m=draw(st.integers(window, 4 * max(nrows, ncols) + window)),
+        slope=draw(st.sampled_from([0.0, 0.01, 0.3])),
+        initial_threshold_m=threshold,
+        max_threshold_m=threshold + draw(st.sampled_from([0.0, 0.5, 3.0])),
+    )
+    return data, params
+
+
+@_filter_settings
+@given(case=_signed_zero_cases())
+def test_chained_erosions_equal_reopening_the_terrain(case):
+    """Eroding each window's erosion further, and opening the input, gives
+    the terrain and flags of reopening the lowered terrain at every window:
+    equal up to the sign of a zero, which the written grid does not show."""
+    data, params = case
+    windows = window_sizes(params, 1.0)
+    terrain, flagged = _filter(data, windows, params, 1.0)
+    expected, expected_flagged = reopening_filter(data, windows, params, 1.0)
+    assert np.array_equal(terrain, expected, equal_nan=True)
+    assert np.array_equal(flagged, expected_flagged)
+    assert write_ascii_grid(make_grid(terrain)) == write_ascii_grid(make_grid(expected))
 
 
 def test_window_progression():
@@ -250,24 +305,16 @@ def test_ground_mask_means_unchanged(case):
 @given(case=_pmf_cases())
 @example(case=_PRISM_CASES[0])
 def test_each_step_thresholds_an_opening_of_the_input(case):
-    """Every opening in the progression equals the opening of the input
-    surface with the same window: a step lowers cells only onto an opening,
-    which every larger opening absorbs. So a cell's result depends on no
-    cell more than max(w) - 1 rows away, within the row bands' sum(w - 1) halo."""
+    """Every opening of the lowered terrain in the progression equals the
+    opening of the input surface with the same window: a step lowers cells
+    only onto an opening, which every larger opening absorbs. So ``_filter``
+    thresholds openings of the input, and a cell's result depends on no cell
+    more than max(w) - 1 rows away, within the row bands' sum(w - 1) halo."""
     dsm, params = case
     cellsize = dsm.georef.cellsize
     windows = window_sizes(params, cellsize)
     terrain, flagged = _filter(dsm.data, windows, params, cellsize)
-    expected, expected_flagged = dsm.data, np.zeros(dsm.data.shape, dtype=bool)
-    for i, w in enumerate(windows):
-        dh = params.initial_threshold_m if i == 0 else min(
-            params.max_threshold_m,
-            params.slope * (w - windows[i - 1]) * cellsize + params.initial_threshold_m,
-        )
-        opened = _open(dsm.data, w)
-        hit = (expected - opened) > dh
-        expected = np.where(hit, opened, expected)
-        expected_flagged |= hit
+    expected, expected_flagged = reopening_filter(dsm.data, windows, params, cellsize)
     assert terrain.tobytes() == expected.tobytes()
     assert np.array_equal(flagged, expected_flagged)
 
