@@ -73,7 +73,7 @@ def _load() -> None:
         rasterize_footprints,
         zonal_height,
     )
-    from .grid import Grid, grid_subtract, read_ascii_grid, write_ascii_grid
+    from .grid import Grid, check_writable, grid_subtract, read_ascii_grid, write_ascii_grid
     from .mesh import Mesh, extrude, write_obj
     from .osm import amenities, check_center, count_within_radius, load_rules
     from .osm import filter_amenities, parse_osm  # unused here; perfbench/spans.py wraps these names
@@ -161,6 +161,13 @@ def _load_config(path) -> dict:
         if doc.get(key) == "":
             raise ConfigError(f"config key {key!r} is an empty path")
     return doc
+
+
+def _require(cfg: dict, keys: Sequence[str]) -> None:
+    """Raise ConfigError naming the first of ``keys`` that ``cfg`` leaves unset."""
+    missing = next((k for k in keys if cfg.get(k) is None), None)
+    if missing is not None:
+        raise ConfigError(f"config is missing required key {missing!r}")
 
 
 def _load_published_reference(path) -> dict:
@@ -447,8 +454,7 @@ def cmd_amenities(args) -> int:
     cfg = _load_config(args.config)
     query = build_amenity_query(cfg)
     if query is None:
-        missing = next(k for k in AMENITY_KEYS if cfg.get(k) is None)
-        raise ConfigError(f"config is missing required key {missing!r}")
+        _require(cfg, AMENITY_KEYS)
     record = amenities_stage(
         amenity_texts(args.osm, args.rules, *query), args.out_records, args.out_summary
     )
@@ -475,13 +481,19 @@ def cmd_model3d(args) -> int:
 def cmd_synth(args) -> int:
     scene = load_scene(_read_text(args.scene))
     result = synthesize_dsm(scene)
-    # every grid is formatted before any file is written: one the writer
+    # only the grids asked for, the truth DTM's first: without prisms and
+    # noise its text is usually the shorter, so the DSM's, joined last, is
+    # joined with no other grid alive
+    grids = {args.out_truth_dtm: result.truth_dtm} if args.out_truth_dtm else {}
+    grids[args.out_dsm] = result.dsm
+    del result
+    # every grid is checked before any file is written: one the writer
     # refuses leaves no file behind
-    dsm_text = write_ascii_grid(result.dsm)
-    truth_text = write_ascii_grid(result.truth_dtm) if args.out_truth_dtm else None
-    _write_text(args.out_dsm, dsm_text)
-    if truth_text is not None:
-        _write_text(args.out_truth_dtm, truth_text)
+    for path in grids:
+        check_writable(grids[path])
+    # the writer frees each grid before it joins that grid's text
+    for path in list(grids):
+        _write_text(path, write_ascii_grid(grids.pop(path)))
     if args.out_heights:
         _write_text(
             args.out_heights,
@@ -501,11 +513,12 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    for key in ("dsm", "footprints"):
-        if not cfg.get(key):
-            raise ConfigError(f"config is missing required key {key!r}")
+    _require(cfg, ("dsm", "footprints"))
     if not args.out_dir and not cfg.get("out_dir"):
         raise ConfigError("config is missing required key 'out_dir'")
+    # the center keys alone may serve the amenities subcommand of a shared config
+    if cfg.get("osm") or cfg.get("rules"):
+        _require(cfg, ("osm", "rules") + AMENITY_KEYS)
 
     # config-relative input paths; an --out-dir flag stays cwd-relative
     base_dir = Path(args.config).parent
@@ -526,7 +539,7 @@ def cmd_run(args) -> int:
 
     # the amenity stage needs no other stage's output: a forked child computes it meanwhile
     amenity_job = contextlib.nullcontext()
-    if query and cfg.get("osm") and cfg.get("rules"):
+    if cfg.get("osm"):
         amenity_job = _bands.background(functools.partial(
             amenity_texts, resolve(cfg["osm"]), resolve(cfg["rules"]), *query
         ))
@@ -648,12 +661,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _same_file(args) -> Optional[tuple[str, str]]:
+    """The first two ``--out-*`` flags of ``args`` that name one file, or None."""
+    seen = {}
+    for name, value in vars(args).items():
+        if name.startswith("out_") and value is not None:
+            try:
+                path = Path(value).resolve()
+            except (ValueError, RuntimeError):  # a NUL or a symlink loop: the write reports it
+                continue
+            if path in seen:
+                return seen[path], name
+            seen[path] = name
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     for name, value in vars(args).items():  # every flag names a file or directory
         if value == "":
-            print(f"error: --{name.replace('_', '-')} is an empty path", file=sys.stderr)
+            print(f"error: {_flag(name)} is an empty path", file=sys.stderr)
             return 2
+    same = _same_file(args)
+    if same:
+        print(f"error: {_flag(same[0])} and {_flag(same[1])} name the same file", file=sys.stderr)
+        return 2
     _load()
     try:
         return args.func(args)

@@ -8,8 +8,9 @@ is the northernmost row.
 
 In memory NaN is the only nodata: a ``Grid`` keeps its float64 array as it is,
 and ``nodata`` is only the sentinel written for NaN. The reader makes its
-file's sentinel cells NaN; the writer refuses a cell equal to the sentinel or
-a sentinel that is not finite, so every grid it writes reads back exactly.
+file's sentinel cells NaN; the writer refuses, through ``check_writable``, a
+cell equal to the sentinel or a sentinel that is not finite, so every grid it
+writes reads back exactly.
 
 Values are printed by ``format_value``: an integral value below 1e15 in
 magnitude as an integer ("5", not "5.0"), any other value as ``repr``, the
@@ -35,12 +36,16 @@ reads most tokens in one numpy pass per chunk of text, so neither a list of
 lines nor a per-cell Python object lives through the read; only a read that
 fails splits the text into lines, to name the line of the first bad token.
 The writer formats whole rows in chunks of about ``_PART_CELLS`` cells, at
-least one row per chunk, so one chunk's text is built at a time. The values
-read and the text written are the same whatever the number of bands.
+least one row per chunk, so one chunk's text is built at a time. It holds
+its text twice where it joins the chunks, and drops its reference to the grid
+before that: a grid handed over with its last reference (on CPython 3.11 and
+later, whose calls move their arguments into the callee) is freed first. The
+values read and the text written are the same whatever the number of bands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -271,7 +276,7 @@ def read_ascii_grid(text: str) -> Grid:
     return Grid(georef, values.reshape(nrows, ncols), nodata)
 
 
-def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str) -> list[str]:
+def _format_rows(data: np.ndarray, sentinel: str, start: int, stop: int) -> list[str]:
     """The text of rows ``start:stop``, each line ending in "\\n", in chunks
     of whole rows of about ``_PART_CELLS`` cells."""
     step = max(1, _PART_CELLS // data.shape[1])
@@ -281,16 +286,30 @@ def _format_rows(data: np.ndarray, start: int, stop: int, sentinel: str) -> list
     ]
 
 
-def write_ascii_grid(g: Grid) -> str:
-    """Serialize a Grid to ESRI ASCII text (always includes NODATA_value)."""
+def check_writable(g: Grid) -> str:
+    """The ``NODATA_value`` text of ``g``; raises PipelineError if the
+    sentinel is not finite or a cell equals it, as the written grid would
+    not read back."""
     if not math.isfinite(g.nodata):
         raise PipelineError(f"cannot write grid: NODATA_value {g.nodata} is not finite")
-    ref = g.georef
     sentinel = format_value(g.nodata)
     clash = np.argwhere(g.data == g.nodata)
     if len(clash):
         r, c = clash[0]
         raise PipelineError(f"cannot write grid: row {r}, col {c} equals NODATA_value {sentinel}")
+    return sentinel
+
+
+def write_ascii_grid(g: Grid) -> str:
+    """Serialize a Grid to ESRI ASCII text (always includes NODATA_value),
+    once ``check_writable`` passes it.
+
+    The grid is let go once its rows are formatted, before their text is
+    joined: a caller that passed its only reference frees the array there.
+    """
+    sentinel = check_writable(g)
+    ref, data = g.georef, g.data
+    del g
     parts = [
         f"ncols {ref.ncols}\n"
         f"nrows {ref.nrows}\n"
@@ -300,10 +319,11 @@ def write_ascii_grid(g: Grid) -> str:
         f"NODATA_value {sentinel}\n"
     ]
     run_bands(
-        lambda start, stop: _format_rows(g.data, start, stop, sentinel),
-        row_bands(ref.nrows, g.data.size),
+        functools.partial(_format_rows, data, sentinel),
+        row_bands(ref.nrows, data.size),
         parts.extend,
     )
+    del data
     return "".join(parts)
 
 

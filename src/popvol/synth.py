@@ -170,14 +170,14 @@ def synthesize_dsm(scene: SyntheticScene) -> SynthResult:
             dsm_data = _paint_prisms(scene, terrain)
             if scene.noise_amplitude_m > 0:
                 noise = lcg_noise(scene.seed, ref.nrows * ref.ncols, scene.noise_amplitude_m)
-                dsm_data = dsm_data + noise.reshape(ref.nrows, ref.ncols)
+                dsm_data += noise.reshape(ref.nrows, ref.ncols)
     except FloatingPointError as e:
         raise SceneError(f"scene values overflow the float range ({e})") from None
     return SynthResult(dsm=Grid(ref, dsm_data), truth_dtm=Grid(ref, terrain))
 
 
 def _paint_prisms(scene: SyntheticScene, terrain: np.ndarray) -> np.ndarray:
-    """``terrain`` with every prism's cells raised by its height.
+    """A copy of ``terrain`` with every prism's cells raised by its height.
 
     Raises EmptySelectionError for the first prism, in input order, that
     selects no cell, and SceneError naming the pair of the first prism, in

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -828,6 +829,33 @@ def test_synth_writes_no_file_when_the_truth_dtm_holds_the_sentinel(tmp_path, ca
     assert set(read_ascii_grid((out / "dsm.asc").read_text()).data.ravel()) == {-9994.0}
 
 
+@pytest.mark.parametrize("truth", [False, True])
+def test_synth_traced_peak_is_the_dsm_text_twice_and_one_grid(tmp_path, truth):
+    """``synth`` on a noisy 600x500 scene, written in row bands, peaks under
+    tracemalloc at no more than twice the DSM text plus one grid of 8 bytes
+    per cell and 1 MB, with the truth DTM and without: it keeps no grid it
+    does not write, and the writer lets go of a grid handed to it before it
+    joins that grid's text. A second grid alive at the join, 2.4 MB, would
+    not fit in the 1 MB margin."""
+    scene = {
+        **SCENE,
+        "georef": {"ncols": 600, "nrows": 500, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
+        "noise_amplitude_m": 0.3,
+    }
+    argv = ["synth", "--scene", str(write_scene(tmp_path, scene)),
+            "--out-dsm", str(tmp_path / "dsm.asc")]
+    if truth:
+        argv += ["--out-truth-dtm", str(tmp_path / "truth.asc")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "dsm.asc").stat().st_size  # ASCII: one byte per character
+    assert peak <= 2 * text + 8 * 600 * 500 + 2**20, (peak, text)
+
+
 def test_readme_library_block_prints_the_demo_totals(tmp_path):
     """The README's "Library use" block, run as a script beside copies of
     the demo DSM and footprints, prints the totals of the demo's summary.json
@@ -1142,6 +1170,33 @@ def test_run_checks_the_amenity_center_before_any_output(tmp_path, capsys, extra
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["osm", "rules", "center_lat", "center_lon", "radius_m"])
+def test_run_refuses_a_partial_amenity_group(tmp_path, capsys, key):
+    """With ``osm`` or ``rules`` set, every key of the amenity stage is
+    required: a missing one is an error before any output, not a stage
+    silently skipped."""
+    config = _write_run_config(tmp_path)
+    doc = json.loads(config.read_text())
+    del doc[key]
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: config is missing required key {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_skips_amenities_given_only_the_center(tmp_path):
+    """The center keys alone, which a config shared with the ``amenities``
+    subcommand holds, leave the stage out."""
+    config = _write_run_config(tmp_path)
+    doc = json.loads(config.read_text())
+    del doc["osm"], doc["rules"]
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["stages"]["amenities"] == {"status": "skipped"}
+
+
 @pytest.mark.parametrize(
     "key", ["dsm", "footprints", "ground_truth", "osm", "rules", "published_reference", "out_dir"]
 )
@@ -1198,6 +1253,29 @@ def test_an_empty_path_flag_is_refused(tmp_path, capsys, command, flag):
         (name, str(value)) for name, value in flags.items()
     )]) == 2
     assert capsys.readouterr() == ("", f"error: {flag} is an empty path\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,first,second",
+    [
+        (command, *pair)
+        for command, flags in _demo_argv(Path(), Path()).items()
+        for pair in itertools.combinations([f for f in flags if f.startswith("--out-")], 2)
+    ],
+)
+def test_two_output_flags_naming_one_file_are_refused(tmp_path, capsys, command, first, second):
+    """Two ``--out-*`` flags of one command that resolve to one file are an
+    error before anything is read or written: every input is missing, and
+    the second flag spells the path another way."""
+    out = tmp_path / "out"
+    flags = {flag: tmp_path / "missing" for flag in _demo_argv(Path(), Path())[command]}
+    flags.update({flag: out / flag for flag in flags if flag.startswith("--out-")})
+    flags[first], flags[second] = out / "same", out / "sub" / ".." / "same"
+    assert main([command, *itertools.chain.from_iterable(
+        (name, str(value)) for name, value in flags.items()
+    )]) == 2
+    assert capsys.readouterr() == ("", f"error: {first} and {second} name the same file\n")
     assert not out.exists()
 
 
