@@ -12,8 +12,9 @@ a child whose result was not taken. ``popvol run``'s amenity stage is one.
 ``row_bands(nrows, cells, halo)`` is the whole split rule. ``run_bands(band,
 bounds, take)`` calls ``take`` once on ``band(start, stop)`` for each
 ``(start, stop)`` in ``bounds``, in order, so the caller sees exactly what one
-serial pass over the bands would give. The calling process computes the first
-band itself; every other band is a background job.
+serial pass over the bands would give. With two bands or more, every band is
+a background job and the calling process only takes the results; one band
+runs in the caller, with no fork.
 
 There is no pool, thread or pipe: a child holds nothing the parent must
 drain. Only files this process created and its own children wrote are
@@ -64,13 +65,12 @@ def run_bands(band, bounds, take) -> None:
     """Call ``take(band(start, stop))`` for each of ``bounds``, in order.
 
     ``band`` returns one picklable result. It must depend only on its
-    arguments and on state that exists before the call, because all but the
-    first band run in forked children.
+    arguments and on state that exists before the call, because each of two
+    or more bands runs in a forked child.
     """
     jobs = [functools.partial(band, start, stop) for start, stop in bounds]
     with contextlib.ExitStack() as stack:
-        results = [stack.enter_context(background(job)) for job in jobs[1:]]
-        take(jobs[0]())
+        results = [stack.enter_context(background(job)) for job in jobs] if len(jobs) > 1 else jobs
         for result in results:
             take(result())
 

@@ -465,15 +465,15 @@ def cmd_amenities(args) -> int:
 
 def cmd_model3d(args) -> int:
     base_elevation_m = build_base_elevation(_load_config(args.config))
+    footprints = parse_footprints(_read_text(args.footprints))
     mesh, skipped, _ = model3d_stage(
-        parse_footprints(_read_text(args.footprints)),
-        _read_heights_by_id(_read_text(args.heights)), base_elevation_m, args.out,
+        footprints, _read_heights_by_id(_read_text(args.heights)), base_elevation_m, args.out
     )
     for fid in skipped:
         print(f"warning: no height for footprint {fid!r}, skipped", file=sys.stderr)
     print(
         f"model3d: {len(mesh.groups)} buildings, {len(mesh.vertices)} vertices, "
-        f"{len(mesh.faces)} faces ({len(skipped)} skipped)"
+        f"{len(mesh.faces)} faces ({len(footprints) - len(mesh.groups)} skipped)"
     )
     return 0
 

@@ -113,13 +113,12 @@ def progressive_morphological_filter(
     non-ground (nodata cells are never flagged). Wherever ground_mask is True
     the returned terrain equals the input surface exactly.
 
-    Large grids are filtered in row bands, one per usable CPU. Every step
-    thresholds an opening of the input, so a cell's result depends only on
-    cells within max(w) - 1 rows of it. Each band is still filtered with
-    sum(w - 1) extra rows on each side, since the smaller temporaries of a
-    max(w) - 1 halo raised the peak memory of a large ``run``, and cropped:
-    the output equals the one-band filter bit for bit. Bands are used only
-    while a band and its halo stay smaller than the grid.
+    Large grids are filtered in row bands, one per usable CPU, each in a
+    forked child. Every step thresholds an opening of the input, so a cell's
+    result depends only on cells within max(w) - 1 rows of it: each band is
+    filtered with that many extra rows on each side and cropped, and the
+    output equals the one-band filter bit for bit. Bands are used only while
+    a band and its halo stay smaller than the grid.
 
     The progression stops at the first window of 2n - 1 cells or more, n the
     grid's longer side: ``_running`` clips it to the whole block along both
@@ -134,7 +133,7 @@ def progressive_morphological_filter(
     span = 2 * max(dsm.data.shape) - 1  # a window this wide covers the grid
     while len(windows) > 1 and windows[-2] >= span:
         windows.pop()
-    halo = sum(w - 1 for w in windows)
+    halo = max(windows) - 1
 
     def band(start: int, stop: int):
         lo = max(0, start - halo)

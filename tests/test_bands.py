@@ -3,6 +3,7 @@
 import logging
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def _pmf_cases(draw):
         initial_threshold_m=draw(st.sampled_from([0.2, 0.5])),
         max_threshold_m=draw(st.sampled_from([0.5, 3.0])),
     )
-    halo = sum(w - 1 for w in windows)
+    halo = max(windows) - 1
     nrows = draw(st.integers(2 * halo + 4, 2 * halo + 40))
     ncols = draw(st.integers(3, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -176,7 +177,7 @@ def test_banded_pmf_equals_one_band(case, nbands):
     assert np.array_equal(dtm.data, dtm_one.data, equal_nan=True)
     assert np.array_equal(ground, ground_one)
     # the split happened, and every band with its halo stayed inside the grid
-    halo = sum(w - 1 for w in popvol.dtm.window_sizes(params, dsm.georef.cellsize))
+    halo = max(popvol.dtm.window_sizes(params, dsm.georef.cellsize)) - 1
     (bounds,) = calls
     nrows = dsm.georef.nrows
     assert 2 <= len(bounds) <= nbands
@@ -184,7 +185,7 @@ def test_banded_pmf_equals_one_band(case, nbands):
 
 
 def test_banded_pmf_with_default_windows():
-    """The default 3..65 windows (a 126-row halo) on a grid that splits in two,
+    """The default 3..65 windows (a 64-row halo) on a grid that splits in two,
     with buildings across the cut, on the edges and wider than a window."""
     rng = np.random.default_rng(11)
     rows, cols = np.mgrid[0:300, 0:40]
@@ -204,11 +205,11 @@ def test_banded_pmf_with_default_windows():
 
 def test_pmf_stays_one_band_when_the_halo_covers_the_grid():
     calls = []
-    dsm = Grid(GridGeoref(10, 200, 0.0, 0.0, 1.0), np.zeros((200, 10)))
+    dsm = Grid(GridGeoref(10, 120, 0.0, 0.0, 1.0), np.zeros((120, 10)))
     with split_into(2), pytest.MonkeyPatch.context() as mp:
         mp.setattr(popvol.dtm, "run_bands", lambda band, bounds, take: calls.append(bounds))
-        progressive_morphological_filter(dsm)  # default windows: a 126-row halo
-    assert calls == [[(0, 200)]]
+        progressive_morphological_filter(dsm)  # default windows: a 64-row halo
+    assert calls == [[(0, 120)]]
 
 
 def _exit_in_child(code, after):
@@ -262,6 +263,59 @@ def test_failed_worker_still_gives_the_right_grid_and_pmf():
     assert np.array_equal(banded_ground, ground)
 
 
+def _recording(fn, ran: set):
+    """``fn``, adding its name to ``ran`` when it runs in this process (a
+    child adds it to its own copy)."""
+    def spy(*args):
+        ran.add(fn.__name__)
+        return fn(*args)
+    return spy
+
+
+@pytest.mark.parametrize(
+    "nbands,expected", [(1, {"_format_rows", "parse_tokens", "_filter"}), (2, set())]
+)
+def test_bands_run_in_the_caller_only_when_there_is_one(nbands, expected):
+    """With two bands, the PMF and the write and read of a split grid compute
+    no band in the calling process; one band runs there, with no fork."""
+    rng = np.random.default_rng(5)
+    dsm = Grid(GridGeoref(7, 40, 0.0, 0.0, 1.0), rng.normal(50.0, 5.0, (40, 7)))
+    params = DtmFilterParams(initial_window=3, max_window_m=5.0)
+    with split_into(1):
+        text = write_ascii_grid(dsm)
+        dtm, ground = progressive_morphological_filter(dsm, params)
+    ran = set()
+    with split_into(nbands), pytest.MonkeyPatch.context() as mp:
+        for module, name in ((popvol.grid, "_format_rows"), (popvol.grid, "parse_tokens"),
+                             (popvol.dtm, "_filter")):
+            mp.setattr(module, name, _recording(getattr(module, name), ran))
+        assert write_ascii_grid(dsm) == text
+        assert read_ascii_grid(text) == dsm
+        banded, banded_ground = progressive_morphological_filter(dsm, params)
+    assert np.array_equal(banded.data, dtm.data)
+    assert np.array_equal(banded_ground, ground)
+    assert ran == expected
+
+
+def test_two_band_pmf_holds_no_band_temporaries_in_the_caller():
+    """The caller's traced peak is the terrain, the mask and one band's
+    result, with 1 MB to spare: the filter's buffers live in the children."""
+    rng = np.random.default_rng(8)
+    data = 20.0 + rng.normal(0.0, 0.5, (600, 500))
+    data[100:160, 50:120] += 15.0
+    dsm = Grid(GridGeoref(500, 600, 0.0, 0.0, 1.0), data)
+    with split_into(2):
+        assert len(_bands.row_bands(600, data.size, 64)) == 2
+        tracemalloc.start()
+        try:
+            progressive_morphological_filter(dsm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    band_result = 300 * 500 * (8 + 1)  # float64 terrain and bool flags
+    assert peak < data.nbytes + data.size + band_result + 2**20
+
+
 def test_band_error_is_raised_by_the_parent():
     def band(start, stop):
         if start > 0:
@@ -274,14 +328,19 @@ def test_band_error_is_raised_by_the_parent():
 
 
 def test_children_are_stopped_and_reaped_when_the_parent_fails():
+    """The caller fails on the first band's result while the other bands'
+    children sleep."""
     def band(start, stop):
-        if in_child():
+        if start > 0:
             time.sleep(60)
-        raise RuntimeError("parent band failed")
+        return start
+
+    def take(result):
+        raise RuntimeError(f"parent failed on band {result}")
 
     t0 = time.perf_counter()
-    with split_into(3), pytest.raises(RuntimeError, match="parent band failed"):
-        _bands.run_bands(band, _bands.row_bands(9, 0), lambda result: None)
+    with split_into(3), pytest.raises(RuntimeError, match="parent failed on band 0"):
+        _bands.run_bands(band, _bands.row_bands(9, 0), take)
     assert time.perf_counter() - t0 < 30
     assert_no_children()
 

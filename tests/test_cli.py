@@ -343,6 +343,19 @@ def test_model3d_command(tmp_path):
     assert sum(1 for l in obj if l.startswith("f ")) == 6
 
 
+def test_model3d_counts_zero_height_footprints_as_skipped(tmp_path, capsys):
+    """A footprint left out of the OBJ for its zero height counts as skipped,
+    as one without a height does."""
+    fps = [Footprint(bid, "T", rectangle_ring(0, 0, 70, 70)) for bid in ("A", "B")]
+    (tmp_path / "fp.geojson").write_text(footprints_to_geojson(fps))
+    (tmp_path / "h.csv").write_text("id,type_label,height_m\nA,T,6.000\nB,T,0.000\n")
+    assert main([
+        "model3d", "--footprints", str(tmp_path / "fp.geojson"),
+        "--heights", str(tmp_path / "h.csv"), "--out", str(tmp_path / "model.obj"),
+    ]) == 0
+    assert capsys.readouterr().out == "model3d: 1 buildings, 8 vertices, 6 faces (1 skipped)\n"
+
+
 def _write_run_config(tmp_path):
     scene = write_scene(tmp_path)
     main([
@@ -705,8 +718,8 @@ def test_demo_reproduces_committed_outputs(tmp_path):
 
 
 def test_demo_reproduces_committed_outputs_in_bands(tmp_path):
-    """Every grid read and written in three row bands (the demo's PMF halo
-    covers its grid, so the filter stays one band)."""
+    """Every grid read and written in three row bands, and the PMF in two:
+    with its 64-row halo, a third band would cover the demo's grid."""
     with split_into(3):
         _assert_demo_reproduced(tmp_path)
 

@@ -309,7 +309,7 @@ def test_each_step_thresholds_an_opening_of_the_input(case):
     opening of the input surface with the same window: a step lowers cells
     only onto an opening, which every larger opening absorbs. So ``_filter``
     thresholds openings of the input, and a cell's result depends on no cell
-    more than max(w) - 1 rows away, within the row bands' sum(w - 1) halo."""
+    more than max(w) - 1 rows away: the row bands' halo."""
     dsm, params = case
     cellsize = dsm.georef.cellsize
     windows = window_sizes(params, cellsize)
