@@ -35,6 +35,11 @@ ESTIMATES_HEADER = (
 # input files of `run`, resolved relative to the config file
 INPUT_KEYS = ("dsm", "footprints", "ground_truth", "osm", "rules", "published_reference")
 PATH_KEYS = INPUT_KEYS + ("out_dir",)
+# the files `run` writes into its output directory
+RUN_OUTPUTS = (
+    "dtm.asc", "ground_mask.asc", "heights.csv", "estimates.csv", "validation.csv",
+    "model.obj", "amenities.csv", "amenities_summary.csv", "summary.json",
+)
 AMENITY_KEYS = ("center_lat", "center_lon", "radius_m")
 # characters encoded and written at a time
 _WRITE_SLICE = 1 << 20
@@ -332,7 +337,7 @@ def dtm_stage(dsm: Grid, params: DtmFilterParams, out_dtm, out_mask=None) -> tup
     if out_mask:
         mask = np.where(dsm.valid_mask, ground_mask, np.nan)  # 1 or 0, never -9999
         _write_text(out_mask, write_ascii_grid(Grid(dsm.georef, mask)))
-    non_ground = int((~ground_mask & dsm.valid_mask).sum())
+    non_ground = int((~ground_mask).sum())
     return dtm, _record(out_dtm, out_mask, non_ground_cells=non_ground)
 
 
@@ -528,6 +533,14 @@ def cmd_run(args) -> int:
     for key in INPUT_KEYS:
         if cfg.get(key) and not resolve(cfg[key]).is_file():
             raise ConfigError(f"config key {key!r}: file not found: {resolve(cfg[key])}")
+    out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
+    dst = {name: out / name for name in RUN_OUTPUTS}
+    # an input that is one of the outputs would be overwritten, and a rerun would read it
+    inputs = {f"config key {k!r}": resolve(cfg[k]) for k in INPUT_KEYS if cfg.get(k)}
+    for what, path in {"--config": Path(args.config), **inputs}.items():
+        for target in dst.values():
+            if target.exists() and path.samefile(target):
+                raise ConfigError(f"{what}: {path} would be overwritten by this run's {target}")
 
     params = build_filter_params(cfg)
     est_cfg = build_estimation_config(cfg)
@@ -546,15 +559,14 @@ def cmd_run(args) -> int:
     with amenity_job as amenity_result:
         dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
 
-        out = Path(args.out_dir) if args.out_dir else resolve(cfg["out_dir"])
         stages: dict = {}
         summary: dict = {"stages": stages, "footnotes": []}
 
-        dtm, stages["dtm"] = dtm_stage(dsm, params, out / "dtm.asc", out / "ground_mask.asc")
+        dtm, stages["dtm"] = dtm_stage(dsm, params, dst["dtm.asc"], dst["ground_mask.asc"])
 
         footprints = parse_footprints(_read_text(resolve(cfg["footprints"])))
         society, heights, summary["warnings"], stages["estimate"] = estimate_stage(
-            dsm, dtm, footprints, est_cfg, out / "heights.csv", out / "estimates.csv"
+            dsm, dtm, footprints, est_cfg, dst["heights.csv"], dst["estimates.csv"]
         )
         summary["totals"] = {
             "units": society.total_units,
@@ -568,7 +580,7 @@ def cmd_run(args) -> int:
 
         if cfg.get("ground_truth"):
             gt = read_ground_truth(_read_text(resolve(cfg["ground_truth"])))
-            rows, stages["validate"] = validate_stage(society, gt, out / "validation.csv")
+            rows, stages["validate"] = validate_stage(society, gt, dst["validation.csv"])
             if published.get("unit_diff_pct"):
                 summary["footnotes"].extend(diff_footnotes(rows, published["unit_diff_pct"]))
         else:
@@ -577,17 +589,17 @@ def cmd_run(args) -> int:
             summary["footnotes"].extend(person_total_footnotes(society, published["persons"]))
 
         _, _, stages["model3d"] = model3d_stage(
-            footprints, heights, base_elevation_m, out / "model.obj"
+            footprints, heights, base_elevation_m, dst["model.obj"]
         )
 
         if amenity_result:
             stages["amenities"] = amenities_stage(
-                amenity_result(), out / "amenities.csv", out / "amenities_summary.csv"
+                amenity_result(), dst["amenities.csv"], dst["amenities_summary.csv"]
             )
         else:
             stages["amenities"] = {"status": "skipped"}
 
-    _write_text(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_text(dst["summary.json"], json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
         f"run: {society.total_units} units, {society.total_persons_rounded} persons, "
         f"{len(summary['warnings'])} warnings -> {out}"
@@ -666,17 +678,22 @@ def _flag(name: str) -> str:
 
 
 def _same_file(args) -> Optional[tuple[str, str]]:
-    """The first two ``--out-*`` flags of ``args`` that name one file, or None."""
+    """The first two path flags of ``args`` that name one file, one of them
+    an output (``--out`` or ``--out-*``), or None. A file that exists is
+    known by its inode, so a hard link names it too."""
     seen = {}
     for name, value in vars(args).items():
-        if name.startswith("out_") and value is not None:
+        if name not in ("command", "func") and value is not None:
             try:
-                path = Path(value).resolve()
-            except (ValueError, RuntimeError):  # a NUL or a symlink loop: the write reports it
+                key = Path(value).resolve()
+                if key.exists():
+                    st = key.stat()
+                    key = (st.st_dev, st.st_ino)
+            except (OSError, ValueError, RuntimeError):  # a NUL or a symlink loop: reported on use
                 continue
-            if path in seen:
-                return seen[path], name
-            seen[path] = name
+            first = seen.setdefault(key, name)
+            if first != name and any(n == "out" or n.startswith("out_") for n in (first, name)):
+                return first, name
     return None
 
 

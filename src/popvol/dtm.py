@@ -3,11 +3,11 @@
 Buildings and other above-ground objects are removed from a surface model by
 opening it with square windows of exponentially growing size (w -> 2w - 1).
 At each step, cells where the surface sits more than a slope-linked threshold
-above the opened surface are classified non-ground and lowered onto the
-opened surface; ground cells keep their original elevation, so the terrain
-model equals the surface model wherever nothing was removed (Zhang et al.
-2003, IEEE TGRS 41(4)). An opening is a numpy running min then max filter
-(van Herk 1992; Gil & Werman 1993), with nodata filled once per row band.
+above the opened surface are lowered onto the opened surface; every other
+cell keeps its elevation, so a cell is non-ground exactly where the terrain
+model ends below the surface model (Zhang et al. 2003, IEEE TGRS 41(4)). An
+opening is a numpy running min then max filter (van Herk 1992; Gil & Werman
+1993), with nodata filled with +inf once per row band and no other fill.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def progressive_morphological_filter(
 ) -> tuple[Grid, np.ndarray]:
     """Derive (dtm, ground_mask) from a surface model.
 
-    ground_mask is a boolean array, True where the cell was never flagged as
-    non-ground (nodata cells are never flagged). Wherever ground_mask is True
-    the returned terrain equals the input surface exactly.
+    ground_mask is False exactly where the terrain ends below the surface (a
+    cell is only ever lowered, onto an opening more than dh > 0 below it), so
+    nodata, which compares false, is ground, and ground keeps its elevation.
 
     Large grids are filtered in row bands, one per usable CPU, each in a
     forked child. Every step thresholds an opening of the input, so a cell's
@@ -137,37 +137,35 @@ def progressive_morphological_filter(
 
     def band(start: int, stop: int):
         lo = max(0, start - halo)
-        band_terrain, band_flagged = _filter(dsm.data[lo:stop + halo], windows, params, cellsize)
-        rows = slice(start - lo, stop - lo)
-        return start, band_terrain[rows], band_flagged[rows]
+        band_terrain = _filter(dsm.data[lo:stop + halo], windows, params, cellsize)
+        return start, band_terrain[start - lo:stop - lo]
 
     terrain = np.empty(dsm.data.shape)
-    flagged = np.empty(dsm.data.shape, dtype=bool)
+    ground = np.empty(dsm.data.shape, dtype=bool)
 
     def take(result):
-        start, band_terrain, band_flagged = result
-        rows = slice(start, start + len(band_terrain))
-        terrain[rows], flagged[rows] = band_terrain, band_flagged
+        start, band_terrain = result
+        terrain[start:start + len(band_terrain)] = band_terrain
 
     run_bands(band, row_bands(dsm.georef.nrows, dsm.data.size, halo), take)
-    return Grid(dsm.georef, terrain, dsm.nodata), ~flagged
+    np.logical_not(np.less(terrain, dsm.data, out=ground), out=ground)
+    return Grid(dsm.georef, terrain, dsm.nodata), ground
 
 
 def _filter(
     surface: np.ndarray, windows: list[int], params: DtmFilterParams, cellsize: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The filter on one block of rows: (terrain, flagged).
+) -> np.ndarray:
+    """The filter on one block of rows: the terrain.
 
     Each window thresholds the terrain against an opening of ``surface``,
     equal to the opening of the terrain lowered so far. Nodata is filled with
-    +inf once, and each erosion erodes the last by ``w - prev_w + 1`` cells
-    (eroding by a, then b cells erodes by a + b - 1); the dilation reads +inf
-    as -inf. A valid cell's opening is finite, and at nodata ``terrain -
-    opened`` is NaN, never hit. The chain can change a direct erosion only in
-    the sign of a zero, seen only where a flagged cell opens to +-0: its
-    surface exceeds dh > 0, so no height or written digit changes.
+    +inf once; each erosion erodes the last by ``w - prev_w + 1`` cells (by a,
+    then b cells is by a + b - 1). The dilation needs no fill: a valid cell is
+    in the erosion window of each cell of its own window, so its opening is
+    finite; at nodata ``terrain - opened`` is NaN, never hit. The chain can
+    change a direct erosion only in the sign of a zero, at a lowered cell
+    opening to +-0: its surface exceeds dh > 0, so no height or digit changes.
     """
-    flagged = np.zeros(surface.shape, dtype=bool)
     eroded = np.where(np.isnan(surface), np.inf, surface)
     terrain, prev_w = surface.copy(), 1
     for w in windows:
@@ -175,9 +173,7 @@ def _filter(
         if prev_w > 1:
             dh = min(params.max_threshold_m, params.slope * (w - prev_w) * cellsize + dh)
         eroded = _running(eroded, w - prev_w + 1, np.minimum)
-        opened = _running(np.where(eroded == np.inf, -np.inf, eroded), w, np.maximum)
-        hit = (terrain - opened) > dh
-        np.copyto(terrain, opened, where=hit)
-        flagged |= hit
+        opened = _running(eroded, w, np.maximum)
+        np.copyto(terrain, opened, where=(terrain - opened) > dh)
         prev_w = w
-    return terrain, flagged
+    return terrain

@@ -66,10 +66,21 @@ class ReportMismatchError(PipelineError):
 
 
 def json_document(text: str, error: type, what: str):
-    """The value of the JSON ``text``; text ``json`` cannot decode, or nested
-    deeper than its recursion limit, raises ``error`` naming ``what``."""
+    """The value of the JSON ``text``; text ``json`` cannot decode, nested
+    deeper than its recursion limit, or with a key twice in one object
+    (``json`` alone keeps the last value), raises ``error`` naming ``what``."""
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            from collections import Counter
+
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise error(f"invalid {what}: duplicate key {key!r}")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except (json.JSONDecodeError, RecursionError) as e:
         raise error(f"invalid {what}: {e}") from None
 

@@ -312,7 +312,7 @@ def test_two_band_pmf_holds_no_band_temporaries_in_the_caller():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    band_result = 300 * 500 * (8 + 1)  # float64 terrain and bool flags
+    band_result = 300 * 500 * 8  # one band's float64 terrain
     assert peak < data.nbytes + data.size + band_result + 2**20
 
 

@@ -22,7 +22,7 @@ import popvol
 import popvol.cli
 import popvol.dtm
 from popvol import read_ascii_grid, write_ascii_grid
-from popvol.cli import footprints_to_geojson, main, read_estimates_csv
+from popvol.cli import RUN_OUTPUTS, footprints_to_geojson, main, read_estimates_csv
 from popvol.footprints import Footprint
 from popvol.grid import Grid, GridGeoref, format_value
 
@@ -389,8 +389,10 @@ def test_run_full_pipeline(tmp_path):
     assert summary["totals"]["by_type"]["TypeB"]["units"] == 28
     assert summary["stages"]["validate"]["total_diff_pct"] == 0.0
     assert summary["stages"]["amenities"]["counts"] == {"hospital": 2, "school": 1}
-    for name in ("dtm.asc", "ground_mask.asc", "heights.csv", "estimates.csv",
-                 "validation.csv", "model.obj", "amenities.csv", "amenities_summary.csv"):
+    # RUN_OUTPUTS, which a run's inputs must not be, is every file it writes
+    written = {name for stage in summary["stages"].values() for name in stage.get("outputs", [])}
+    assert written | {"summary.json"} == set(RUN_OUTPUTS)
+    for name in RUN_OUTPUTS:
         assert (tmp_path / "out" / name).is_file()
 
 
@@ -1129,6 +1131,45 @@ def test_deeply_nested_json_is_typed_error(tmp_path, capsys, monkeypatch, argv, 
         assert not (tmp_path / name).exists()
 
 
+def _tree(root: Path) -> dict:
+    """The bytes of every file under ``root``, by path."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "--config", "dup.json"], "invalid config JSON in dup.json: duplicate key 'dsm'"),
+        (["run", "--config", "pub.json"],
+         "invalid published_reference JSON in dup.json: duplicate key 'dsm'"),
+        (["amenities", "--osm", "site.osm", "--rules", "dup.json", "--config", "query.json",
+          "--out-records", "records.csv", "--out-summary", "summary.csv"],
+         "invalid rules JSON: duplicate key 'dsm'"),
+        (["synth", "--scene", "dup.json", "--out-dsm", "dsm.asc"],
+         "invalid scene JSON: duplicate key 'dsm'"),
+        (["model3d", "--footprints", "dup.json", "--heights", "h.csv", "--out", "model.obj"],
+         "invalid JSON: duplicate key 'dsm'"),
+    ],
+    ids=["config", "published_reference", "rules", "scene", "footprints"],
+)
+def test_a_repeated_json_key_is_typed_error(tmp_path, capsys, monkeypatch, argv, message):
+    """A key twice in one object, here an inner one, is an error in every
+    JSON input, not the last value silently kept; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.json").write_text('{"a": {"dsm": "x", "b": 1, "dsm": "y"}, "c": 2}')
+    (tmp_path / "pub.json").write_text(json.dumps({
+        "dsm": "h.csv", "footprints": "h.csv", "out_dir": "out",
+        "published_reference": "dup.json",
+    }))
+    (tmp_path / "site.osm").write_text(OSM_FIXTURE)
+    (tmp_path / "query.json").write_text(json.dumps(AMENITY_QUERY))
+    (tmp_path / "h.csv").write_text("id,type_label,height_m\nB1,T,6.000\n")
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize(
     "content,message",
     [
@@ -1274,22 +1315,70 @@ def test_an_empty_path_flag_is_refused(tmp_path, capsys, command, flag):
     [
         (command, *pair)
         for command, flags in _demo_argv(Path(), Path()).items()
-        for pair in itertools.combinations([f for f in flags if f.startswith("--out-")], 2)
+        for pair in itertools.combinations(flags, 2)
+        if any(flag.startswith("--out") for flag in pair)
     ],
 )
-def test_two_output_flags_naming_one_file_are_refused(tmp_path, capsys, command, first, second):
-    """Two ``--out-*`` flags of one command that resolve to one file are an
-    error before anything is read or written: every input is missing, and
-    the second flag spells the path another way."""
-    out = tmp_path / "out"
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_two_output_flags_naming_one_file_are_refused(
+    tmp_path, capsys, command, first, second, exists
+):
+    """Two flags of one command that resolve to one file, at least one of
+    them an output (``--out`` or ``--out-*``), are an error before anything
+    is read or written: every other input is missing and the second flag
+    spells the path another way. A new file is not created; one already
+    there keeps its bytes."""
+    out, same = tmp_path / "out", tmp_path / "same"
+    if exists:
+        same.write_bytes(b"an input\n")
     flags = {flag: tmp_path / "missing" for flag in _demo_argv(Path(), Path())[command]}
-    flags.update({flag: out / flag for flag in flags if flag.startswith("--out-")})
-    flags[first], flags[second] = out / "same", out / "sub" / ".." / "same"
+    flags.update({flag: out / flag for flag in flags if flag.startswith("--out")})
+    flags[first], flags[second] = same, tmp_path / "sub" / ".." / "same"
     assert main([command, *itertools.chain.from_iterable(
         (name, str(value)) for name, value in flags.items()
     )]) == 2
     assert capsys.readouterr() == ("", f"error: {first} and {second} name the same file\n")
     assert not out.exists()
+    if exists:
+        assert same.read_bytes() == b"an input\n"
+    else:
+        assert not same.exists()
+
+
+def test_an_output_hard_linked_to_an_input_is_refused(tmp_path, capsys):
+    """A hard link is the same file under another name: writing the DTM to
+    it would replace the DSM."""
+    dsm, link = tmp_path / "dsm.asc", tmp_path / "link.asc"
+    shutil.copyfile(DEMO / "out" / "dsm.asc", dsm)
+    os.link(dsm, link)
+    assert main(["dtm", "--dsm", str(dsm), "--out-dtm", str(link)]) == 2
+    assert capsys.readouterr() == ("", "error: --dsm and --out-dtm name the same file\n")
+    assert dsm.read_bytes() == (DEMO / "out" / "dsm.asc").read_bytes()
+
+
+@pytest.mark.parametrize("name,key", [("dtm.asc", "dsm"), ("summary.json", "--config")])
+def test_run_refuses_an_input_that_is_one_of_its_outputs(tmp_path, capsys, name, key):
+    """A DSM that is the run's own DTM (a rerun would read the DTM as the
+    DSM), or a config that is its summary, is an error before any output:
+    every file keeps its bytes. The demo's output directory holds both."""
+    site = tmp_path / "demo"
+    shutil.copytree(DEMO, site)
+    if key == "dsm":
+        config, what = site / "config.json", "config key 'dsm'"
+        cfg = json.loads(config.read_text())
+        del cfg["ground_truth"]
+        cfg["dsm"] = "out/dtm.asc"
+    else:
+        config, what = site / "out" / "summary.json", "--config"
+        cfg = {"dsm": "dsm.asc", "footprints": "footprints.geojson", "out_dir": "."}
+    config.write_text(json.dumps(cfg))
+    before = _tree(site)
+    assert main(["run", "--config", str(config)]) == 2
+    target = site / "out" / name
+    assert capsys.readouterr() == (
+        "", f"error: {what}: {target} would be overwritten by this run's {target}\n"
+    )
+    assert _tree(site) == before
 
 
 def test_integer_keys_written_as_integers(tmp_path):
