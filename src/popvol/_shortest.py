@@ -120,7 +120,8 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _digit_count(n: np.ndarray, pow10: np.ndarray) -> np.ndarray:
-    """Decimal digits of each uint64 below 10**19 (1 for 0)."""
+    """Decimal digits of each uint64 below 10**19 (0 for 0; ``format_cells``
+    takes at least ``after_point + 1`` columns, which gives 0 its digit)."""
     count = np.log10(n.astype(np.float64) + 0.5).astype(np.int64) + 1
     count += n >= pow10[count]
     count -= n < pow10[count - 1]

@@ -67,8 +67,9 @@ class ReportMismatchError(PipelineError):
 
 def json_document(text: str, error: type, what: str):
     """The value of the JSON ``text``; text ``json`` cannot decode, nested
-    deeper than its recursion limit, or with a key twice in one object
-    (``json`` alone keeps the last value), raises ``error`` naming ``what``."""
+    deeper than its recursion limit, with an integer longer than Python's
+    digit limit, or with a key twice in one object (``json`` alone keeps the
+    last value), raises ``error`` naming ``what``."""
 
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
@@ -81,7 +82,8 @@ def json_document(text: str, error: type, what: str):
 
     try:
         return json.loads(text, object_pairs_hook=unique)
-    except (json.JSONDecodeError, RecursionError) as e:
+    # ValueError is JSONDecodeError's base and what int() raises past the digit limit
+    except (ValueError, RecursionError) as e:
         raise error(f"invalid {what}: {e}") from None
 
 

@@ -68,10 +68,15 @@ def normalize_ring(ring, label: str) -> list[tuple[float, float]]:
     edges that share no vertex may meet, not even at a point or along a
     stretch, so the shoelace area is the area the even-odd rule fills.
     """
-    pts = [(float(x), float(y)) for x, y in ring]
-    for k, (x, y) in enumerate(pts):
+    pts = []
+    for k, (x, y) in enumerate(ring):
+        try:
+            x, y = float(x), float(y)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
         if not (math.isfinite(x) and math.isfinite(y)):
             raise FootprintError(f"{label}: vertex #{k} is not finite")
+        pts.append((x, y))
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
     if len(pts) < 3:
@@ -176,9 +181,12 @@ _JSON_KINDS = {type(None): "null", bool: "a boolean", dict: "an object", list: "
 
 def text_property(value, name: str, label: str) -> str:
     """A footprint's ``id`` or ``type_label`` as text: a JSON string as it
-    is, a number as ``str`` gives it. Null, a boolean, an object or an array
-    is a FootprintError."""
+    is, a number as ``str`` gives it. Null, a boolean, an object, an array
+    or a string that ``str.splitlines`` would split (an OBJ or CSV line
+    break) is a FootprintError."""
     if isinstance(value, str):
+        if "".join(value.splitlines()) != value:
+            raise FootprintError(f"{label}: {name!r} must be one line, got {value!r}")
         return value
     if type(value) in JSON_NUMBERS:
         return str(value)

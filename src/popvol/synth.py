@@ -3,10 +3,10 @@
 A scene is flat or planar-ramp terrain plus rectangular-footprint prisms of
 known height, with optional uniform noise. The noise generator is a fixed
 64-bit linear congruential generator (Knuth MMIX constants) so identical
-seeds produce bit-identical grids on every platform. It is evaluated in
-blocks with a jump-ahead on uint64 (Brown 1994, "Random number generation
-with arbitrary strides"), which gives the same bits as stepping the
-recurrence one state at a time.
+seeds produce bit-identical grids on every platform. It is evaluated by
+doubling, each pass jumping the states so far ahead by their own count on
+uint64 (Brown 1994, "Random number generation with arbitrary strides"),
+which gives the same bits as stepping the recurrence one state at a time.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .grid import Grid, GridGeoref
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
 LCG_MOD = 1 << 64
-# States per lcg_noise jump-ahead step.
-_LCG_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -60,38 +58,27 @@ class SynthResult:
     truth_dtm: Grid
 
 
-def _lcg_states(seed: int, count: int) -> list[int]:
-    """The first ``count`` states after ``seed``, by the exact recurrence."""
-    states = []
-    state = seed % LCG_MOD
-    for _ in range(count):
-        state = (state * LCG_MULT + LCG_INC) % LCG_MOD
-        states.append(state)
-    return states
-
-
 def lcg_noise(seed: int, count: int, amplitude: float) -> np.ndarray:
     """Deterministic uniform noise in [-amplitude, +amplitude].
 
     Draw i is ``(2 * (s_i / 2**64) - 1) * amplitude`` for the i-th state
-    ``s_i`` of the LCG after ``seed``. The first block of states comes from
-    the recurrence itself; each later block jumps ``_LCG_BLOCK`` steps ahead
-    of the one before with a single wrapping uint64 multiply-add
-    (``s_{i+k} = a^k s_i + c_k mod 2**64``). Converting a state to float64
-    and dividing by a power of two rounds exactly as ``s_i / 2**64`` on
-    Python ints, so the draws are bit-identical to the plain recurrence.
+    ``s_i`` of the LCG after ``seed``. State 0 comes from the recurrence;
+    then for k = 1, 2, 4, ... states k to 2k - 1 come from states 0 to k - 1
+    by one wrapping uint64 multiply-add (``s_{i+k} = a^k s_i + c_k mod
+    2**64``, with ``c_k`` the k-th state after seed 0). Converting a state to
+    float64 and dividing it by 2**63 rounds exactly as ``2 * (s_i / 2**64)``
+    on Python ints, so the draws are bit-identical to the plain recurrence.
     """
     out = np.empty(count, dtype=np.float64)
-    block = np.array(_lcg_states(seed, min(count, _LCG_BLOCK)), dtype=np.uint64)
-    jump_mult = np.uint64(pow(LCG_MULT, _LCG_BLOCK, LCG_MOD))
-    # c_k is the k-th state after seed 0.
-    jump_inc = np.uint64(_lcg_states(0, _LCG_BLOCK)[-1])
-    for start in range(0, count, _LCG_BLOCK):
-        if start:
-            block = block * jump_mult + jump_inc
-        seg = out[start:start + _LCG_BLOCK]
-        np.divide(block[:len(seg)], float(LCG_MOD), out=seg)
-    out *= 2.0
+    states = out.view(np.uint64)
+    states[:1] = (seed * LCG_MULT + LCG_INC) % LCG_MOD
+    mult, inc, k = LCG_MULT, LCG_INC, 1
+    while k < count:
+        jumped = states[k:2 * k]
+        np.multiply(states[:len(jumped)], np.uint64(mult), out=jumped)
+        jumped += np.uint64(inc)
+        mult, inc, k = mult * mult % LCG_MOD, (mult * inc + inc) % LCG_MOD, 2 * k
+    np.divide(states, float(LCG_MOD // 2), out=out)
     out -= 1.0
     out *= amplitude
     return out
@@ -111,9 +98,12 @@ def load_scene(text: str) -> SyntheticScene:
         terrain = TerrainModel(
             *(_number(t, k, "scene terrain") for k in ("origin_elev", "grad_x", "grad_y"))
         )
-        prisms = []
+        prisms, seen = [], set()
         for k, p in enumerate(doc.get("prisms", [])):
             pid = text_property(p["id"], "id", f"prism #{k}")
+            if pid in seen:
+                raise SceneError(f"duplicate prism id {pid!r}")
+            seen.add(pid)
             fp = footprint_record(pid, p, p["ring"], f"prism {pid!r}", "building")
             prisms.append((fp, _number(p, "height_m", f"prism {pid!r}:")))
         top = {"noise_amplitude_m": 0.0, "seed": 0, **doc}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -100,7 +101,16 @@ def percent_diff(estimated: int, ground: int) -> float:
     """|estimated - ground| / ground * 100, ground truth as denominator."""
     if ground == 0:
         raise ReportMismatchError("ground-truth units are 0; percent difference undefined")
-    return abs(estimated - ground) / ground * 100.0
+    try:
+        pct = abs(estimated - ground) / ground * 100.0
+    except OverflowError:  # an integer quotient beyond the float range
+        pct = math.inf
+    if pct == math.inf:
+        raise ReportMismatchError(
+            f"percent difference of the estimated units against {ground} ground-truth "
+            "units overflows the float range"
+        )
+    return pct
 
 
 def validate_report(

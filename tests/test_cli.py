@@ -1118,8 +1118,9 @@ _DEEP = "maximum recursion depth exceeded while decoding a JSON array from a uni
     ids=["run", "amenities", "synth", "model3d"],
 )
 def test_deeply_nested_json_is_typed_error(tmp_path, capsys, monkeypatch, argv, outputs, message):
-    """JSON nested deeper than the decoder's recursion limit is a typed
-    error, not a ``RecursionError`` traceback."""
+    """JSON nested deeper than the decoder's recursion limit, or with an
+    integer longer than Python's digit limit, is a typed error, not a
+    ``RecursionError`` or ``ValueError`` traceback."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "deep.json").write_text("[" * 100_000)
     (tmp_path / "site.osm").write_text(OSM_FIXTURE)
@@ -1127,6 +1128,15 @@ def test_deeply_nested_json_is_typed_error(tmp_path, capsys, monkeypatch, argv, 
     (tmp_path / "h.csv").write_text("id,type_label,height_m\nB1,T,6.000\n")
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message.format(path='deep.json')}\n"
+    for name in outputs:
+        assert not (tmp_path / name).exists()
+
+    # past the 4,300-digit limit; CPython's wording of it varies by version
+    (tmp_path / "deep.json").write_text("[" + "1" * 4_301 + "]")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(path='deep.json').removesuffix(_DEEP)}")
+    assert err.count("\n") == 1 and err.endswith("\n")
     for name in outputs:
         assert not (tmp_path / name).exists()
 
@@ -1628,6 +1638,10 @@ def test_run_config_values_exit_0_or_one_line_exit_2(tiny_site, overrides, publi
         (popvol.cli.ESTIMATES_HEADER + "\nB1,TypeA,9.000,3,4,12,150.000,48.000,"
          "\nB1,TypeA,9.000,3,4,12,150.000,48.000,\n", None,
          "estimates CSV line 3: duplicate id 'B1'"),
+        # the quotient overflows: in the division at 401 digits, in the "* 100" at 309
+        *((popvol.cli.ESTIMATES_HEADER + f"\nB1,TypeA,9.000,3,4,{'1' * n},150.000,48.000,\n",
+           "type_label,units\nTypeA,10\n", "percent difference of the estimated units against "
+           "10 ground-truth units overflows the float range") for n in (401, 309)),
     ],
 )
 def test_bad_validate_csvs_are_typed_errors(tmp_path, capsys, estimates, ground_truth, message):
@@ -1640,6 +1654,7 @@ def test_bad_validate_csvs_are_typed_errors(tmp_path, capsys, estimates, ground_
         "--ground-truth", str(tmp_path / "gt.csv"), "--out", str(tmp_path / "report.csv"),
     ]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "report.csv").exists()
 
 
 # over the csv module's field limit of 131,072 characters

@@ -259,6 +259,14 @@ def _with(f, **changes):
          "feature 'B15': 'type_label' must be a string or a number, got an object"),
         (collection(feature("B16", SQUARE, type_label=["Type4"])),
          "feature 'B16': 'type_label' must be a string or a number, got an array"),
+        # a line break would start a line of its own in model.obj ("o <id>")
+        (collection(feature("A\nf 1 1 1", SQUARE)),
+         "feature #0: 'id' must be one line, got 'A\\nf 1 1 1'"),
+        (collection(feature("B17", SQUARE, type_label="Type\u2028A")),
+         "feature 'B17': 'type_label' must be one line, got 'Type\\u2028A'"),
+        # a JSON integer beyond the float range
+        (collection(feature("B18", [[0, 0], [10**401, 0], [10, 10], [0, 10]])),
+         "footprint 'B18': vertex #1 is not finite"),
     ],
 )
 def test_malformed_features_are_typed_errors(tmp_path, capsys, text, message):

@@ -19,14 +19,7 @@ from popvol import (
 )
 from popvol.cli import main
 from popvol.footprints import rasterize_footprints
-from popvol.synth import (
-    _LCG_BLOCK,
-    LCG_INC,
-    LCG_MOD,
-    LCG_MULT,
-    lcg_noise,
-    load_scene,
-)
+from popvol.synth import LCG_INC, LCG_MOD, LCG_MULT, lcg_noise, load_scene
 
 from conftest import cell_set, rectangle_ring
 
@@ -229,6 +222,8 @@ def test_label_raster_matches_pairwise_reference(scene):
         ([[5, 5], [15, True], [15, 15], [5, 15]],
          "prism 'P1': vertex #1 is not an [x, y] pair of numbers"),
         ([[5, 5], [15, 5], [30, 15], [5, 15]], "prisms 'P0' and 'P1' overlap"),
+        # a JSON integer beyond the float range
+        ([[5, 5], [10**401, 5], [15, 15], [5, 15]], "footprint 'P1': vertex #1 is not finite"),
     ],
 )
 def test_bad_scene_prisms_are_typed_errors(tmp_path, capsys, ring, message):
@@ -264,10 +259,11 @@ def test_bad_scene_prisms_are_typed_errors(tmp_path, capsys, ring, message):
          "prism 'P0': 'type_label' must be a string or a number, got a boolean"),
         ({"type_label": {}}, "prism 'P0': 'type_label' must be a string or a number, got an object"),
         ({"type_label": []}, "prism 'P0': 'type_label' must be a string or a number, got an array"),
+        ({"id": "P0\nf 1 1 1"}, "prism #0: 'id' must be one line, got 'P0\\nf 1 1 1'"),
     ],
     ids=["fractional_units", "boolean_units", "infinite_units", "boolean_area", "null_id",
          "boolean_id", "object_id", "array_id", "null_label", "boolean_label", "object_label",
-         "array_label"],
+         "array_label", "two_line_id"],
 )
 def test_bad_scene_unit_fields_are_typed_errors(tmp_path, capsys, props, message):
     doc = {
@@ -335,6 +331,10 @@ def _tiny_scene(**changes):
         ({"georef.ncols": 1, "georef.nrows": 1, "georef.cellsize": 4, "prisms": [],
           "terrain.grad_x": 1e308, "terrain.grad_y": -1e308},
          "scene values overflow the float range (overflow encountered in multiply)"),
+        # footprints and heights keyed by id could not tell the two apart
+        ({"prisms": [{"id": "P0", "ring": [[20, 5], [30, 5], [30, 15], [20, 15]], "height_m": 4.0},
+                     {"id": "P0", "ring": [[2, 2], [8, 2], [8, 8], [2, 8]], "height_m": 3.0}]},
+         "duplicate prism id 'P0'"),
     ],
 )
 def test_bad_scene_numbers_are_typed_errors(tmp_path, capsys, changes, message):
@@ -412,9 +412,10 @@ def test_lcg_reference_sequence():
     assert lcg_noise(42, 4, 0.25).tolist() == [0.25 * v for v in expected]
 
 
-@pytest.mark.parametrize("seed", [0, 42, 2**64 + 12345])
+@pytest.mark.parametrize("seed", [0, 42, -7, 2**64 + 12345])
+# doubling edges: one state, one short of a power of two, one past it
 @pytest.mark.parametrize(
-    "count", [0, 1, _LCG_BLOCK - 1, _LCG_BLOCK, _LCG_BLOCK + 1, 10_007]
+    "count", [0, 1, 2, 3, 4_095, 4_096, 4_097, 10_007, 65_535, 65_537]
 )
 def test_lcg_noise_matches_recurrence(seed, count):
     state = seed % LCG_MOD
