@@ -1,13 +1,16 @@
 """The nearest float64 of decimal text, one numpy pass per chunk of tokens.
 
-``errors.decimal`` is the definition: ``parse_tokens(text, start, stop)``
-gives ``decimal(t)`` for every ``t`` in ``text[start:stop].split()``, bit for
-bit, in one array per chunk, or None where it refuses one, a value is not
-finite or the text is not ASCII. Most tokens take no Python object:
+``errors.decimal`` is the definition: ``parse_tokens(data, start, stop)``
+gives ``decimal(t)`` for every ``t`` in ``data[start:stop].decode().split()``,
+bit for bit, in one array per chunk, or None where it refuses one, a value is
+not finite or a byte is not ASCII. ``data`` is any bytes-like object, an
+``mmap`` of the grid file included; it is read as bytes, with no decode, and
+whitespace is what ``str.split`` splits at (``SPACES``), not the fewer bytes
+``bytes.split`` does. Most tokens take no Python object:
 
-- The text is read in chunks of about ``_CHUNK_CHARS`` characters, each cut
-  at whitespace, as uint8 arrays; one table classes each byte as whitespace,
-  a digit or a mark, which is any other byte.
+- The bytes are read in chunks of about ``_CHUNK_CHARS``, each cut at
+  whitespace and copied once, as uint8 arrays; one table classes each byte
+  as whitespace, a digit or a mark, which is any other byte.
 - A token of the form ``-?d{0,8}(.d{0,16})?`` with 1 to 19 digits is
   ``w / 10**f``, with the integer ``w`` below 10**19 and ``f`` <= 16. A count
   of the marks in each token finds these. Their digits come from
@@ -42,8 +45,10 @@ from .errors import decimal
 # spread over fewer tokens, and chunks of 131,072 read 3-decimal ones in
 # 11.1 ms against 9.9 ms.
 _CHUNK_CHARS = 65536
-# For ASCII text, exactly the characters str.split splits at.
-_SPACE = re.compile(r"\s")
+# The ASCII characters str.split splits at, as the body of a bytes pattern's
+# class; a bytes "\s" and bytes.split miss \x1c to \x1f.
+SPACES = rb"\t\n\x0b\x0c\r\x1c-\x1f "
+_SPACE = re.compile(rb"[" + SPACES + rb"]")
 # Each ASCII byte's class: 0 where str.split splits, 1 for a digit, 2 for a mark.
 _CLASSES = bytes(0 if chr(b).isspace() else 1 if chr(b).isdigit() else 2 for b in range(256))
 # Leading spaces, so that every word ending at a token's end starts in the buffer.
@@ -80,23 +85,23 @@ def _tables() -> tuple[np.ndarray, ...]:
     return tables
 
 
-def space_after(text: str, pos: int) -> int:
-    """The index of the first whitespace character of ``text`` from ``pos``
-    on, or ``len(text)``."""
-    found = _SPACE.search(text, pos)
-    return found.start() if found else len(text)
+def space_after(data, pos: int) -> int:
+    """The index of the first whitespace byte of ``data`` from ``pos`` on, or
+    ``len(data)``."""
+    found = _SPACE.search(data, pos)
+    return found.start() if found else len(data)
 
 
-def parse_tokens(text: str, start: int, stop: int) -> list[np.ndarray] | None:
-    """``decimal`` of every token of ``text[start:stop]``, as float64 arrays of
-    one chunk each, or None if it refuses one, one is not finite or ``text`` is
-    not ASCII. ``stop`` is ``len(text)`` or the index of a whitespace character."""
-    if not text.isascii():
-        return None
+def parse_tokens(data, start: int, stop: int) -> list[np.ndarray] | None:
+    """``decimal`` of every token of the bytes ``data[start:stop]``, as float64
+    arrays of one chunk each, or None if it refuses one, one is not finite or
+    a byte is not ASCII. ``stop`` is ``len(data)`` or the index of a
+    whitespace byte."""
     parts = []
     while start < stop:
-        end = min(space_after(text, min(start + _CHUNK_CHARS, stop)), stop)
-        part = _parse_chunk(text[start:end])
+        end = min(space_after(data, min(start + _CHUNK_CHARS, stop)), stop)
+        chunk = bytes(data[start:end])
+        part = _parse_chunk(chunk) if chunk.isascii() else None
         if part is None:
             return None
         parts.append(part)
@@ -119,10 +124,10 @@ def _digits(words: np.ndarray, end: np.ndarray, count: np.ndarray) -> np.ndarray
     return ((v & _QUADS) * _BY_10000) >> 32
 
 
-def _parse_chunk(chunk: str) -> np.ndarray | None:
+def _parse_chunk(chunk: bytes) -> np.ndarray | None:
     """``decimal`` of every token of the ASCII ``chunk``, or None if it
     refuses one or one is not finite."""
-    data = _PAD + chunk.encode()
+    data = _PAD + chunk
     buf = np.frombuffer(data, np.uint8)
     classes = np.frombuffer(data.translate(_CLASSES), np.uint8)
     # words[i] is the little-endian word of bytes i to i + 7
@@ -172,7 +177,7 @@ def _parse_chunk(chunk: str) -> np.ndarray | None:
     slow = np.flatnonzero(~fast)
     if slow.size:
         first, last = (starts[slow] - len(_PAD)).tolist(), (ends[slow] - len(_PAD)).tolist()
-        values = _floats(chunk[i:j] for i, j in zip(first, last))
+        values = _floats(chunk[i:j].decode() for i, j in zip(first, last))
         if values is None:
             return None
         x[slow] = values

@@ -20,6 +20,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -56,7 +57,8 @@ def _load() -> None:
     global _loaded
     if _loaded:
         return
-    import numpy as np
+    with _one_blas_thread():
+        import numpy as np
 
     from dataclasses import fields
 
@@ -105,6 +107,22 @@ def _load() -> None:
     _loaded = True
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set ``OPENBLAS_NUM_THREADS=1`` for the block, unless it is set or numpy
+    is loaded already. popvol makes no BLAS call, yet numpy's OpenBLAS starts
+    a pool thread at import that spins, and a row band forked beside it
+    copies a process with a second thread."""
+    pin = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def __getattr__(name: str):
     """A name ``_load`` binds, read before any command ran. A dunder name,
     which the import system and tools probe (``__path__``), loads nothing."""
@@ -125,6 +143,42 @@ def _read_text(path) -> str:
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise PipelineError(f"input file {p} is not UTF-8: {e.reason} at byte {e.start}") from None
+
+
+def _read_grid(path) -> Grid:
+    """The grid of an ASCII grid file, parsed from a read-only mapping of it:
+    where the grid is read in two row bands or more, this process reads only
+    its header and the bytes at the band cuts, and each band's child its own
+    stretch. A file the reader refuses is first decoded as ``_read_text``
+    decodes it, so one that is not UTF-8 says so before any grid error."""
+    import mmap
+
+    p = Path(path)
+    if not p.is_file():
+        raise PipelineError(f"input file not found: {p}")
+    with open(p, "rb") as f, contextlib.ExitStack() as stack:
+        try:
+            data = stack.enter_context(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))
+        except ValueError:  # an empty file cannot be mapped
+            data = b""
+        try:
+            return read_ascii_grid(data)
+        except PipelineError as e:
+            # without its traceback, whose frames hold the text the reader decoded
+            error = e.with_traceback(None)
+    _read_text(p)
+    raise error
+
+
+def _write_grids(grids: dict) -> None:
+    """Write each grid of ``{path: grid}``, in order. Every grid is checked
+    before any file is written, so one the writer refuses leaves no file
+    behind; each is popped into the writer, which frees a grid held nowhere
+    else before it joins that grid's text."""
+    for path in grids:  # no loop variable may keep the last grid alive
+        check_writable(grids[path])
+    for path in list(grids):
+        _write_text(path, write_ascii_grid(grids.pop(path)))
 
 
 def _write_text(path, text: str) -> None:
@@ -329,16 +383,26 @@ def _record(*outputs, **counts) -> dict:
     return {"status": "ok", **counts, "outputs": [Path(p).name for p in outputs if p]}
 
 
-def dtm_stage(dsm: Grid, params: DtmFilterParams, out_dtm, out_mask=None) -> tuple[Grid, dict]:
-    """Filter ``dsm`` to a DTM and write it, and the ground mask if ``out_mask``
-    is set. Returns the DTM and the stage record."""
+def dtm_stage(
+    dsm: Grid, params: DtmFilterParams, out_dtm, out_mask=None
+) -> tuple[Grid, np.ndarray, dict]:
+    """Filter ``dsm`` to a DTM. Returns the DTM, the ground mask and the
+    stage record; ``_terrain_grids`` gives the grids to write."""
     dtm, ground_mask = progressive_morphological_filter(dsm, params)
-    _write_text(out_dtm, write_ascii_grid(dtm))
+    return dtm, ground_mask, _record(out_dtm, out_mask, non_ground_cells=int((~ground_mask).sum()))
+
+
+def _terrain_grids(dtm: Grid, ground_mask: np.ndarray, out_dtm, out_mask=None) -> dict:
+    """The DTM stage's grids for ``_write_grids``: the ground mask's first if
+    ``out_mask`` is set, 1 or 0 and nodata where the DTM is, which is where
+    the DSM is; the DTM's last, so that its longer text is joined once the
+    mask is gone. Built after the estimate, the mask's 8 bytes per cell never
+    meet the estimate's grids."""
+    grids = {}
     if out_mask:
-        mask = np.where(dsm.valid_mask, ground_mask, np.nan)  # 1 or 0, never -9999
-        _write_text(out_mask, write_ascii_grid(Grid(dsm.georef, mask)))
-    non_ground = int((~ground_mask).sum())
-    return dtm, _record(out_dtm, out_mask, non_ground_cells=non_ground)
+        grids[out_mask] = Grid(dtm.georef, np.where(dtm.valid_mask, ground_mask, np.nan))
+    grids[out_dtm] = dtm
+    return grids
 
 
 def estimate_stage(
@@ -419,19 +483,20 @@ def _read_heights_by_id(text: str) -> dict[str, float]:
 
 def cmd_dtm(args) -> int:
     params = build_filter_params(_load_config(args.config))
-    dsm = read_ascii_grid(_read_text(args.dsm))
-    _, record = dtm_stage(dsm, params, args.out_dtm, args.out_mask)
-    print(
-        f"dtm: {dsm.georef.nrows}x{dsm.georef.ncols} cells, "
-        f"{record['non_ground_cells']} non-ground"
-    )
+    # the DSM dies with the stage's frame, and the DTM is held only by `grids`
+    dtm, ground, record = dtm_stage(_read_grid(args.dsm), params, args.out_dtm, args.out_mask)
+    ref = dtm.georef
+    grids = _terrain_grids(dtm, ground, args.out_dtm, args.out_mask)
+    del dtm, ground
+    _write_grids(grids)
+    print(f"dtm: {ref.nrows}x{ref.ncols} cells, {record['non_ground_cells']} non-ground")
     return 0
 
 
 def cmd_estimate(args) -> int:
     cfg = build_estimation_config(_load_config(args.config))
     society, _, warnings, record = estimate_stage(
-        read_ascii_grid(_read_text(args.dsm)), read_ascii_grid(_read_text(args.dtm)),
+        _read_grid(args.dsm), _read_grid(args.dtm),
         parse_footprints(_read_text(args.footprints)), cfg, args.out_heights, args.out_estimates,
     )
     for w in warnings:
@@ -492,13 +557,7 @@ def cmd_synth(args) -> int:
     grids = {args.out_truth_dtm: result.truth_dtm} if args.out_truth_dtm else {}
     grids[args.out_dsm] = result.dsm
     del result
-    # every grid is checked before any file is written: one the writer
-    # refuses leaves no file behind
-    for path in grids:
-        check_writable(grids[path])
-    # the writer frees each grid before it joins that grid's text
-    for path in list(grids):
-        _write_text(path, write_ascii_grid(grids.pop(path)))
+    _write_grids(grids)
     if args.out_heights:
         _write_text(
             args.out_heights,
@@ -557,17 +616,22 @@ def cmd_run(args) -> int:
             amenity_texts, resolve(cfg["osm"]), resolve(cfg["rules"]), *query
         ))
     with amenity_job as amenity_result:
-        dsm = read_ascii_grid(_read_text(resolve(cfg["dsm"])))
+        dsm = _read_grid(resolve(cfg["dsm"]))
 
         stages: dict = {}
         summary: dict = {"stages": stages, "footnotes": []}
 
-        dtm, stages["dtm"] = dtm_stage(dsm, params, dst["dtm.asc"], dst["ground_mask.asc"])
+        dtm, ground, stages["dtm"] = dtm_stage(dsm, params, dst["dtm.asc"], dst["ground_mask.asc"])
 
         footprints = parse_footprints(_read_text(resolve(cfg["footprints"])))
         society, heights, summary["warnings"], stages["estimate"] = estimate_stage(
             dsm, dtm, footprints, est_cfg, dst["heights.csv"], dst["estimates.csv"]
         )
+        # written after the estimate, so the DTM's text is joined with no DSM,
+        # nDSM or DTM array alive
+        grids = _terrain_grids(dtm, ground, dst["dtm.asc"], dst["ground_mask.asc"])
+        del dsm, dtm, ground
+        _write_grids(grids)
         summary["totals"] = {
             "units": society.total_units,
             "persons": society.total_persons,

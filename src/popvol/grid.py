@@ -21,20 +21,27 @@ vectorized Ryu, and calls ``format_value`` only for the rare cells that
 ``repr`` prints in exponent form. Its text equals ``format_value`` applied
 cell by cell, with the ``NODATA_value`` text for nodata.
 
-The reader accepts plain ASCII decimal numbers only. ``float`` would also
+The reader takes the file's bytes (``bytes``, a ``memoryview`` or an
+``mmap``) and accepts plain ASCII decimal numbers only. ``float`` would also
 take ``nan``, ``1_000`` and non-ASCII digits such as a full-width zero; each
 of those, in the header or the body, is an ``AsciiGridError`` with its line.
+Values are separated and lines ended by what ``str.split`` and
+``str.splitlines`` cut at, which the bytes methods do not all know.
 
 Grids of 100,000 cells or more are read and written in bands, one per usable
 CPU (see ``_bands``); each band gives one result. The writer's bands are rows;
-the reader's are stretches of the body text of about equal length, cut at
+the reader's are stretches of the body's bytes of about equal length, cut at
 whitespace, however the values are spread over lines; the header scan stops
-at the sixth line's first token unless it is NODATA_value. A band is read by
-``_nearest.parse_tokens``, which refuses what ``errors.decimal`` refuses and
-non-finite values, and otherwise equals ``float`` per token bit for bit, but
-reads most tokens in one numpy pass per chunk of text, so neither a list of
-lines nor a per-cell Python object lives through the read; only a read that
-fails splits the text into lines, to name the line of the first bad token.
+at the sixth line's first token unless it is NODATA_value. The calling
+process reads only the header and the bytes at the cuts, and each band reads
+its own stretch, so a caller that hands over a mapping of the file never
+holds its text. A band is read by ``_nearest.parse_tokens``, which refuses
+what ``errors.decimal`` refuses and non-finite values, and otherwise equals
+``float`` per token bit for bit, but reads most tokens in one numpy pass per
+chunk of bytes, so neither a list of lines nor a per-cell Python object lives
+through the read. Only a read that fails decodes the file, as a text-mode
+read would (UTF-8, universal newlines), to name the first non-ASCII
+character, which comes before any other error, or the line of the error.
 The writer formats whole rows in chunks of about ``_PART_CELLS`` cells, at
 least one row per chunk, so one chunk's text is built at a time. It holds
 its text twice where it joins the chunks, and drops its reference to the grid
@@ -53,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bands import row_bands, run_bands
-from ._nearest import parse_tokens, space_after
+from ._nearest import SPACES, parse_tokens, space_after
 from ._shortest import format_cells, format_value
 from .errors import AsciiGridError, GeorefMismatchError, PipelineError, decimal
 
@@ -61,9 +68,9 @@ DEFAULT_NODATA = -9999.0
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 # One line of ASCII text and its end, as str.splitlines cuts them.
-_LINE = re.compile(r"[^\n\r\x0b\x0c\x1c-\x1e]*(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e])?")
-# A line whose first token is NODATA_value, in any case.
-_NODATA = re.compile(r"[\t\x1f ]*nodata_value(?!\S)", re.IGNORECASE)
+_LINE = re.compile(rb"[^\n\r\x0b\x0c\x1c-\x1e]*(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e])?")
+# A line whose first token is NODATA_value, in any case, followed by what str.split splits at.
+_NODATA = re.compile(rb"[\t\x1f ]*nodata_value(?![^" + SPACES + rb"])", re.IGNORECASE)
 
 # Origin/cellsize agreement required for grid algebra, in meters.
 GEOREF_TOLERANCE_M = 1e-6
@@ -167,6 +174,14 @@ def _parse_header_line(line: str, line_no: int, expected_key: str) -> float:
     return v
 
 
+def _text(data) -> str:
+    """The text of ``data`` as a text-mode read of its file gives it: UTF-8
+    with universal newlines, a byte that is not UTF-8 written as its escape
+    (``\\xff``), which keeps the text ASCII and the token it is in bad. Built
+    only to raise an error."""
+    return str(data, "utf-8", "backslashreplace").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _raise_if_not_ascii(text: str) -> None:
     """Raise for the first non-ASCII character, which ``float`` might read as
     a digit and ``split`` as a space. ``isascii`` costs nothing on ASCII text."""
@@ -177,6 +192,20 @@ def _raise_if_not_ascii(text: str) -> None:
     except UnicodeEncodeError as err:
         line_no = len(text[:err.start + 1].splitlines())
         raise AsciiGridError(f"non-ASCII character {text[err.start]!r}", line_no) from None
+
+
+def _raise_for_body(text: str, body_start: int, expected: int, count: int | None = None) -> None:
+    """Raise the error of a body that does not give ``expected`` good values:
+    a non-ASCII character; too few values where the text cannot hold them, a
+    value taking a character and a separator; with no ``count``, the first
+    bad token; else too few values, ``count`` of them read."""
+    _raise_if_not_ascii(text)
+    lines = text.splitlines()
+    holds = (len(text) + 1) // 2
+    if expected <= holds and count is None:
+        _raise_first_bad_token(lines[body_start:], body_start + 1, expected)
+    got = f"the text holds at most {holds}" if expected > holds else f"got {count}"
+    raise AsciiGridError(f"too few values: expected {expected}, {got}", len(lines))
 
 
 def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -> None:
@@ -199,26 +228,43 @@ def _raise_first_bad_token(body: list[str], first_line_no: int, expected: int) -
             count += 1
 
 
-def _head(text: str) -> list[str]:
-    """The five header lines of ``text``, or all of them where it has fewer,
+def _head(data) -> list[bytes]:
+    """The five header lines of ``data``, or all of them where it has fewer,
     and the NODATA_value line if the sixth is one, each with its line end.
     The scan stops at the sixth line's first token, so no body line is copied."""
     lines, pos = [], 0
-    while pos < len(text) and (len(lines) < 5 or len(lines) == 5 and _NODATA.match(text, pos)):
-        lines.append(_LINE.match(text, pos).group())
-        pos += len(lines[-1])
+    while pos < len(data) and (len(lines) < 5 or len(lines) == 5 and _NODATA.match(data, pos)):
+        end = _LINE.match(data, pos).end()
+        lines.append(bytes(data[pos:end]))
+        pos = end
     return lines
 
 
-def read_ascii_grid(text: str) -> Grid:
-    """Parse an ESRI ASCII grid from a string.
+def read_ascii_grid(data) -> Grid:
+    """Parse an ESRI ASCII grid from the bytes of its file: ``bytes``, a
+    ``memoryview`` or an ``mmap``.
 
     Raises AsciiGridError (with the offending line number) on a non-ASCII
     character, malformed or non-finite headers, non-numeric (underscores
-    included) or non-finite tokens, or a wrong body value count.
+    included) or non-finite tokens, or a wrong body value count. The first
+    non-ASCII character comes before any other error, and every message and
+    line is that of the file's text as a text-mode read decodes it, which
+    only a read that fails builds.
     """
-    _raise_if_not_ascii(text)
-    lines = _head(text)
+    text = functools.cache(functools.partial(_text, data))
+    try:
+        return _read(data, text)
+    except AsciiGridError:
+        _raise_if_not_ascii(text())
+        raise
+
+
+def _read(data, text) -> Grid:
+    """``read_ascii_grid`` of ``data``; ``text()`` gives its text."""
+    lines = _head(data)
+    if not all(line.isascii() for line in lines):
+        _raise_if_not_ascii(text())
+    lines = [line.decode(errors="backslashreplace") for line in lines]
     if len(lines) < len(_HEADER_KEYS):
         raise AsciiGridError("incomplete header", len(lines) or 1)
 
@@ -240,36 +286,30 @@ def read_ascii_grid(text: str) -> Grid:
         nodata = _parse_header_line(lines[-1], body_start, "nodata_value")
 
     expected = ncols * nrows
-    # each value takes a character and a separator: a header that claims more
-    # values than the text can hold allocates nothing
-    if expected > (len(text) + 1) // 2:
-        raise AsciiGridError(
-            f"too few values: expected {expected}, the text holds at most {(len(text) + 1) // 2}",
-            len(text.splitlines()),
-        )
+    # a header that claims more values than the bytes can hold allocates nothing
+    if expected > (len(data) + 1) // 2:
+        _raise_for_body(text(), body_start, expected)
     values = np.empty(expected, dtype=np.float64)
     count = 0
 
     def take(parts):
         nonlocal count
         if parts is None or count + sum(map(len, parts)) > expected:
-            _raise_first_bad_token(text.splitlines()[body_start:], body_start + 1, expected)
+            _raise_for_body(text(), body_start, expected)
         for part in parts:
             values[count:count + len(part)] = part
             count += len(part)
 
-    # bands of the body's characters (row_bands' rule), each cut moved on to whitespace
+    # bands of the body's bytes (row_bands' rule), each cut moved on to whitespace
     body = sum(map(len, lines))
-    cuts = [space_after(text, body + stop) for _, stop in row_bands(len(text) - body, expected)]
+    cuts = [space_after(data, body + stop) for _, stop in row_bands(len(data) - body, expected)]
     run_bands(
-        lambda start, stop: parse_tokens(text, start, stop),
+        lambda start, stop: parse_tokens(data, start, stop),
         zip([body] + cuts[:-1], cuts),
         take,
     )
     if count < expected:
-        raise AsciiGridError(
-            f"too few values: expected {expected}, got {count}", len(text.splitlines())
-        )
+        _raise_for_body(text(), body_start, expected, count)
 
     values[values == nodata] = np.nan
     georef = GridGeoref(ncols, nrows, raw["xllcorner"], raw["yllcorner"], raw["cellsize"])

@@ -42,7 +42,7 @@ def _grids(draw) -> Grid:
 def _outcome(text: str):
     """The grid read, or the message and line of the error."""
     try:
-        return read_ascii_grid(text)
+        return read_ascii_grid(text.encode())
     except AsciiGridError as e:
         return str(e), e.line_no
 
@@ -257,7 +257,7 @@ def test_failed_worker_still_gives_the_right_grid_and_pmf():
         for module, fn in zip((popvol.grid, popvol.grid, popvol.dtm), real):
             mp.setattr(module, fn.__name__, failing(fn))
         assert write_ascii_grid(dsm) == text
-        assert read_ascii_grid(text) == dsm
+        assert read_ascii_grid(text.encode()) == dsm
         banded, banded_ground = progressive_morphological_filter(dsm, params)
     assert np.array_equal(banded.data, dtm.data, equal_nan=True)
     assert np.array_equal(banded_ground, ground)
@@ -290,7 +290,7 @@ def test_bands_run_in_the_caller_only_when_there_is_one(nbands, expected):
                              (popvol.dtm, "_filter")):
             mp.setattr(module, name, _recording(getattr(module, name), ran))
         assert write_ascii_grid(dsm) == text
-        assert read_ascii_grid(text) == dsm
+        assert read_ascii_grid(text.encode()) == dsm
         banded, banded_ground = progressive_morphological_filter(dsm, params)
     assert np.array_equal(banded.data, dtm.data)
     assert np.array_equal(banded_ground, ground)

@@ -74,7 +74,7 @@ def test_synth_writes_outputs(tmp_path):
         "--out-footprints", str(tmp_path / "fp.geojson"),
     ])
     assert rc == 0
-    dsm = read_ascii_grid((tmp_path / "dsm.asc").read_text())
+    dsm = read_ascii_grid((tmp_path / "dsm.asc").read_bytes())
     assert dsm.georef.ncols == 160
     heights = (tmp_path / "true_heights.csv").read_text().splitlines()
     assert heights[0] == "id,type_label,height_m"
@@ -84,7 +84,10 @@ def test_synth_writes_outputs(tmp_path):
 
 
 def test_dtm_flat_fixture_identity(tmp_path):
-    flat = make_grid(np.full((30, 30), 12.5))
+    """A flat DSM is its own DTM and all ground, nodata where the DSM is."""
+    data = np.full((30, 30), 12.5)
+    data[3, 4] = data[20:22, 0] = np.nan
+    flat = make_grid(data)
     (tmp_path / "flat.asc").write_text(write_ascii_grid(flat))
     rc = main([
         "dtm", "--dsm", str(tmp_path / "flat.asc"),
@@ -92,9 +95,9 @@ def test_dtm_flat_fixture_identity(tmp_path):
         "--out-mask", str(tmp_path / "mask.asc"),
     ])
     assert rc == 0
-    assert read_ascii_grid((tmp_path / "dtm.asc").read_text()) == flat
-    mask = read_ascii_grid((tmp_path / "mask.asc").read_text())
-    assert (mask.data == 1.0).all()
+    assert read_ascii_grid((tmp_path / "dtm.asc").read_bytes()) == flat
+    mask = read_ascii_grid((tmp_path / "mask.asc").read_bytes())
+    assert np.array_equal(mask.data, np.where(np.isnan(data), np.nan, 1.0), equal_nan=True)
 
 
 def test_dtm_prism_fixture_flags_nonground(tmp_path):
@@ -106,7 +109,7 @@ def test_dtm_prism_fixture_flags_nonground(tmp_path):
         "--out-mask", str(tmp_path / "mask.asc"),
     ])
     assert rc == 0
-    mask = read_ascii_grid((tmp_path / "mask.asc").read_text())
+    mask = read_ascii_grid((tmp_path / "mask.asc").read_bytes())
     # the B1 prism interior must be non-ground
     assert (mask.data[110:120, 20:40] == 0.0).all()
 
@@ -122,8 +125,8 @@ def test_dtm_window_wider_than_the_grid(tmp_path, capsys, config):
         "--out-dtm", str(tmp_path / "dtm.asc"),
     ]) == 0
     assert capsys.readouterr().err == ""
-    dtm = read_ascii_grid((tmp_path / "dtm.asc").read_text())
-    assert dtm.georef == read_ascii_grid((DEMO / "out" / "dsm.asc").read_text()).georef
+    dtm = read_ascii_grid((tmp_path / "dtm.asc").read_bytes())
+    assert dtm.georef == read_ascii_grid((DEMO / "out" / "dsm.asc").read_bytes()).georef
 
 
 def test_windows_stop_once_one_covers_the_grid(tmp_path, monkeypatch):
@@ -239,7 +242,7 @@ def test_estimate_reason_with_comma_survives_csv_round_trip(tmp_path):
     # a footprint with too few valid cells produces an error reason
     # containing a comma; the CSV must stay parseable
     _prepare_rasters(tmp_path)
-    dsm = read_ascii_grid((tmp_path / "dsm.asc").read_text())
+    dsm = read_ascii_grid((tmp_path / "dsm.asc").read_bytes())
     data = dsm.data.copy()
     data[:, 0:12] = np.nan  # westmost strip becomes nodata
     (tmp_path / "dsm2.asc").write_text(
@@ -709,7 +712,8 @@ def test_failing_earlier_stage_stops_the_amenity_child(tmp_path, capsys, monkeyp
     assert time.perf_counter() - t0 < 30
     assert capsys.readouterr().err.startswith("error: invalid JSON: ")
     assert_no_children()
-    assert not list((tmp_path / "out").glob("amenities*"))
+    # the footprints fail before the grids are written, so no output is left
+    assert not (tmp_path / "out").exists()
 
 
 DEMO = Path(__file__).resolve().parents[1] / "demo"
@@ -785,7 +789,7 @@ def test_a_relabelled_nodata_sentinel_changes_only_the_dtm_header(tmp_path):
     ground["geometry"]["coordinates"] = [_OPEN_GROUND]
     doc["features"].append(ground)
     (site / "fp.geojson").write_text(json.dumps(doc))
-    cells = set(read_ascii_grid((site / "out" / "dsm.asc").read_text()).data.ravel().tolist())
+    cells = set(read_ascii_grid((site / "out" / "dsm.asc").read_bytes()).data.ravel().tolist())
     base = _relabel_outputs(site, tmp_path / "base", None)
     heights = {line.split(",")[0]: line for line in base["heights.csv"].splitlines()}
     assert heights["A1"].endswith(",1600.000,1600")
@@ -841,7 +845,7 @@ def test_synth_writes_no_file_when_the_truth_dtm_holds_the_sentinel(tmp_path, ca
     assert not out.exists()
     # the same scene without the truth DTM writes its DSM
     assert main(argv[:-2]) == 0
-    assert set(read_ascii_grid((out / "dsm.asc").read_text()).data.ravel()) == {-9994.0}
+    assert set(read_ascii_grid((out / "dsm.asc").read_bytes()).data.ravel()) == {-9994.0}
 
 
 @pytest.mark.parametrize("truth", [False, True])
@@ -868,6 +872,36 @@ def test_synth_traced_peak_is_the_dsm_text_twice_and_one_grid(tmp_path, truth):
     finally:
         tracemalloc.stop()
     text = (tmp_path / "dsm.asc").stat().st_size  # ASCII: one byte per character
+    assert peak <= 2 * text + 8 * 600 * 500 + 2**20, (peak, text)
+
+
+def test_run_traced_peak_is_the_dtm_text_twice_and_one_grid(tmp_path):
+    """``run`` on a noisy 600x500 scene, in two row bands, peaks under
+    tracemalloc at no more than twice the DTM text plus one grid of 8 bytes
+    per cell and 1 MB: the DSM is parsed from its mapping in the band
+    children, and the grids are written after the estimate, the DTM last,
+    so no DSM, nDSM or DTM array is alive where its text is joined, and the
+    estimate's grids fit under the bound. The DSM, the DTM and the ground
+    mask alive at the join, 17 bytes per cell, would not fit."""
+    scene = {
+        **SCENE,
+        "georef": {"ncols": 600, "nrows": 500, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
+        "noise_amplitude_m": 0.3,
+    }
+    assert main(["synth", "--scene", str(write_scene(tmp_path, scene)),
+                 "--out-dsm", str(tmp_path / "dsm.asc"),
+                 "--out-footprints", str(tmp_path / "fp.geojson")]) == 0
+    (tmp_path / "config.json").write_text(
+        json.dumps({"dsm": "dsm.asc", "footprints": "fp.geojson", "out_dir": "out"})
+    )
+    with split_into(2):
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    text = (tmp_path / "out" / "dtm.asc").stat().st_size  # ASCII: one byte per character
     assert peak <= 2 * text + 8 * 600 * 500 + 2**20, (peak, text)
 
 
@@ -909,6 +943,85 @@ def test_demo_run_is_silent_under_dev_mode_with_warnings_as_errors(tmp_path):
     assert written == sorted({p.name for p in (DEMO / "out").iterdir()} - synth_outputs)
     for name in written:
         assert (tmp_path / "out" / name).read_bytes() == (DEMO / "out" / name).read_bytes(), name
+
+
+def test_banded_dtm_and_run_are_silent_under_dev_mode(tmp_path):
+    """``dtm`` and ``run`` on a scene of ``MIN_SPLIT_CELLS`` cells or more,
+    split into two row bands whatever the CPU count, each in a child under
+    dev mode with ``OPENBLAS_NUM_THREADS`` unset: exit 0, nothing on stderr,
+    and the outputs of an in-process run. A mapping or temporary file left
+    unclosed is a ResourceWarning there, and on CPython 3.12 and later a
+    fork beside a second thread, such as OpenBLAS's pool, a
+    DeprecationWarning; ``-W error`` would swallow that one."""
+    scene = {
+        **SCENE,
+        "georef": {"ncols": 400, "nrows": 300, "xll": 0.0, "yll": 0.0, "cellsize": 1.0},
+    }
+    assert 400 * 300 >= popvol._bands.MIN_SPLIT_CELLS
+    assert main(["synth", "--scene", str(write_scene(tmp_path, scene)),
+                 "--out-dsm", str(tmp_path / "dsm.asc"),
+                 "--out-footprints", str(tmp_path / "fp.geojson")]) == 0
+    (tmp_path / "config.json").write_text(
+        json.dumps({"dsm": "dsm.asc", "footprints": "fp.geojson", "out_dir": "out"})
+    )
+
+    def argv(out):
+        return [
+            ["dtm", "--dsm", str(tmp_path / "dsm.asc"), "--out-dtm", str(out / "dtm.asc"),
+             "--out-mask", str(out / "mask.asc")],
+            ["run", "--config", str(tmp_path / "config.json"), "--out-dir", str(out / "run")],
+        ]
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    for args in argv(tmp_path / "child"):
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-c",
+             "import os, sys\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "from popvol.cli import main\n"
+             f"sys.exit(main({args!r}))"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+    with split_into(2):
+        for args in argv(tmp_path / "parent"):
+            assert main(args) == 0
+    for name in ("dtm.asc", "mask.asc", *(f"run/{n}" for n in RUN_OUTPUTS)):
+        if (tmp_path / "parent" / name).exists():
+            child = (tmp_path / "child" / name).read_bytes()
+            assert child == (tmp_path / "parent" / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts Linux /proc/self/task")
+def test_the_first_command_loads_numpy_with_one_blas_thread(tmp_path):
+    """With ``OPENBLAS_NUM_THREADS`` unset, loading the stages leaves one OS
+    thread and the variable unset again; a value the user set is kept, and
+    gives the thread count a bare numpy import gives."""
+    probe = (
+        "import os, sys\n"
+        "if sys.argv[1] == 'popvol':\n"
+        "    import popvol.cli\n"
+        "    popvol.cli._load()\n"
+        "else:\n"
+        "    import numpy\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+
+    def threads(what, **setting):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        result = subprocess.run(
+            [sys.executable, "-c", probe, what],
+            env={**env, "PYTHONPATH": str(SRC), **setting}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    assert threads("popvol") == ["1", "None"]
+    assert threads("popvol", OPENBLAS_NUM_THREADS="2") == [
+        threads("numpy", OPENBLAS_NUM_THREADS="2")[0], "2"
+    ]
 
 
 def test_cli_leaves_scipy_unloaded(tmp_path):
@@ -1097,6 +1210,74 @@ def test_non_utf8_input_is_typed_error(tmp_path, capsys):
         f"invalid start byte at byte {at}\n"
     )
     assert not (tmp_path / "dtm.asc").exists()
+
+
+_GRID_HEADER = b"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+_GRID = _GRID_HEADER + b"1 2\n3 4\n"
+
+
+@pytest.mark.parametrize("command", ["dtm", "estimate", "run"])
+@pytest.mark.parametrize("data,message", [
+    (b"", "line 1: incomplete header"),
+    (_GRID.replace(b"ncols 2", b"ncols 2\xff"),
+     "input file {path} is not UTF-8: invalid start byte at byte 7"),
+    (_GRID.replace(b"3 4", b"3 \xff4"),
+     "input file {path} is not UTF-8: invalid start byte at byte 76"),
+    (_GRID.replace(b"ncols 2", b"ncols x") + b"\xc3",
+     "input file {path} is not UTF-8: unexpected end of data at byte 78"),
+    (_GRID.replace(b"3 4", "3 \uff14".encode()), "line 8: non-ASCII character '\uff14'"),
+    (_GRID.replace(b"ncols 2", b"ncols x").replace(b"3 4", "3 4\u00e9".encode()),
+     "line 8: non-ASCII character '\u00e9'"),
+    (_GRID.replace(b"3 4", "3\u30004".encode()), "line 8: non-ASCII character '\\u3000'"),
+    (b"\xef\xbb\xbf" + _GRID, "line 1: non-ASCII character '\\ufeff'"),
+    (_GRID_HEADER + b"1\x1c2\x1d3\x1e4\x1f", None),
+    (b"ncols 2\x1cnrows 2\x1dxllcorner 0\x1eyllcorner 0\x0ccellsize 1\x0bNODATA_value -9999\r\n"
+     b"1\x1f2\x1c3 oops\n", "line 8: non-numeric value token 'oops'"),
+    (_GRID_HEADER + b"1 2\x1f3\x1f4 5\n", "line 7: too many values: expected 4"),
+    (_GRID_HEADER + b"1 2\n3\n", "line 8: too few values: expected 4, got 3"),
+    (_GRID_HEADER + b"1 2\n3 4 5\n", "line 8: too many values: expected 4"),
+    (_GRID.replace(b"ncols 2", b"ncols 1000").replace(b"nrows 2", b"nrows 1000"),
+     "line 8: too few values: expected 1000000, the text holds at most 42"),
+    # the text of \r\n line ends, as a text-mode read gives it, holds fewer
+    (_GRID.replace(b"ncols 2", b"ncols 30").replace(b"\n", b"\r\n").replace(b"3 4", b"3 x"),
+     "line 8: too few values: expected 60, the text holds at most 40"),
+], ids=[
+    "empty", "not-utf8-header", "not-utf8-body", "not-utf8-after-a-bad-header", "non-ascii",
+    "non-ascii-after-a-bad-header", "non-ascii-space", "bom", "x1c-x1f-separators",
+    "x1c-x1e-line-ends", "x1f-no-line-end", "too-few", "too-many", "claims-more",
+    "claims-more-crlf",
+])
+def test_every_grid_reading_command_reports_a_bad_dsm_in_one_line(
+    tmp_path, capsys, monkeypatch, command, data, message
+):
+    """The mapped read of ``dtm``, ``estimate`` and ``run`` gives the message
+    of the text read: a file that is not UTF-8 says so before any grid error,
+    a non-ASCII character comes first, and the characters that ``str.split``
+    and ``str.splitlines`` cut at, not the fewer that the bytes methods do,
+    separate values and end lines. A DSM of \\x1c to \\x1f separators is
+    read as the plain one is."""
+    (tmp_path / "dsm.asc").write_bytes(data)
+    (tmp_path / "plain.asc").write_bytes(_GRID)
+    (tmp_path / "fp.geojson").write_text('{"type": "FeatureCollection", "features": []}')
+    (tmp_path / "config.json").write_text(
+        json.dumps({"dsm": "dsm.asc", "footprints": "fp.geojson", "out_dir": "out"})
+    )
+    argv = {
+        "dtm": ["dtm", "--dsm", "dsm.asc", "--out-dtm", "out/dtm.asc"],
+        "estimate": ["estimate", "--dsm", "dsm.asc", "--dtm", "plain.asc",
+                     "--footprints", "fp.geojson", "--out-heights", "out/heights.csv",
+                     "--out-estimates", "out/estimates.csv"],
+        "run": ["run", "--config", "config.json"],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    if message is None:
+        assert (rc, err) == (0, "")
+        assert popvol.cli._read_grid("dsm.asc") == read_ascii_grid(_GRID)
+    else:
+        assert (rc, err) == (2, f"error: {message.format(path='dsm.asc')}\n")
+        assert not Path("out").exists()
 
 
 _DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"

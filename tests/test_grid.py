@@ -30,7 +30,7 @@ MINIMAL = (
 
 
 def test_parse_minimal_2x2():
-    g = read_ascii_grid(MINIMAL)
+    g = read_ascii_grid(MINIMAL.encode())
     assert g.georef == GridGeoref(2, 2, 0.0, 0.0, 1.0)
     assert g.nodata == -9999.0
     # north row first
@@ -42,7 +42,7 @@ def test_nodata_token_is_masked(nodata):
     """A cell equal to the file's sentinel is nodata; any other value, -9999
     among them, is a value."""
     text = MINIMAL.replace("-9999", nodata).replace("1 2\n3 4", f"{nodata} 12\n-9999 13")
-    g = read_ascii_grid(text)
+    g = read_ascii_grid(text.encode())
     assert g.nodata == float(nodata)
     minus_9999 = np.nan if nodata == "-9999" else -9999.0
     assert np.array_equal(g.data, [[np.nan, 12.0], [minus_9999, 13.0]], equal_nan=True)
@@ -50,14 +50,14 @@ def test_nodata_token_is_masked(nodata):
 
 def test_missing_nodata_header_defaults():
     text = "ncols 1\nnrows 1\nxllcorner 5\nyllcorner 6\ncellsize 2\n7\n"
-    g = read_ascii_grid(text)
+    g = read_ascii_grid(text.encode())
     assert g.nodata == -9999.0
     assert g.data[0, 0] == 7.0
 
 
 def test_header_keys_case_insensitive():
     text = "NCOLS 1\nNrows 1\nXLLCORNER 0\nyllCorner 0\nCellSize 1\nNODATA_VALUE -1\n3\n"
-    g = read_ascii_grid(text)
+    g = read_ascii_grid(text.encode())
     assert g.georef.ncols == 1
     assert g.nodata == -1.0
 
@@ -85,7 +85,7 @@ def test_roundtrip_random_grids():
     rng = random.Random(1234)
     for _ in range(20):
         g = _random_grid(rng)
-        assert read_ascii_grid(write_ascii_grid(g)) == g
+        assert read_ascii_grid(write_ascii_grid(g).encode()) == g
 
 
 def _write_reference(g: Grid) -> str:
@@ -141,7 +141,7 @@ def test_write_matches_format_value_reference(values, nodata):
     g = Grid(GridGeoref(arr.shape[1], arr.shape[0], -0.0, 1e-5, 0.5), arr, nodata)
     text = write_ascii_grid(g)
     assert text == _write_reference(g)
-    assert read_ascii_grid(text) == g
+    assert read_ascii_grid(text.encode()) == g
 
 
 def _from_bits(bits: int) -> float:
@@ -198,7 +198,7 @@ def test_write_equals_format_value_on_any_double(nbands, g):
             return
         text = write_ascii_grid(g)
     assert text == _write_reference(g)
-    assert read_ascii_grid(text) == g
+    assert read_ascii_grid(text.encode()) == g
 
 
 def test_write_peak_memory_is_about_twice_the_text():
@@ -227,10 +227,11 @@ def test_read_peak_memory_is_the_values_and_one_band(layout):
         text = "\n".join(lines[:6] + tokens) + "\n"
     else:
         text = "\n".join(lines[:5] + [" ".join(tokens)]) + "\n"
+    raw = text.encode()
     with split_into(1):
         tracemalloc.start()
         try:
-            grid = read_ascii_grid(text)
+            grid = read_ascii_grid(raw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -257,7 +258,7 @@ def test_read_values_spread_across_lines(values, layout):
             body.append("  ".join(tokens[i:i + n]))
             i += n
     text = "\n".join(header + body) + "\n"
-    assert read_ascii_grid(text) == g
+    assert read_ascii_grid(text.encode()) == g
 
 
 def test_write_1x1_single_row():
@@ -282,20 +283,20 @@ def test_write_nodata_sentinel_verbatim():
 )
 def test_malformed_header_reports_line(text, bad_line):
     with pytest.raises(AsciiGridError) as err:
-        read_ascii_grid(text)
+        read_ascii_grid(text.encode())
     assert err.value.line_no == bad_line
 
 
 def test_too_few_values_reports_last_line():
     text = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3\n"
     with pytest.raises(AsciiGridError, match="too few values"):
-        read_ascii_grid(text)
+        read_ascii_grid(text.encode())
 
 
 def test_too_many_values_reports_line():
     text = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n"
     with pytest.raises(AsciiGridError) as err:
-        read_ascii_grid(text)
+        read_ascii_grid(text.encode())
     assert "too many values" in str(err.value)
     assert err.value.line_no == 6
 
@@ -303,7 +304,7 @@ def test_too_many_values_reports_line():
 def test_non_numeric_value_token_reports_line():
     text = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 oops\n"
     with pytest.raises(AsciiGridError) as err:
-        read_ascii_grid(text)
+        read_ascii_grid(text.encode())
     assert err.value.line_no == 7
 
 
@@ -344,7 +345,7 @@ HEADER_2X1 = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
 )
 def test_non_finite_and_bad_tokens_are_typed_errors(tmp_path, capsys, text, bad_line, message):
     with pytest.raises(AsciiGridError, match=message) as err:
-        read_ascii_grid(text)
+        read_ascii_grid(text.encode())
     assert err.value.line_no == bad_line
     (tmp_path / "dsm.asc").write_text(text)
     rc = main(["dtm", "--dsm", str(tmp_path / "dsm.asc"), "--out-dtm", str(tmp_path / "dtm.asc")])
@@ -354,11 +355,11 @@ def test_non_finite_and_bad_tokens_are_typed_errors(tmp_path, capsys, text, bad_
 
 def test_rejects_bad_dimensions_and_cellsize():
     with pytest.raises(AsciiGridError):
-        read_ascii_grid("ncols 0\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n")
+        read_ascii_grid(b"ncols 0\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n")
     with pytest.raises(AsciiGridError):
-        read_ascii_grid("ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0\n1\n")
+        read_ascii_grid(b"ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 0\n1\n")
     with pytest.raises(AsciiGridError):
-        read_ascii_grid("ncols 1.5\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1\n")
+        read_ascii_grid(b"ncols 1.5\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1\n")
 
 
 def test_bad_georef_and_grid_values_are_typed_errors(tmp_path, capsys):
@@ -415,7 +416,7 @@ def test_a_cell_equal_to_the_sentinel_is_refused(nodata):
         write_ascii_grid(g)
     assert str(err.value) == f"cannot write grid: row 1, col 0 equals NODATA_value {sentinel}"
     g.data[1] = 7.0
-    assert read_ascii_grid(write_ascii_grid(g)) == g
+    assert read_ascii_grid(write_ascii_grid(g).encode()) == g
 
 
 @pytest.mark.parametrize("nodata", [math.nan, math.inf, -math.inf])

@@ -67,7 +67,7 @@ def scene(tmp_path_factory):
         "synth", "--scene", str(site / "scene.json"),
         "--out-dsm", str(site / "dsm.asc"), "--out-footprints", str(site / "fp.geojson"),
     ]) == 0
-    dsm = read_ascii_grid((site / "dsm.asc").read_text())
+    dsm = read_ascii_grid((site / "dsm.asc").read_bytes())
     footprints = parse_footprints((site / "fp.geojson").read_text())
     return dsm, footprints, _run(site / "base", dsm, footprints)
 

@@ -59,7 +59,8 @@ _tokens = st.one_of(
                      "nan", "inf", "1_0", "5e-324", "2.2250738585072014e-308", "00012.5000",
                      "1e-05", "+5", "1\x002", "\u0665"]),
 )
-_seps = st.sampled_from([" ", "\t", "\x1f", "\n", "   ", "\r\n", "\x0b\x1c"])
+# every ASCII character str.split splits at, four of which bytes.split does not
+_seps = st.sampled_from([" ", "\t", "\x1f", "\n", "   ", "\r\n", "\x0b\x1c", "\x0c\x1d", "\x1e"])
 
 
 def _reference(text: str):
@@ -89,8 +90,9 @@ def _assert_same(parts, want):
 @example(tokens=["13436510.97481571231", "4503599627370496.5", "-9999", "68.123"], seps=[" "],
          chunk=_nearest._CHUNK_CHARS)
 def test_parse_tokens_equals_float(extended, tokens, seps, chunk):
-    """Separators of str.split, chunks of a few characters (cut at
-    whitespace) or one, and the long-double quotients off where they are.
+    """The UTF-8 bytes of tokens with separators of str.split, chunks of a
+    few bytes (cut at whitespace) or one, and the long-double quotients off
+    where they are.
     The reference is ``decimal`` plus finiteness, not ``float``: the grid
     refuses "_", "nan", "inf" and overflows, and the kernel refuses them too."""
     text = seps[-1] + "".join(t + seps[i % len(seps)] for i, t in enumerate(tokens))
@@ -98,7 +100,8 @@ def test_parse_tokens_equals_float(extended, tokens, seps, chunk):
         mp.setattr(_nearest, "_CHUNK_CHARS", chunk)
         if not extended:
             mp.setattr(_nearest, "_extended", lambda: False)
-        _assert_same(_nearest.parse_tokens(text, 0, len(text)), _reference(text))
+        data = text.encode()
+        _assert_same(_nearest.parse_tokens(data, 0, len(data)), _reference(text))
 
 
 def test_only_tokens_off_the_array_path_reach_float(monkeypatch):
@@ -117,6 +120,6 @@ def test_only_tokens_off_the_array_path_reach_float(monkeypatch):
     tokens[1000] = "1e-05"
     text = " ".join(tokens)
     assert len(text) < _nearest._CHUNK_CHARS
-    parts = _nearest.parse_tokens(text, 0, len(text))
+    parts = _nearest.parse_tokens(text.encode(), 0, len(text))
     assert seen == ["1e-05"]
     assert np.concatenate(parts).tolist() == [float(t) for t in tokens]

@@ -3,10 +3,11 @@
 Each parser gets arbitrary text and mutations of its demo file: a few edits,
 each replacing a number of the text, or up to eight characters at a
 position, by a short string, often one that JSON, XML, CSV or grid text
-reads in a special way. Bytes reach the parsers as the CLI reads them: a
-file of arbitrary bytes, or of a demo file with bytes that are not UTF-8 or
-that UTF-8 decodes in a special way, goes through ``_read_text`` and then
-every parser.
+reads in a special way; the grid reader gets the text's UTF-8 bytes. Bytes
+reach the parsers as the CLI reads them: a file of arbitrary bytes, or of a
+demo file with bytes that are not UTF-8 or that UTF-8 decodes in a special
+way, goes through the CLI's mapped grid reader ``_read_grid``, and through
+``_read_text`` and then every parser.
 """
 
 import re
@@ -27,7 +28,7 @@ from popvol import (
     read_ground_truth,
     synthesize_dsm,
 )
-from popvol.cli import _read_heights_by_id, _read_text, read_estimates_csv
+from popvol.cli import _read_grid, _read_heights_by_id, _read_text, read_estimates_csv
 
 DEMO = Path(__file__).resolve().parents[1] / "demo"
 # the rules `amenities` matches with, as `run` reads them
@@ -46,7 +47,7 @@ def _synth(text):
 
 
 PARSERS = {
-    "read_ascii_grid": (read_ascii_grid, "out/dsm.asc"),
+    "read_ascii_grid": (lambda text: read_ascii_grid(text.encode()), "out/dsm.asc"),
     "parse_footprints": (parse_footprints, "out/footprints.geojson"),
     "parse_osm": (parse_osm, "site.osm"),
     "amenities": (lambda text: amenities(text, _DEMO_RULES), "site.osm"),
@@ -127,6 +128,10 @@ def test_bytes_through_read_text_reach_every_parser_as_a_value_or_pipeline_error
     @given(data=st.binary() | _byte_mutations())
     def check(data):
         path.write_bytes(data)
+        try:
+            _read_grid(path)
+        except PipelineError:
+            pass
         try:
             text = _read_text(path)
         except PipelineError:
